@@ -14,7 +14,6 @@ from .decode import (
 from .kmers import decode_kmer, encode_kmer, reverse_complement
 from .pore_model import (
     DEFAULT_ORDER_PROBS,
-    START_STATE,
     EventSequence,
     Hmm,
     KmerStateSpace,
@@ -42,7 +41,6 @@ __all__ = [
     "PoreModel",
     "ReadEnsemble",
     "ReadScaling",
-    "START_STATE",
     "StatePath",
     "TransitionModel",
     "decode_kmer",

@@ -97,13 +97,12 @@ def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
-def _load_transitions(args) -> TransitionModel:
+def _load_transitions(args, k: int) -> TransitionModel:
+    """The ``--transitions`` model, checked against k, or a per-order model for k."""
     if getattr(args, "transitions", None):
         model = load_transition_model(args.transitions)
-        if model.k != args.model_k:
-            raise ValueError(
-                f"transition model has k={model.k}, but --model-k is {args.model_k}"
-            )
+        if model.k != k:
+            raise ValueError(f"transition model has k={model.k}, but --model-k is {k}")
         return model
     probs = args.order_probs if getattr(args, "order_probs", None) else list(DEFAULT_ORDER_PROBS)
     if len(probs) != args.max_shift + 1:
@@ -111,13 +110,13 @@ def _load_transitions(args) -> TransitionModel:
             f"--order-probs needs {args.max_shift + 1} values for --max-shift "
             f"{args.max_shift}, got {len(probs)}"
         )
-    return TransitionModel.per_order(args.model_k, order_probs=probs)
+    return TransitionModel.per_order(k, order_probs=probs)
 
 
 def cmd_simulate(args) -> int:
     _ensure_out_dir(args.out_dir)
     pore = synthetic_pore_model(args.model_k, seed=args.seed)
-    hmm = make_hmm(pore, _load_transitions(args))
+    hmm = make_hmm(pore, _load_transitions(args, args.model_k))
     reference, reads = simulate_corpus(
         hmm,
         reference_length=args.ref_length,
@@ -146,7 +145,7 @@ def cmd_train(args) -> int:
         if not (args.events and args.pore_model):
             raise ValueError("--source viterbi requires --events and --pore-model")
         pore = load_pore_model(args.pore_model)
-        hmm = make_hmm(pore, _load_transitions_for_k(args, pore.k))
+        hmm = make_hmm(pore, _load_transitions(args, pore.k))
         events = load_events(args.events)
         with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
             paths = list(pool.map(lambda ev: viterbi(hmm, ev), events))
@@ -160,19 +159,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_transitions_for_k(args, k: int) -> TransitionModel:
-    saved = args.model_k
-    args.model_k = k
-    try:
-        return _load_transitions(args)
-    finally:
-        args.model_k = saved
-
-
 def cmd_basecall(args) -> int:
     _ensure_out_dir(args.out_dir)
     pore = load_pore_model(args.pore_model)
-    hmm = make_hmm(pore, _load_transitions_for_k(args, pore.k))
+    hmm = make_hmm(pore, _load_transitions(args, pore.k))
     events = load_events(args.events)
     k = pore.k
     max_shift = hmm.transitions.max_shift

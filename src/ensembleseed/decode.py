@@ -2,8 +2,8 @@
 
 The forward pass keeps each column rescaled to sum 1 (log-space would lose the
 within-column ratios that traceback sampling needs); Viterbi runs in log space.
-Both exploit the regular shift structure of the state graph, so the cost per
-event is O(m * out_degree) rather than O(m^2).
+Both work on the shift structure of the state graph (see ``shifts``), so the
+cost per event is O(m * out_degree) rather than O(m^2).
 """
 
 from __future__ import annotations
@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write, read_fasta
-from .kmers import decode_kmer
-from .pore_model import Hmm, EventSequence, smallest_shift
+from .io import atomic_write, fasta_records
+from .kmers import BASES, decode_kmer
+from .pore_model import Hmm, EventSequence
+from .shifts import (
+    by_dropped_bases,
+    pair_probs,
+    predecessors,
+    smallest_orders,
+    summed_edge_tables,
+)
 
 
 class IllegalPathError(ValueError):
@@ -40,17 +47,13 @@ class StatePath:
 class ForwardMatrix:
     """Per-event forward columns, rescaled so each column sums to 1.
 
-    The true forward probability is ``columns[i][s] * prod(scale_factors[:i+1])``;
+    The true forward probability is ``columns[i][s] * exp(sum(log_scale_factors[:i+1]))``;
     the factors are kept as logs so the total likelihood never over- or
     underflows.
     """
 
     columns: np.ndarray
     log_scale_factors: np.ndarray
-
-    @property
-    def scale_factors(self) -> np.ndarray:
-        return np.exp(self.log_scale_factors)
 
     @property
     def log_likelihood(self) -> float:
@@ -87,37 +90,43 @@ def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
 
 
 def forward(hmm: Hmm, events: EventSequence) -> ForwardMatrix:
-    """Scaled forward pass starting from the silent start state's uniform fan-out."""
+    """Scaled forward pass from a uniform start over all states.
+
+    Raises ValueError naming the read and event when a column has no finite,
+    positive mass, as when no state reachable from the previous column can
+    emit the event.
+    """
     logpdf = emission_log_matrix(hmm, events)
     n, m = logpdf.shape
     col_max = logpdf.max(axis=1)
     eprob = np.exp(logpdf - col_max[:, None])
 
     trans = hmm.transitions
-    tables = trans.tables
-    k, max_shift = trans.k, trans.max_shift
+    tables, k = trans.tables, trans.k
 
     columns = np.empty((n, m))
     log_sf = np.empty(n)
 
     raw = eprob[0] / m
-    total = raw.sum()
-    columns[0] = raw / total
-    log_sf[0] = np.log(total) + col_max[0]
-
-    for i in range(1, n):
-        prev = columns[i - 1]
-        raw = tables[0] * prev
-        for j in range(1, max_shift + 1):
-            width = 4**j
-            # Edge (x, b) lands on the state made of x's last k-j bases plus b,
-            # so summing out x's leading j bases realigns mass onto targets.
-            spread = (prev[:, None] * tables[j]).reshape(width, m // width, width)
-            raw += spread.sum(axis=0).reshape(m)
-        raw *= eprob[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
         total = raw.sum()
-        columns[i] = raw / total
-        log_sf[i] = np.log(total) + col_max[i]
+        columns[0] = raw / total
+        log_sf[0] = np.log(total) + col_max[0]
+        for i in range(1, n):
+            prev = columns[i - 1]
+            raw = tables[0] * prev
+            for j in range(1, trans.max_shift + 1):
+                # Summing out x's dropped bases lands each edge's mass on its target.
+                raw += by_dropped_bases(prev[:, None] * tables[j], k, j).sum(axis=0).reshape(m)
+            raw *= eprob[i]
+            total = raw.sum()
+            columns[i] = raw / total
+            log_sf[i] = np.log(total) + col_max[i]
+    bad = np.flatnonzero(~np.isfinite(log_sf))
+    if bad.size:
+        raise ValueError(
+            f"read {events.read_id!r}: forward mass is zero or not finite at event {bad[0]}"
+        )
     return ForwardMatrix(columns=columns, log_scale_factors=log_sf)
 
 
@@ -126,44 +135,33 @@ def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
     logpdf = emission_log_matrix(hmm, events)
     n, m = logpdf.shape
 
-    agg = hmm.transitions.aggregate_matrix()
-    indptr = agg.indptr
-    pred = agg.indices  # rows, sorted ascending within each target column
+    # Row y lists every predecessor of y in ascending id order, with the
+    # pair's total probability, so argmax's first maximum is the lowest id.
+    targets = np.arange(m)
+    pools, weights = [], []
+    for j, table in enumerate(summed_edge_tables(hmm.transitions)):
+        pool, gained = predecessors(targets, hmm.k, j)
+        pools.append(pool)
+        weights.append(table[pool, gained[:, None]])
+    pool = np.concatenate(pools, axis=1)
+    rank = np.argsort(pool, axis=1, kind="stable")
+    pool = np.take_along_axis(pool, rank, axis=1)
     with np.errstate(divide="ignore"):
-        log_t = np.log(agg.data)
-    col_sizes = np.diff(indptr)
-    nnz = pred.size
-    edge_pos = np.arange(nnz)
+        log_t = np.log(np.take_along_axis(np.concatenate(weights, axis=1), rank, axis=1))
 
     scores = logpdf[0] - np.log(m)
     backptr = np.empty((n, m), dtype=np.int32)
     for i in range(1, n):
-        vals = scores[pred] + log_t
-        best = np.maximum.reduceat(vals, indptr[:-1])
-        hit = np.where(vals == np.repeat(best, col_sizes), edge_pos, nnz)
-        backptr[i] = pred[np.minimum.reduceat(hit, indptr[:-1])]
-        scores = logpdf[i] + best
+        vals = scores[pool] + log_t
+        best = vals.argmax(axis=1)
+        backptr[i] = pool[targets, best]
+        scores = logpdf[i] + vals[targets, best]
 
     states = np.empty(n, dtype=np.int64)
     states[-1] = int(np.argmax(scores))
     for i in range(n - 1, 0, -1):
         states[i - 1] = backptr[i, states[i]]
     return StatePath(states=states, log_joint=float(scores[states[-1]]))
-
-
-def aggregate_transition_probs(hmm: Hmm, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Total transition probability for each (source, target) pair of state codes.
-
-    Sums parallel shift orders connecting the same pair, which matters for
-    periodic k-mers.
-    """
-    trans = hmm.transitions
-    k = trans.k
-    total = np.where(sources == targets, trans.tables[0][sources], 0.0)
-    for j in range(1, trans.max_shift + 1):
-        fits = (sources & (4 ** (k - j) - 1)) == (targets >> (2 * j))
-        total = total + np.where(fits, trans.tables[j][sources, targets & (4**j - 1)], 0.0)
-    return total
 
 
 def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray) -> float:
@@ -174,7 +172,7 @@ def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray) -> float
     sd = hmm.pore.level_stdv[states] * scaling.var
     z = (events.means - loc) / sd
     emit = np.sum(-0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi)))
-    trans = aggregate_transition_probs(hmm, states[:-1], states[1:])
+    trans = pair_probs(hmm.transitions, states[:-1], states[1:])
     if np.any(trans <= 0):
         raise IllegalPathError("path contains a zero-probability transition")
     return float(-np.log(hmm.num_states) + emit + np.log(trans).sum())
@@ -206,8 +204,7 @@ def sample_paths(
 
     rng = np.random.default_rng(seed)
     trans = hmm.transitions
-    tables = trans.tables
-    k, max_shift = trans.k, trans.max_shift
+    tables, k = trans.tables, trans.k
     draws = np.arange(count)
 
     cum = np.cumsum(F[-1])
@@ -218,16 +215,12 @@ def sample_paths(
     paths[:, -1] = cur
     for i in range(n - 2, -1, -1):
         col = F[i]
+        # A split's only predecessor is the state itself.
         cands = [cur[:, None]]
         weights = [(col[cur] * tables[0][cur])[:, None]]
-        for j in range(1, max_shift + 1):
-            width = 4**j
-            # Predecessors under shift j share their last k-j bases with
-            # cur's first k-j bases; the leading j bases are free.
-            base = cur >> (2 * j)
-            pool = base[:, None] + (np.arange(width) * 4 ** (k - j))[None, :]
-            fresh = cur & (width - 1)
-            weights.append(col[pool] * tables[j][pool, fresh[:, None]])
+        for j in range(1, trans.max_shift + 1):
+            pool, gained = predecessors(cur, k, j)
+            weights.append(col[pool] * tables[j][pool, gained[:, None]])
             cands.append(pool)
         pool = np.concatenate(cands, axis=1)
         cw = np.cumsum(np.concatenate(weights, axis=1), axis=1)
@@ -238,9 +231,7 @@ def sample_paths(
 
     logpdf = emission_log_matrix(hmm, events)
     emit = logpdf[np.arange(n)[None, :], paths].sum(axis=1)
-    step = aggregate_transition_probs(
-        hmm, paths[:, :-1].reshape(-1), paths[:, 1:].reshape(-1)
-    ).reshape(count, n - 1)
+    step = pair_probs(trans, paths[:, :-1], paths[:, 1:])
     joints = -np.log(m) + emit + np.log(step).sum(axis=1)
     return [StatePath(states=paths[d], log_joint=float(joints[d])) for d in range(count)]
 
@@ -255,25 +246,24 @@ def path_to_sequence(path: StatePath, k: int, max_shift: int | None = None) -> B
     """
     states = path.states
     limit = k if max_shift is None else max_shift
-    first = int(states[0])
-    parts = [decode_kmer(first, k)]
-    spans = [(0, k)]
-    pos = k
-    prev = first
-    for idx in range(1, states.size):
-        cur = int(states[idx])
-        j = smallest_shift(prev, cur, k, limit)
-        if j is None:
-            raise IllegalPathError(
-                f"events {idx - 1}..{idx}: {decode_kmer(prev, k)} -> {decode_kmer(cur, k)} "
-                f"needs a shift beyond {limit}"
-            )
-        if j:
-            parts.append(decode_kmer(cur & (4**j - 1), j))
-        spans.append((pos, j))
-        pos += j
-        prev = cur
-    return BaseCall(sequence="".join(parts), event_spans=spans)
+    orders = smallest_orders(states[:-1], states[1:], k, limit)
+    bad = np.flatnonzero(orders < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise IllegalPathError(
+            f"events {i}..{i + 1}: {decode_kmer(int(states[i]), k)} -> "
+            f"{decode_kmer(int(states[i + 1]), k)} needs a shift beyond {limit}"
+        )
+    # Output base p comes from the event whose bases end at ends[e]; it is
+    # digit ends[e] - 1 - p of that event's k-mer code, counting from the last.
+    ends = k + np.cumsum(orders)
+    event = np.repeat(np.arange(orders.size), orders)
+    digit = ends[event] - k - 1 - np.arange(event.size)
+    codes = (states[1:][event] >> (2 * digit)) & 3
+    lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
+    sequence = decode_kmer(int(states[0]), k) + lookup[codes].tobytes().decode("ascii")
+    spans = [(0, k)] + list(zip((ends - orders).tolist(), orders.tolist()))
+    return BaseCall(sequence=sequence, event_spans=spans)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +299,24 @@ def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> No
 def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
     spans: dict[tuple[str, str], list[tuple[int, int]]] = {}
     with open(spans_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             rec = json.loads(line)
             key = (rec["read_id"], _call_label(rec["call"], rec["index"]))
+            if key in spans:
+                raise ValueError(f"{spans_path}:{lineno}: repeated {key[1]} call for read {key[0]!r}")
             spans[key] = [(o, l) for o, l in rec["spans"]]
 
     ensembles: list[ReadEnsemble] = []
     by_read: dict[str, ReadEnsemble] = {}
-    for header, seq in read_fasta(fasta_path):
+    seen: set[tuple[str, str]] = set()
+    for lineno, header, seq in fasta_records(fasta_path):
         read_id, _, label = header.partition(" ")
         key = (read_id, label)
         if key not in spans:
             raise ValueError(f"{fasta_path}: no spans recorded for {header!r}")
+        if key in seen:
+            raise ValueError(f"{fasta_path}:{lineno}: repeated {label} call for read {read_id!r}")
+        seen.add(key)
         call = BaseCall(sequence=seq, event_spans=spans[key])
         if read_id not in by_read:
             by_read[read_id] = ReadEnsemble(read_id=read_id, viterbi=None, samples=[])

@@ -16,19 +16,17 @@ import numpy as np
 
 from .decode import ReadEnsemble, StatePath
 from .io import atomic_write
-from .pore_model import GAP
 from .seeding import (
+    GAP,
     KmerIndex,
     chain_hits,
     collect_ensemble_kmers,
     find_hits,
 )
-from .train import infer_orders
+from .shifts import smallest_orders
 
 DEFAULT_WINDOW_SIZE = 500
 DEFAULT_DEDUP_RADIUS = 10
-
-TruthSet = dict[str, tuple[int, int, str]]
 
 
 @dataclass(eq=False)
@@ -43,10 +41,6 @@ class Window:
     event_offsets: np.ndarray
     truth: tuple[int, int, str]
     cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def width(self) -> int:
-        return int(self.event_offsets[-1])
 
 
 def _window_rows(calls, a: int, b: int) -> tuple[list[str], np.ndarray]:
@@ -93,7 +87,8 @@ def build_windows(
                 f"spans, true path has {n_events}"
             )
 
-    orders = infer_orders(true_path.states, k, k)
+    states = true_path.states
+    orders = smallest_orders(states[:-1], states[1:], k, k)
     if np.any(orders < 0):
         raise ValueError(f"read {ensemble.read_id}: true path is not a legal walk")
     rel = np.concatenate([[0], np.cumsum(orders)])
@@ -120,10 +115,6 @@ def build_windows(
             )
         )
     return windows
-
-
-def window_truth_set(windows: list[Window]) -> TruthSet:
-    return {w.window_id: w.truth for w in windows}
 
 
 def is_valid_hit(point, truth: tuple[int, int, str]) -> bool:

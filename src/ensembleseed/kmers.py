@@ -66,9 +66,3 @@ def kmer_codes(seq: str, k: int) -> np.ndarray:
 
 def reverse_complement(seq: str) -> str:
     return seq.translate(_COMPLEMENT)[::-1]
-
-
-def all_kmers(k: int):
-    """Yield all 4**k k-mers in encoding order."""
-    for code in range(4**k):
-        yield decode_kmer(code, k)

@@ -1,7 +1,7 @@
 """K-mer HMM building blocks: state space, Gaussian emissions, transitions.
 
-The hidden states are the 4**k k-mers (one per pore context) plus a silent
-start state that fans out uniformly. An event's mean current is emitted from
+The hidden states are the 4**k k-mers (one per pore context); a read starts
+in each with equal probability. An event's mean current is emitted from
 a normal distribution whose parameters come from the per-k-mer pore table,
 adjusted by read-specific scaling. Transitions shift the k-mer context by
 0 bases (split), 1 base (move) or up to ``max_shift`` bases (skips).
@@ -11,40 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from .io import atomic_write
 from .kmers import decode_kmer, encode_kmer
-
-# Silent start state; transitions to every emitting state with equal probability.
-START_STATE = -1
 
 # Untrained defaults: stay, move, skip-2. Move-dominant to match the intended
 # one-base-per-event semantics; training overrides these.
 DEFAULT_ORDER_PROBS = (0.1, 0.8, 0.1)
 
-GAP = "-"
-
-
-def smallest_shift(prev: int, cur: int, k: int, max_shift: int) -> int | None:
-    """Smallest shift order j in [0, max_shift] connecting two k-mer codes.
-
-    Order j requires the last k-j bases of ``prev`` to equal the first k-j
-    bases of ``cur``. Returns None when no order up to ``max_shift`` fits.
-    """
-    if prev == cur:
-        return 0
-    for j in range(1, max_shift + 1):
-        if prev & (4 ** (k - j) - 1) == cur >> (2 * j):
-            return j
-    return None
-
-
 @dataclass(frozen=True)
 class KmerStateSpace:
-    """All k-mers over ACGT as integer-identified states, plus the silent start."""
+    """All k-mers over ACGT as integer-identified states."""
 
     k: int
 
@@ -63,10 +43,6 @@ class KmerStateSpace:
 
     def decode(self, state: int) -> str:
         return decode_kmer(state, self.k)
-
-    def kmers(self):
-        for code in range(self.num_states):
-            yield decode_kmer(code, self.k)
 
 
 @dataclass(frozen=True)
@@ -204,7 +180,6 @@ class TransitionModel:
             raise ValueError(
                 f"transition rows must sum to 1; state {worst} sums to {rows[worst]!r}"
             )
-        self._aggregate = None
 
     @classmethod
     def per_order(cls, k: int, order_probs=DEFAULT_ORDER_PROBS) -> "TransitionModel":
@@ -225,56 +200,6 @@ class TransitionModel:
         for j in range(1, self.max_shift + 1):
             total += self.tables[j].sum(axis=1)
         return total
-
-    def targets_of(self, state: int, order: int) -> np.ndarray:
-        """Target state codes of ``state`` under shift ``order``, indexed by new-base code."""
-        m = 4**self.k
-        if order == 0:
-            return np.array([state])
-        width = 4**order
-        prefix = (state % 4 ** (self.k - order)) * width
-        return prefix + np.arange(width)
-
-    def out_edges(self, state: int) -> list[tuple[int, float]]:
-        """Aggregated outgoing distribution of one emitting state, sorted by target."""
-        acc: dict[int, float] = {}
-        acc[state] = float(self.tables[0][state])
-        for j in range(1, self.max_shift + 1):
-            probs = self.tables[j][state]
-            for b, target in enumerate(self.targets_of(state, j)):
-                t = int(target)
-                acc[t] = acc.get(t, 0.0) + float(probs[b])
-        return sorted(acc.items())
-
-    def aggregate_matrix(self) -> sparse.csc_matrix:
-        """Dense-free (m x m) matrix of total state-to-state probabilities.
-
-        Parallel transitions between the same pair of states (possible for
-        periodic k-mers) are summed, which is what path-level inference needs.
-        """
-        if self._aggregate is None:
-            m = 4**self.k
-            rows, cols, data = [], [], []
-            all_states = np.arange(m)
-            rows.append(all_states)
-            cols.append(all_states)
-            data.append(self.tables[0])
-            for j in range(1, self.max_shift + 1):
-                width = 4**j
-                prefix = (all_states % 4 ** (self.k - j)) * width
-                targets = prefix[:, None] + np.arange(width)[None, :]
-                rows.append(np.repeat(all_states, width))
-                cols.append(targets.reshape(-1))
-                data.append(self.tables[j].reshape(-1))
-            coo = sparse.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(m, m),
-            )
-            mat = coo.tocsc()
-            mat.sum_duplicates()
-            mat.sort_indices()
-            self._aggregate = mat
-        return self._aggregate
 
 
 @dataclass(frozen=True)
@@ -307,20 +232,6 @@ def make_hmm(pore: PoreModel, transitions: TransitionModel | None = None) -> Hmm
     return Hmm(KmerStateSpace(pore.k), pore, transitions)
 
 
-def transitions_from(hmm: Hmm, state: int) -> list[tuple[int, float]]:
-    """Complete outgoing distribution of a state as (target, probability) pairs.
-
-    ``START_STATE`` fans out to every emitting state with probability 4**-k.
-    """
-    if state == START_STATE:
-        m = hmm.num_states
-        p = 1.0 / m
-        return [(target, p) for target in range(m)]
-    if not 0 <= state < hmm.num_states:
-        raise ValueError(f"no such state: {state}")
-    return hmm.transitions.out_edges(state)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 
@@ -328,7 +239,7 @@ PORE_MODEL_HEADER = ["kmer", "mu", "sigma"]
 
 
 def write_pore_model(path, pore: PoreModel) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\t".join(PORE_MODEL_HEADER) + "\n")
         for code in range(4**pore.k):
             kmer = decode_kmer(code, pore.k)
@@ -364,7 +275,7 @@ def load_pore_model(path) -> PoreModel:
 
 
 def write_events(path, reads: list[EventSequence]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for read in reads:
             record = {
                 "read_id": read.read_id,

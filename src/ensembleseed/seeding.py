@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write
 from .kmers import BASES, kmer_codes, reverse_complement
-from .pore_model import GAP
+
+# Pads each event's slice of a window row to the widest call's slice there.
+GAP = "-"
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,6 @@ class KmerIndex:
 
     def lookup(self, kmer: str) -> list[tuple[int, str]]:
         return self.positions.get(kmer, [])
-
-    @property
-    def total_positions(self) -> int:
-        return sum(len(v) for v in self.positions.values())
 
 
 def _decode_block(codes: np.ndarray, k: int) -> list[str]:
@@ -101,10 +98,6 @@ class EnsembleKmers:
     n: int
     t: int
     per_column: dict[int, dict[str, int]]
-
-    @property
-    def total_kmers(self) -> int:
-        return sum(len(v) for v in self.per_column.values())
 
     def columns(self) -> list[int]:
         return sorted(self.per_column)
@@ -247,11 +240,3 @@ def chain_hits(
             chains.append(Chain(hits=tuple(chain)))
     chains.sort(key=lambda c: (c.leftmost.query_col, c.leftmost.ref_pos, c.strand))
     return chains
-
-
-def write_hits(path, rows) -> None:
-    """TSV of (window_id, strategy, hit) triples."""
-    with atomic_write(path) as fh:
-        fh.write("window_id\tstrategy\tquery_col\tref_pos\tstrand\n")
-        for window_id, strategy, hit in rows:
-            fh.write(f"{window_id}\t{strategy}\t{hit.query_col}\t{hit.ref_pos}\t{hit.strand}\n")

@@ -25,6 +25,7 @@ from .decode import StatePath, path_log_joint, path_to_sequence
 from .io import atomic_write
 from .kmers import BASES, kmer_codes, reverse_complement
 from .pore_model import EventSequence, Hmm, PoreModel, ReadScaling
+from .shifts import edge_table
 
 DEFAULT_REFERENCE_LENGTH = 100_000
 DEFAULT_READ_COUNT = 200
@@ -87,14 +88,6 @@ def synthetic_pore_model(
     return PoreModel(k=k, level_mean=level_mean, level_stdv=level_stdv)
 
 
-def _order_masses(hmm: Hmm) -> np.ndarray:
-    """(m, max_shift + 1) total outgoing probability per state per shift order."""
-    trans = hmm.transitions
-    cols = [trans.tables[0][:, None]]
-    cols += [trans.tables[j].sum(axis=1)[:, None] for j in range(1, trans.max_shift + 1)]
-    return np.concatenate(cols, axis=1)
-
-
 def simulate_read(
     hmm: Hmm,
     reference: str,
@@ -117,7 +110,8 @@ def simulate_read(
     if read_len_events < 1:
         raise ValueError(f"need at least one event, got {read_len_events}")
     k = hmm.k
-    max_shift = hmm.transitions.max_shift
+    trans = hmm.transitions
+    max_shift = trans.max_shift
     L = len(reference)
     if L < k:
         raise ValueError(f"reference of length {L} cannot hold a {k}-mer")
@@ -136,9 +130,14 @@ def simulate_read(
             var=rng.uniform(*var_range),
         )
 
-    per_order = hmm.transitions.mode == "per-order"
-    order_probs = None if not per_order else np.asarray(hmm.transitions.order_probs)
-    masses = None if per_order else _order_masses(hmm)
+    per_order = trans.mode == "per-order"
+    if per_order:
+        order_probs = np.asarray(trans.order_probs)
+    else:
+        # (m, max_shift + 1) total outgoing probability of each state per order
+        masses = np.stack(
+            [edge_table(trans.tables, j).sum(axis=1) for j in range(max_shift + 1)], axis=1
+        )
 
     for _ in range(max_retries):
         start = int(rng.integers(0, L - k + 1))
@@ -161,7 +160,6 @@ def simulate_read(
                 states[i] = codes[pos]
             if overrun:
                 continue
-            offsets = None
 
         path = StatePath(states=states, log_joint=0.0)
         call = path_to_sequence(path, k, max_shift)
@@ -289,10 +287,14 @@ def load_true_paths(path) -> dict[str, StatePath]:
                 continue
             try:
                 rec = json.loads(line)
-                out[rec["read_id"]] = StatePath(
+                read_id = rec["read_id"]
+                true_path = StatePath(
                     states=np.asarray(rec["states"], dtype=np.int64),
                     log_joint=float(rec["log_joint"]),
                 )
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad true-path record: {exc}") from None
+            if read_id in out:
+                raise ValueError(f"{path}:{lineno}: duplicate read id {read_id!r}")
+            out[read_id] = true_path
     return out

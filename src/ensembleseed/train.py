@@ -16,8 +16,9 @@ import numpy as np
 
 from .decode import IllegalPathError, StatePath
 from .io import atomic_write
-from .kmers import decode_kmer, encode_kmer
-from .pore_model import TransitionModel, smallest_shift
+from .kmers import decode_kmer
+from .pore_model import TransitionModel
+from .shifts import distinct_pairs, edge_table, pair_probs, smallest_orders
 
 MODES = ("per-order", "per-transition")
 
@@ -65,16 +66,6 @@ def _path_states(path) -> np.ndarray:
     return np.asarray(path, dtype=np.int64)
 
 
-def infer_orders(states: np.ndarray, k: int, max_shift: int) -> np.ndarray:
-    """Smallest shift order of each consecutive pair; -1 where no order fits."""
-    prev, cur = states[:-1], states[1:]
-    orders = np.where(prev == cur, 0, -1)
-    for j in range(1, max_shift + 1):
-        fits = (prev % 4 ** (k - j)) == (cur >> (2 * j))
-        orders = np.where((orders < 0) & fits, j, orders)
-    return orders
-
-
 def count_transitions(
     paths, k: int, max_shift: int = 2, mode: str = "per-order"
 ) -> TransitionCounts:
@@ -91,7 +82,7 @@ def count_transitions(
             continue
         if states.min() < 0 or states.max() >= 4**k:
             raise IllegalPathError(f"path {pi}: state codes out of range for k={k}")
-        orders = infer_orders(states, k, max_shift)
+        orders = smallest_orders(states[:-1], states[1:], k, max_shift)
         bad = np.flatnonzero(orders < 0)
         if bad.size:
             pos = int(bad[0])
@@ -110,6 +101,16 @@ def count_transitions(
 
 def _num_edges(max_shift: int) -> int:
     return sum(4**j for j in range(max_shift + 1))
+
+
+def _order_tables(k, max_shift, src, tgt, orders, mass, fill: float) -> list[np.ndarray]:
+    """Per-order tables of ``fill`` plus each pair's mass on its order-``orders`` edge."""
+    m = 4**k
+    tables = [np.full(m, fill)] + [np.full((m, 4**j), fill) for j in range(1, max_shift + 1)]
+    for j in range(max_shift + 1):
+        sel = orders == j
+        np.add.at(edge_table(tables, j), (src[sel], tgt[sel] & (4**j - 1)), mass[sel])
+    return tables
 
 
 def estimate_transitions(counts: TransitionCounts, pseudocount: int = 1) -> TransitionModel:
@@ -134,23 +135,18 @@ def estimate_transitions(counts: TransitionCounts, pseudocount: int = 1) -> Tran
         probs = (pooled + pseudocount * sizes) / (total + pseudocount * edges)
         return TransitionModel.per_order(k, order_probs=probs)
 
-    m = 4**k
-    tables = [np.full(m, float(pseudocount))]
-    for j in range(1, max_shift + 1):
-        tables.append(np.full((m, 4**j), float(pseudocount)))
-    totals = np.zeros(m)
-    for (src, tgt), c in counts.counts.items():
-        j = smallest_shift(src, tgt, k, max_shift)
-        if j is None:
-            raise IllegalPathError(
-                f"count table pairs {decode_kmer(src, k)} -> {decode_kmer(tgt, k)} "
-                f"with no shift of order <= {max_shift}"
-            )
-        if j == 0:
-            tables[0][src] += c
-        else:
-            tables[j][src, tgt & (4**j - 1)] += c
-        totals[src] += c
+    src, tgt = np.array(list(counts.counts), dtype=np.int64).reshape(-1, 2).T
+    seen = np.array(list(counts.counts.values()), dtype=np.float64)
+    orders = smallest_orders(src, tgt, k, max_shift)
+    bad = np.flatnonzero(orders < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise IllegalPathError(
+            f"count table pairs {decode_kmer(int(src[i]), k)} -> {decode_kmer(int(tgt[i]), k)} "
+            f"with no shift of order <= {max_shift}"
+        )
+    tables = _order_tables(k, max_shift, src, tgt, orders, seen, fill=float(pseudocount))
+    totals = np.bincount(src, weights=seen, minlength=4**k)
     if pseudocount == 0:
         unsupported = np.flatnonzero(totals == 0)
         if unsupported.size:
@@ -185,9 +181,10 @@ def save_transition_model(path, model: TransitionModel, pseudocount: int = 1) ->
                 fh.write(f"{j}\t{p:.17g}\n")
             return
         fh.write("source_kmer\ttarget_kmer\tprob\n")
-        for src in range(4**model.k):
-            for tgt, prob in model.out_edges(src):
-                fh.write(f"{decode_kmer(src, model.k)}\t{decode_kmer(tgt, model.k)}\t{prob:.17g}\n")
+        src, tgt = distinct_pairs(model.k, model.max_shift)
+        names = [decode_kmer(code, model.k) for code in range(4**model.k)]
+        for x, y, prob in zip(src.tolist(), tgt.tolist(), pair_probs(model, src, tgt).tolist()):
+            fh.write(f"{names[x]}\t{names[y]}\t{prob:.17g}\n")
 
 
 def _parse_meta(line: str, path) -> dict:
@@ -237,32 +234,36 @@ def load_transition_model(path) -> TransitionModel:
             raise ValueError(f"{path}: missing order rows {np.flatnonzero(~seen).tolist()}")
         return TransitionModel.per_order(k, order_probs=probs)
 
-    m = 4**k
-    tables = [np.zeros(m)]
-    for j in range(1, max_shift + 1):
-        tables.append(np.zeros((m, 4**j)))
     if header != "source_kmer\ttarget_kmer\tprob":
         raise ValueError(
             f"{path}: expected header 'source_kmer\\ttarget_kmer\\tprob', got {header!r}"
         )
+    codes = {decode_kmer(code, k): code for code in range(4**k)}
+    linenos, src, tgt, probs = [], [], [], []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(fields)}")
-        src, tgt = encode_kmer(fields[0]), encode_kmer(fields[1])
         if len(fields[0]) != k or len(fields[1]) != k:
             raise ValueError(f"{path}:{lineno}: k-mers must have length {k}")
-        j = smallest_shift(src, tgt, k, max_shift)
-        if j is None:
-            raise ValueError(
-                f"{path}:{lineno}: {fields[0]} -> {fields[1]} is not reachable "
-                f"with max shift {max_shift}"
-            )
-        prob = float(fields[2])
-        if j == 0:
-            tables[0][src] += prob
-        else:
-            tables[j][src, tgt & (4**j - 1)] += prob
+        for kmer in fields[:2]:
+            if kmer not in codes:
+                raise ValueError(f"{path}:{lineno}: non-ACGT base in k-mer {kmer!r}")
+        linenos.append(lineno)
+        src.append(codes[fields[0]])
+        tgt.append(codes[fields[1]])
+        probs.append(float(fields[2]))
+    src = np.array(src, dtype=np.int64)
+    tgt = np.array(tgt, dtype=np.int64)
+    orders = smallest_orders(src, tgt, k, max_shift)
+    bad = np.flatnonzero(orders < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}:{linenos[i]}: {decode_kmer(int(src[i]), k)} -> "
+            f"{decode_kmer(int(tgt[i]), k)} is not reachable with max shift {max_shift}"
+        )
+    tables = _order_tables(k, max_shift, src, tgt, orders, np.array(probs), fill=0.0)
     return TransitionModel(k, tables, mode="per-transition")

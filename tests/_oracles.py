@@ -25,6 +25,43 @@ def aggregate_prob(prev, cur, k, order_probs):
     return p
 
 
+def table_prob(prev, cur, k, tables):
+    """Total state-to-state probability from per-order tables, orders summed in order.
+
+    ``tables[0][x]`` is the split probability of x and ``tables[j][x][b]`` the
+    order-j edge from x that appends bases b.
+    """
+    p = 0.0
+    for j, table in enumerate(tables):
+        size = 4**j
+        if cur // size == prev % (4 ** (k - j)):
+            p += table[prev] if j == 0 else table[prev][cur % size]
+    return p
+
+
+def dense_viterbi(log_emissions, agg):
+    """Viterbi over a dense (m, m) transition matrix from a uniform start.
+
+    Every state is a candidate predecessor of every state; ties go to the
+    lowest predecessor id and the lowest final state. Returns (path, log joint).
+    """
+    n, m = log_emissions.shape
+    with np.errstate(divide="ignore"):
+        log_a = np.log(agg)
+    scores = log_emissions[0] - np.log(m)
+    back = []
+    for i in range(1, n):
+        vals = scores[:, None] + log_a
+        arg = vals.argmax(axis=0)
+        back.append(arg)
+        scores = log_emissions[i] + vals[arg, np.arange(m)]
+    path = [int(np.argmax(scores))]
+    log_joint = float(scores[path[0]])
+    for arg in reversed(back):
+        path.append(int(arg[path[-1]]))
+    return path[::-1], log_joint
+
+
 def path_joint(states, means, level_mean, level_stdv, k, order_probs, scaling=(1.0, 0.0, 1.0)):
     scale, shift, var = scaling
     m = 4**k

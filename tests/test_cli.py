@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ensembleseed
 from ensembleseed.cli import main
 from ensembleseed.evaluate import load_report
 from ensembleseed.simulate import load_truth
@@ -167,3 +171,10 @@ def test_train_viterbi_source_requires_events(tmp_path, capsys):
     rc = run_cli("train", "--source", "viterbi", "--out-dir", tmp_path / "x")
     assert rc == 2
     assert "ensembleseed train" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(ensembleseed.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ensembleseed.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from _oracles import (
     aggregate_prob,
     best_path,
+    dense_viterbi,
     enumerate_joints,
     path_index,
     path_joint,
+    table_prob,
 )
 from ensembleseed.decode import (
     BaseCall,
     IllegalPathError,
     ReadEnsemble,
     StatePath,
-    aggregate_transition_probs,
+    emission_log_matrix,
     forward,
     load_basecalls,
     path_log_joint,
@@ -32,6 +35,7 @@ from ensembleseed.pore_model import (
     TransitionModel,
     make_hmm,
 )
+from ensembleseed.shifts import pair_probs
 
 
 def random_instance(seed, k=1, n_events=3, scaled=False, with_joints=True):
@@ -107,6 +111,53 @@ def test_viterbi_matches_exhaustive_argmax(seed, k, n):
     assert got.log_joint == pytest.approx(math.log(want_p), rel=1e-9, abs=1e-9)
 
 
+def quantised_instance(seed, mode):
+    """A random k <= 3 model and read whose levels, events and transition
+    weights come from small grids, so Viterbi meets exact ties and parallel
+    pairs (homopolymers, period-2 k-mers) carry summed mass."""
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 3
+    m = 4**k
+    pore = PoreModel(k, rng.choice([90.0, 100.0, 110.0], m), rng.choice([2.0, 4.0], m))
+    max_shift = int(rng.integers(1, k + 1))
+    if mode == "per-order":
+        weights = rng.integers(1, 4, max_shift + 1).astype(float)
+        trans = TransitionModel.per_order(k, weights / weights.sum())
+    else:
+        raw = [rng.integers(1, 4, m).astype(float)]
+        raw += [rng.integers(1, 4, (m, 4**j)).astype(float) for j in range(1, max_shift + 1)]
+        rows = raw[0] + sum(t.sum(axis=1) for t in raw[1:])
+        tables = [raw[0] / rows] + [t / rows[:, None] for t in raw[1:]]
+        trans = TransitionModel(k, tables, mode="per-transition")
+    events = EventSequence(f"q{seed}", rng.choice([90.0, 95.0, 100.0, 110.0], 6))
+    return make_hmm(pore, trans), events
+
+
+@pytest.mark.parametrize("mode", ["per-order", "per-transition"])
+def test_viterbi_matches_dense_reference(mode):
+    for seed in range(150):
+        hmm, events = quantised_instance(seed, mode)
+        trans, k, m = hmm.transitions, hmm.k, hmm.num_states
+        agg = np.array(
+            [[table_prob(x, y, k, trans.tables) for y in range(m)] for x in range(m)]
+        )
+        want_states, want_joint = dense_viterbi(emission_log_matrix(hmm, events), agg)
+        got = viterbi(hmm, events)
+        assert got.states.tolist() == want_states, f"seed {seed}"
+        assert got.log_joint == want_joint, f"seed {seed}"
+
+
+def test_forward_rejects_zero_mass_column():
+    # A only splits back to itself and is the only state event 0 leaves alive
+    # (the others are 100 sd away); event 1 sits 100 sd away from A.
+    pore = PoreModel(1, [0.0, 100.0, 200.0, 300.0], [1.0, 1.0, 1.0, 1.0])
+    tables = [np.array([1.0, 0.5, 0.5, 0.5]), np.full((4, 4), 0.125)]
+    tables[1][0] = 0.0
+    hmm = make_hmm(pore, TransitionModel(1, tables, mode="per-transition"))
+    with pytest.raises(ValueError, match=r"read 'dead': .* at event 1"):
+        forward(hmm, EventSequence("dead", [0.0, 100.0]))
+
+
 def test_path_log_joint_matches_oracle():
     hmm, events, order_probs, _ = random_instance(3, k=2, n_events=5, scaled=True, with_joints=False)
     rng = np.random.default_rng(99)
@@ -134,7 +185,7 @@ def test_aggregate_transition_probs_matches_oracle():
     rng = np.random.default_rng(1)
     src = rng.integers(0, 16, 200)
     tgt = rng.integers(0, 16, 200)
-    got = aggregate_transition_probs(hmm, src, tgt)
+    got = pair_probs(hmm.transitions, src, tgt)
     want = [aggregate_prob(int(x), int(y), 2, order_probs) for x, y in zip(src, tgt)]
     np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -206,6 +257,39 @@ class TestPathToSequence:
         states = np.array([encode_kmer("A"), encode_kmer("C")])
         with pytest.raises(IllegalPathError, match="events 0..1"):
             path_to_sequence(StatePath(states, 0.0), 1, max_shift=0)
+
+
+def write_call_files(tmp_path, records):
+    """FASTA and spans files for (read id, call kind, index, sequence) records."""
+    fasta = tmp_path / "calls.fasta"
+    spans = tmp_path / "spans.jsonl"
+    with open(fasta, "w") as fa, open(spans, "w") as sp:
+        for read_id, kind, index, seq in records:
+            label = "viterbi" if kind == "viterbi" else f"sample{index}"
+            fa.write(f">{read_id} {label}\n{seq}\n")
+            record = {"read_id": read_id, "call": kind, "index": index, "spans": [[0, len(seq)]]}
+            sp.write(json.dumps(record) + "\n")
+    return fasta, spans
+
+
+def test_load_basecalls_rejects_repeated_spans_record(tmp_path):
+    fasta, spans = write_call_files(
+        tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    )
+    with open(spans, "a") as sp:
+        sp.write(json.dumps({"read_id": "r1", "call": "viterbi", "index": None, "spans": [[0, 3]]}))
+    with pytest.raises(ValueError, match=r"spans\.jsonl:3: repeated viterbi call for read 'r1'"):
+        load_basecalls(fasta, spans)
+
+
+def test_load_basecalls_rejects_repeated_fasta_record(tmp_path):
+    fasta, spans = write_call_files(
+        tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    )
+    with open(fasta, "a") as fa:
+        fa.write(">r1 sample0\nACG\n")
+    with pytest.raises(ValueError, match=r"calls\.fasta:5: repeated sample0 call for read 'r1'"):
+        load_basecalls(fasta, spans)
 
 
 def test_basecall_files_round_trip(tmp_path):

@@ -18,7 +18,6 @@ from ensembleseed.evaluate import (
     load_report,
     sweep,
     window_points,
-    window_truth_set,
     write_points,
     write_report,
 )
@@ -84,12 +83,6 @@ class TestBuildWindows:
                     assert ref[ws:we] == piece
                 else:
                     assert reverse_complement(ref[ws:we]) == piece
-
-
-def test_window_truth_set():
-    ensemble, true_path = tiny_ensemble()
-    wins = build_windows(ensemble, ("ref", 50, 53, "+"), true_path, 1, window_size=3)
-    assert window_truth_set(wins) == {"r0:0": (50, 53, "+")}
 
 
 def test_is_valid_hit():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ensembleseed.kmers import (
-    all_kmers,
     decode_kmer,
     encode_kmer,
     encode_sequence,
@@ -67,11 +66,3 @@ def test_reverse_complement():
     assert reverse_complement("") == ""
     seq = "GATTACA"
     assert reverse_complement(reverse_complement(seq)) == seq
-
-
-def test_all_kmers_order():
-    kmers = list(all_kmers(2))
-    assert len(kmers) == 16
-    assert kmers[0] == "AA"
-    assert kmers[1] == "AC"
-    assert kmers[-1] == "TT"

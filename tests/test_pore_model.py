@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import aggregate_prob, normal_pdf
+from ensembleseed.decode import emission_log_matrix, forward
 from ensembleseed.kmers import encode_kmer
 from ensembleseed.pore_model import (
     DEFAULT_ORDER_PROBS,
@@ -12,23 +13,33 @@ from ensembleseed.pore_model import (
     KmerStateSpace,
     PoreModel,
     ReadScaling,
-    START_STATE,
     TransitionModel,
     emission_log_density,
     load_events,
     load_pore_model,
     make_hmm,
-    smallest_shift,
-    transitions_from,
     write_events,
     write_pore_model,
 )
+from ensembleseed.shifts import pair_probs, smallest_orders
 
 
 def toy_pore(k, seed=0):
     rng = np.random.default_rng(seed)
     m = 4**k
     return PoreModel(k=k, level_mean=rng.normal(100, 15, m), level_stdv=rng.uniform(1, 3, m))
+
+
+def smallest_shift(prev, cur, k, max_shift):
+    """Scalar view of ``smallest_orders``: None where no order fits."""
+    j = int(smallest_orders(prev, cur, k, max_shift))
+    return None if j < 0 else j
+
+
+def dense_aggregate(transitions):
+    """(m, m) total state-to-state probabilities, from pair_probs over every pair."""
+    states = np.arange(4**transitions.k)
+    return pair_probs(transitions, states[:, None], states[None, :])
 
 
 class TestSmallestShift:
@@ -81,7 +92,7 @@ class TestTransitionModel:
 
     def test_aggregate_matrix_matches_direct_formula(self):
         tm = TransitionModel.per_order(2, (0.15, 0.75, 0.1))
-        agg = tm.aggregate_matrix().toarray()
+        agg = dense_aggregate(tm)
         m = 16
         for x in range(m):
             for y in range(m):
@@ -91,18 +102,20 @@ class TestTransitionModel:
 
     def test_aggregate_sums_parallel_orders_for_periodic_kmers(self):
         tm = TransitionModel.per_order(2, (0.2, 0.7, 0.1))
-        agg = tm.aggregate_matrix().toarray()
+        agg = dense_aggregate(tm)
         aa = encode_kmer("AA")
         # AA -> AA: split 0.2, move via base A 0.7/4, skip via AA 0.1/16
         assert agg[aa, aa] == pytest.approx(0.2 + 0.7 / 4 + 0.1 / 16)
 
     def test_out_edges_complete(self):
         tm = TransitionModel.per_order(3)
+        agg = dense_aggregate(tm)
         for state in (0, 17, 63):
-            edges = tm.out_edges(state)
-            assert sum(p for _, p in edges) == pytest.approx(1.0)
-            targets = [t for t, _ in edges]
-            assert targets == sorted(targets)
+            assert agg[state].sum() == pytest.approx(1.0)
+            # 1 split + 4 moves + 16 skips, fewer where orders link the same pair
+            reached = np.flatnonzero(agg[state])
+            assert 16 <= reached.size <= 21
+            assert all(smallest_shift(state, t, 3, 2) is not None for t in reached)
 
 
 def test_state_space():
@@ -128,18 +141,21 @@ def test_make_hmm_defaults():
 
 
 def test_transitions_from_start_state():
+    # A read starts in each of the 16 states with probability 1/16.
     hmm = make_hmm(toy_pore(2))
-    edges = transitions_from(hmm, START_STATE)
-    assert len(edges) == 16
-    assert all(p == pytest.approx(1 / 16) for _, p in edges)
+    events = EventSequence("r", [101.0])
+    fwd = forward(hmm, events)
+    emit = np.exp(emission_log_matrix(hmm, events)[0])
+    np.testing.assert_allclose(fwd.columns[0], emit / emit.sum(), rtol=1e-12)
+    assert fwd.log_likelihood == pytest.approx(np.log(emit.sum() / 16), rel=1e-12)
 
 
 def test_transitions_from_regular_state_matches_oracle():
     hmm = make_hmm(toy_pore(2))
-    edges = dict(transitions_from(hmm, encode_kmer("CT")))
+    row = dense_aggregate(hmm.transitions)[encode_kmer("CT")]
     for target in range(16):
         want = aggregate_prob(encode_kmer("CT"), target, 2, DEFAULT_ORDER_PROBS)
-        assert edges.get(target, 0.0) == pytest.approx(want, abs=1e-15)
+        assert row[target] == pytest.approx(want, abs=1e-15)
 
 
 def test_emission_log_density():

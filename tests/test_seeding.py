@@ -12,7 +12,6 @@ from ensembleseed.seeding import (
     chain_hits,
     collect_ensemble_kmers,
     find_hits,
-    write_hits,
 )
 from ensembleseed.simulate import generate_reference
 
@@ -217,17 +216,3 @@ class TestChainHits:
         valid = {tuple((h.query_col, h.ref_pos, h.strand) for h in t) for t in triples}
         for c in got:
             assert tuple((h.query_col, h.ref_pos, h.strand) for h in c.hits) in valid
-
-
-def test_write_hits(tmp_path):
-    path = tmp_path / "hits.tsv"
-    write_hits(
-        path,
-        [("r0:0", "single-kmer", SeedHit(3, 41, "+")),
-         ("r0:1", "chain", SeedHit(9, 12, "-"))],
-    )
-    lines = path.read_text().splitlines()
-    assert lines[0] == "window_id\tstrategy\tquery_col\tref_pos\tstrand"
-    assert lines[1] == "r0:0\tsingle-kmer\t3\t41\t+"
-    assert lines[2] == "r0:1\tchain\t9\t12\t-"
-    assert len(lines) == 3

@@ -158,3 +158,14 @@ def test_true_paths_round_trip(tmp_path, small_hmm):
         got = loaded[r.read_id]
         np.testing.assert_array_equal(got.states, r.true_path.states)
         assert got.log_joint == r.true_path.log_joint
+
+
+def test_true_paths_loader_rejects_duplicates(tmp_path):
+    path = tmp_path / "paths.jsonl"
+    path.write_text(
+        '{"read_id": "r1", "states": [0, 1], "log_joint": -1.0}\n'
+        '{"read_id": "r2", "states": [2], "log_joint": -2.0}\n'
+        '{"read_id": "r1", "states": [3], "log_joint": -3.0}\n'
+    )
+    with pytest.raises(ValueError, match=r"paths\.jsonl:3: duplicate read id 'r1'"):
+        load_true_paths(path)

@@ -3,11 +3,11 @@ import pytest
 
 from ensembleseed.decode import IllegalPathError, StatePath
 from ensembleseed.kmers import encode_kmer
+from ensembleseed.shifts import pair_probs, smallest_orders
 from ensembleseed.train import (
     TransitionCounts,
     count_transitions,
     estimate_transitions,
-    infer_orders,
     load_transition_model,
     save_transition_model,
 )
@@ -17,14 +17,18 @@ def kpath(*kmers):
     return np.array([encode_kmer(s) for s in kmers], dtype=np.int64)
 
 
+def path_orders(states, k, max_shift):
+    return smallest_orders(states[:-1], states[1:], k, max_shift)
+
+
 def test_infer_orders():
     states = kpath("ACG", "ACG", "CGT", "GTA", "ACC")
-    np.testing.assert_array_equal(infer_orders(states, 3, 2), [0, 1, 1, 2])
+    np.testing.assert_array_equal(path_orders(states, 3, 2), [0, 1, 1, 2])
 
 
 def test_infer_orders_flags_unreachable():
     states = kpath("AAA", "TTT")
-    np.testing.assert_array_equal(infer_orders(states, 3, 2), [-1])
+    np.testing.assert_array_equal(path_orders(states, 3, 2), [-1])
 
 
 class TestCountTransitions:
@@ -146,9 +150,10 @@ class TestModelFiles:
         back = load_transition_model(path)
         assert back.mode == "per-transition"
         # state-to-state totals survive even though order bookkeeping may not
+        states = np.arange(16)
         np.testing.assert_allclose(
-            back.aggregate_matrix().toarray(),
-            model.aggregate_matrix().toarray(),
+            pair_probs(back, states[:, None], states[None, :]),
+            pair_probs(model, states[:, None], states[None, :]),
             rtol=0,
             atol=1e-17,
         )
