@@ -18,8 +18,8 @@ from .kmers import BASES, decode_kmer
 from .pore_model import Hmm, EventSequence
 from .shifts import (
     by_dropped_bases,
+    incoming_edges,
     pair_probs,
-    predecessors,
     smallest_orders,
     summed_edge_tables,
 )
@@ -62,13 +62,26 @@ class ForwardMatrix:
 
 @dataclass
 class BaseCall:
-    """A decoded DNA sequence plus the (offset, length) span each event contributed."""
+    """A decoded DNA sequence plus the number of bases each event emitted.
+
+    Event i emitted ``sequence[offset : offset + lengths[i]]``, its offset
+    being the sum of the lengths before it.
+    """
 
     sequence: str
-    event_spans: list[tuple[int, int]]
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        self.lengths = np.asarray(self.lengths, dtype=np.uint8)
 
     def __len__(self) -> int:
         return len(self.sequence)
+
+    @property
+    def event_spans(self) -> np.ndarray:
+        """(n_events, 2) array of each event's [offset, length] in the sequence."""
+        lengths = self.lengths.astype(np.int64)
+        return np.column_stack([np.cumsum(lengths) - lengths, lengths])
 
 
 @dataclass
@@ -138,16 +151,11 @@ def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
     # Row y lists every predecessor of y in ascending id order, with the
     # pair's total probability, so argmax's first maximum is the lowest id.
     targets = np.arange(m)
-    pools, weights = [], []
-    for j, table in enumerate(summed_edge_tables(hmm.transitions)):
-        pool, gained = predecessors(targets, hmm.k, j)
-        pools.append(pool)
-        weights.append(table[pool, gained[:, None]])
-    pool = np.concatenate(pools, axis=1)
+    pool, weights = incoming_edges(summed_edge_tables(hmm.transitions), hmm.k)
     rank = np.argsort(pool, axis=1, kind="stable")
     pool = np.take_along_axis(pool, rank, axis=1)
     with np.errstate(divide="ignore"):
-        log_t = np.log(np.take_along_axis(np.concatenate(weights, axis=1), rank, axis=1))
+        log_t = np.log(np.take_along_axis(weights, rank, axis=1))
 
     scores = logpdf[0] - np.log(m)
     backptr = np.empty((n, m), dtype=np.int32)
@@ -204,7 +212,11 @@ def sample_paths(
 
     rng = np.random.default_rng(seed)
     trans = hmm.transitions
-    tables, k = trans.tables, trans.k
+    # Candidates per state: itself (a split), then its order-1, order-2, ...
+    # predecessors in code order; the draw picks the first candidate whose
+    # cumulative weight exceeds u.
+    pred, pred_w = incoming_edges(trans.tables, trans.k)
+    last = pred.shape[1] - 1
     draws = np.arange(count)
 
     cum = np.cumsum(F[-1])
@@ -214,18 +226,10 @@ def sample_paths(
     paths = np.empty((count, n), dtype=np.int64)
     paths[:, -1] = cur
     for i in range(n - 2, -1, -1):
-        col = F[i]
-        # A split's only predecessor is the state itself.
-        cands = [cur[:, None]]
-        weights = [(col[cur] * tables[0][cur])[:, None]]
-        for j in range(1, trans.max_shift + 1):
-            pool, gained = predecessors(cur, k, j)
-            weights.append(col[pool] * tables[j][pool, gained[:, None]])
-            cands.append(pool)
-        pool = np.concatenate(cands, axis=1)
-        cw = np.cumsum(np.concatenate(weights, axis=1), axis=1)
+        pool = pred[cur]
+        cw = np.cumsum(F[i][pool] * pred_w[cur], axis=1)
         u = rng.random(count) * cw[:, -1]
-        pick = np.minimum((cw <= u[:, None]).sum(axis=1), pool.shape[1] - 1)
+        pick = np.minimum((cw <= u[:, None]).sum(axis=1), last)
         cur = pool[draws, pick]
         paths[:, i] = cur
 
@@ -241,8 +245,8 @@ def path_to_sequence(path: StatePath, k: int, max_shift: int | None = None) -> B
 
     The first event contributes its whole k-mer; every later event contributes
     the last j bases of its k-mer, where j is the smallest shift linking it to
-    its predecessor (0 for splits). Spans record each event's slice of the
-    output.
+    its predecessor (0 for splits). The call's lengths are k followed by those
+    orders.
     """
     states = path.states
     limit = k if max_shift is None else max_shift
@@ -262,12 +266,16 @@ def path_to_sequence(path: StatePath, k: int, max_shift: int | None = None) -> B
     codes = (states[1:][event] >> (2 * digit)) & 3
     lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
     sequence = decode_kmer(int(states[0]), k) + lookup[codes].tobytes().decode("ascii")
-    spans = [(0, k)] + list(zip((ends - orders).tolist(), orders.tolist()))
-    return BaseCall(sequence=sequence, event_spans=spans)
+    return BaseCall(sequence=sequence, lengths=np.concatenate([[k], orders]))
 
 
 # ---------------------------------------------------------------------------
-# Base-call files: FASTA plus a JSON-lines sidecar of per-event spans.
+# Base-call files: FASTA plus a JSON-lines sidecar with one record per call.
+# A record's "spans" string holds one character per event, chr(48 + length):
+# lengths 0..16 (k <= 16) map to "0".."@", none of which JSON escapes.
+
+_LENGTH_ZERO = ord("0")
+_MAX_LENGTH = 16
 
 
 def _call_label(kind: str, index: int | None) -> str:
@@ -283,28 +291,45 @@ def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> No
                 fa.write(f">{ens.read_id} {_call_label(kind, index)}\n")
                 for start in range(0, len(call.sequence), 80):
                     fa.write(call.sequence[start : start + 80] + "\n")
-                sp.write(
-                    json.dumps(
-                        {
-                            "read_id": ens.read_id,
-                            "call": kind,
-                            "index": index,
-                            "spans": [[o, l] for o, l in call.event_spans],
-                        }
-                    )
-                    + "\n"
-                )
+                spans = (call.lengths + _LENGTH_ZERO).tobytes().decode("ascii")
+                record = {"read_id": ens.read_id, "call": kind, "index": index, "spans": spans}
+                sp.write(json.dumps(record) + "\n")
+
+
+def _spans_record(line: str, where: str) -> tuple[tuple[str, str], np.ndarray]:
+    """One spans line's (read id, call label) key and per-event lengths."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not a JSON record: {exc}") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    missing = [key for key in ("read_id", "call", "index", "spans") if key not in rec]
+    if missing:
+        raise ValueError(f"{where}: record lacks {', '.join(missing)}")
+    kind, index, spans = rec["call"], rec["index"], rec["spans"]
+    if not (kind == "viterbi" or (kind == "sample" and isinstance(index, int))):
+        raise ValueError(f"{where}: unknown call {kind!r} with index {index!r}")
+    if not isinstance(spans, str):
+        raise ValueError(
+            f"{where}: spans must be a string of one length character per event, "
+            f"got a JSON {type(spans).__name__}"
+        )
+    lengths = np.frombuffer(spans.encode("utf-8"), dtype=np.uint8) - np.uint8(_LENGTH_ZERO)
+    if np.any(lengths > _MAX_LENGTH):
+        bad = next(c for c in spans if not 0 <= ord(c) - _LENGTH_ZERO <= _MAX_LENGTH)
+        raise ValueError(f"{where}: span character {bad!r} encodes no length in 0..{_MAX_LENGTH}")
+    return (rec["read_id"], _call_label(kind, index)), lengths
 
 
 def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
-    spans: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    spans: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
     with open(spans_path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            rec = json.loads(line)
-            key = (rec["read_id"], _call_label(rec["call"], rec["index"]))
+            key, lengths = _spans_record(line, f"{spans_path}:{lineno}")
             if key in spans:
                 raise ValueError(f"{spans_path}:{lineno}: repeated {key[1]} call for read {key[0]!r}")
-            spans[key] = [(o, l) for o, l in rec["spans"]]
+            spans[key] = (lineno, lengths)
 
     ensembles: list[ReadEnsemble] = []
     by_read: dict[str, ReadEnsemble] = {}
@@ -317,7 +342,14 @@ def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
         if key in seen:
             raise ValueError(f"{fasta_path}:{lineno}: repeated {label} call for read {read_id!r}")
         seen.add(key)
-        call = BaseCall(sequence=seq, event_spans=spans[key])
+        spans_line, lengths = spans[key]
+        covered = int(lengths.sum(dtype=np.int64))
+        if covered != len(seq):
+            raise ValueError(
+                f"{spans_path}:{spans_line}: spans cover {covered} bases, "
+                f"the FASTA record {header!r} has {len(seq)}"
+            )
+        call = BaseCall(sequence=seq, lengths=lengths)
         if read_id not in by_read:
             by_read[read_id] = ReadEnsemble(read_id=read_id, viterbi=None, samples=[])
             ensembles.append(by_read[read_id])

@@ -43,22 +43,26 @@ class Window:
     cache: dict = field(default_factory=dict, repr=False)
 
 
-def _window_rows(calls, a: int, b: int) -> tuple[list[str], np.ndarray]:
-    """Pad each call's event contributions in [a, b) to the per-event maximum."""
-    pieces = []
-    widths = np.zeros(b - a, dtype=np.int64)
-    for call in calls:
-        spans = call.event_spans[a:b]
-        texts = [call.sequence[off : off + ln] for off, ln in spans]
-        lens = np.fromiter((len(t) for t in texts), dtype=np.int64, count=b - a)
-        np.maximum(widths, lens, out=widths)
-        pieces.append(texts)
-    rows = [
-        "".join(t + GAP * (w - len(t)) for t, w in zip(texts, widths.tolist()))
-        for texts in pieces
-    ]
+def _window_rows(text, lengths, starts, a: int, b: int) -> tuple[list[str], np.ndarray]:
+    """Pad each call's event contributions in [a, b) to the per-event maximum.
+
+    ``text`` holds every call's bases back to back as uint8, ``lengths`` is
+    the (calls, events) emitted-length matrix and ``starts`` each event's first
+    position in ``text``. The rows come from scattering those bytes into a
+    GAP-filled (calls, width) buffer.
+    """
+    lens = lengths[:, a:b]
+    widths = lens.max(axis=0)
     offsets = np.concatenate([[0], np.cumsum(widths)])
-    return rows, offsets
+    rows = np.full((lens.shape[0], offsets[-1]), ord(GAP), dtype=np.uint8)
+    # Each byte of the window keeps its place r within its event's bases and
+    # moves from the event's start in ``text`` to the event's row and column.
+    flat = lens.ravel()
+    r = np.arange(flat.sum()) - np.repeat(np.cumsum(flat) - flat, flat)
+    dest = np.arange(lens.shape[0])[:, None] * rows.shape[1] + offsets[:-1]
+    source = np.repeat(starts[:, a:b].ravel(), flat) + r
+    rows.ravel()[np.repeat(dest.ravel(), flat) + r] = text[source]
+    return [row.tobytes().decode("ascii") for row in rows], offsets
 
 
 def build_windows(
@@ -79,13 +83,18 @@ def build_windows(
     calls = [ensemble.viterbi] + list(ensemble.samples)
     n_events = len(true_path.states)
     for call in calls:
-        if not call.event_spans:
+        if call.lengths.size == 0:
             raise ValueError(f"read {ensemble.read_id}: base call lacks event spans")
-        if len(call.event_spans) != n_events:
+        if call.lengths.size != n_events:
             raise ValueError(
-                f"read {ensemble.read_id}: call has {len(call.event_spans)} event "
+                f"read {ensemble.read_id}: call has {call.lengths.size} event "
                 f"spans, true path has {n_events}"
             )
+        if call.lengths.sum() != len(call.sequence):
+            raise ValueError(f"read {ensemble.read_id}: event spans do not tile the call")
+    text = np.frombuffer("".join(c.sequence for c in calls).encode("ascii"), dtype=np.uint8)
+    lengths = np.stack([c.lengths for c in calls]).astype(np.int64)
+    starts = np.cumsum(lengths.ravel()).reshape(lengths.shape) - lengths
 
     states = true_path.states
     orders = smallest_orders(states[:-1], states[1:], k, k)
@@ -97,7 +106,7 @@ def build_windows(
     windows: list[Window] = []
     for w in range(n_events // window_size):
         a, b = w * window_size, (w + 1) * window_size
-        rows, offsets = _window_rows(calls, a, b)
+        rows, offsets = _window_rows(text, lengths, starts, a, b)
         lo, hi = int(rel[a]), int(rel[b - 1]) + k
         if strand == "+":
             wtruth = (fs + lo, fs + hi, "+")

@@ -51,6 +51,11 @@ def by_dropped_bases(values: np.ndarray, k: int, j: int) -> np.ndarray:
     return values.reshape(4**j, 4 ** (k - j), 4**j)
 
 
+def gained(y, j: int):
+    """The j bases b that order-j edges into y append: y's column in the order-j table."""
+    return y & (4**j - 1)
+
+
 def predecessors(y: np.ndarray, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Order-j predecessors of each target and the bases b each target gains.
 
@@ -58,7 +63,24 @@ def predecessors(y: np.ndarray, k: int, j: int) -> tuple[np.ndarray, np.ndarray]
     target's column in the order-j edge table.
     """
     pool = (y >> (2 * j))[:, None] + np.arange(4**j) * 4 ** (k - j)
-    return pool, y & (4**j - 1)
+    return pool, gained(y, j)
+
+
+def incoming_edges(tables, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's incoming edges as (m, 1 + 4 + ... + 4**max_shift) tables.
+
+    Row y lists y's predecessors order by order (the split first, then order
+    1, 2, ..., each in code order) and beside them the weight of that edge in
+    ``tables``, one (m, 4**j) or (m,) table per order j.
+    """
+    m = 4**k
+    targets = np.arange(m)
+    pools, weights = [], []
+    for j, table in enumerate(tables):
+        pool, b = predecessors(targets, k, j)
+        pools.append(pool)
+        weights.append(np.reshape(table, (m, 4**j))[pool, b[:, None]])
+    return np.concatenate(pools, axis=1), np.concatenate(weights, axis=1)
 
 
 def successors(x: np.ndarray, k: int, j: int) -> np.ndarray:
@@ -72,7 +94,7 @@ def pair_probs(transitions, x, y) -> np.ndarray:
     total = np.zeros(np.broadcast(x, y).shape)
     for j in range(transitions.max_shift + 1):
         table = edge_table(transitions.tables, j)
-        total = total + np.where(links(x, y, k, j), table[x, y & (4**j - 1)], 0.0)
+        total = total + np.where(links(x, y, k, j), table[x, gained(y, j)], 0.0)
     return total
 
 

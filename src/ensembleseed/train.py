@@ -18,7 +18,7 @@ from .decode import IllegalPathError, StatePath
 from .io import atomic_write
 from .kmers import decode_kmer
 from .pore_model import TransitionModel
-from .shifts import distinct_pairs, edge_table, pair_probs, smallest_orders
+from .shifts import distinct_pairs, edge_table, gained, pair_probs, smallest_orders
 
 MODES = ("per-order", "per-transition")
 
@@ -109,7 +109,7 @@ def _order_tables(k, max_shift, src, tgt, orders, mass, fill: float) -> list[np.
     tables = [np.full(m, fill)] + [np.full((m, 4**j), fill) for j in range(1, max_shift + 1)]
     for j in range(max_shift + 1):
         sel = orders == j
-        np.add.at(edge_table(tables, j), (src[sel], tgt[sel] & (4**j - 1)), mass[sel])
+        np.add.at(edge_table(tables, j), (src[sel], gained(tgt[sel], j)), mass[sel])
     return tables
 
 
@@ -200,13 +200,21 @@ def _parse_meta(line: str, path) -> dict:
     return meta
 
 
+def _parse_field(parse, text: str, name: str, where: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{where}: cannot parse {name} {text!r}") from None
+
+
 def load_transition_model(path) -> TransitionModel:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty model file")
     meta = _parse_meta(lines[0], path)
-    k, max_shift = int(meta["k"]), int(meta["max_shift"])
+    k = _parse_field(int, meta["k"], "k", f"{path}:1")
+    max_shift = _parse_field(int, meta["max_shift"], "max_shift", f"{path}:1")
     mode = meta["mode"]
     if mode not in MODES:
         raise ValueError(f"{path}: unknown mode {mode!r}")
@@ -223,13 +231,13 @@ def load_transition_model(path) -> TransitionModel:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            j = int(fields[0])
+            j = _parse_field(int, fields[0], "order", f"{path}:{lineno}")
             if not 0 <= j <= max_shift:
                 raise ValueError(f"{path}:{lineno}: order {j} outside [0, {max_shift}]")
             if seen[j]:
                 raise ValueError(f"{path}:{lineno}: duplicate order {j}")
             seen[j] = True
-            probs[j] = float(fields[1])
+            probs[j] = _parse_field(float, fields[1], "probability", f"{path}:{lineno}")
         if not seen.all():
             raise ValueError(f"{path}: missing order rows {np.flatnonzero(~seen).tolist()}")
         return TransitionModel.per_order(k, order_probs=probs)
@@ -254,7 +262,7 @@ def load_transition_model(path) -> TransitionModel:
         linenos.append(lineno)
         src.append(codes[fields[0]])
         tgt.append(codes[fields[1]])
-        probs.append(float(fields[2]))
+        probs.append(_parse_field(float, fields[2], "probability", f"{path}:{lineno}"))
     src = np.array(src, dtype=np.int64)
     tgt = np.array(tgt, dtype=np.int64)
     orders = smallest_orders(src, tgt, k, max_shift)

@@ -62,6 +62,51 @@ def dense_viterbi(log_emissions, agg):
     return path[::-1], log_joint
 
 
+def order_by_order_traceback(columns, tables, k, count, seed):
+    """Stochastic traceback that gathers each event's candidates order by order.
+
+    At every event, going backwards, the candidates of each draw's current
+    state y are y itself (a split) and then, for j = 1, 2, ..., its 4**j
+    order-j predecessors a*4**(k-j) + (y >> 2j) in code order. Each weighs its
+    forward value times the edge probability into y; the draw picks the first
+    candidate whose running weight exceeds u times the total. Returns the
+    (count, n) array of paths.
+    """
+    n, m = columns.shape
+    rng = np.random.default_rng(seed)
+    draws = np.arange(count)
+    cum = np.cumsum(columns[-1])
+    u = rng.random(count) * cum[-1]
+    cur = np.minimum(np.searchsorted(cum, u, side="right"), m - 1).astype(np.int64)
+    paths = np.empty((count, n), dtype=np.int64)
+    paths[:, -1] = cur
+    for i in range(n - 2, -1, -1):
+        col = columns[i]
+        cands = [cur[:, None]]
+        weights = [(col[cur] * tables[0][cur])[:, None]]
+        for j in range(1, len(tables)):
+            pool = (cur >> (2 * j))[:, None] + np.arange(4**j) * 4 ** (k - j)
+            weights.append(col[pool] * tables[j][pool, (cur % 4**j)[:, None]])
+            cands.append(pool)
+        pool = np.concatenate(cands, axis=1)
+        cw = np.cumsum(np.concatenate(weights, axis=1), axis=1)
+        u = rng.random(count) * cw[:, -1]
+        pick = np.minimum((cw <= u[:, None]).sum(axis=1), pool.shape[1] - 1)
+        cur = pool[draws, pick]
+        paths[:, i] = cur
+    return paths
+
+
+def paths_log_joints(log_emissions, paths, k, tables):
+    """Log P(path, events) of each row of ``paths`` from a uniform start."""
+    count, n = paths.shape
+    emit = log_emissions[np.arange(n)[None, :], paths].sum(axis=1)
+    step = np.array(
+        [[table_prob(int(x), int(y), k, tables) for x, y in zip(p[:-1], p[1:])] for p in paths]
+    ).reshape(count, n - 1)
+    return -np.log(4**k) + emit + np.log(step).sum(axis=1)
+
+
 def path_joint(states, means, level_mean, level_stdv, k, order_probs, scaling=(1.0, 0.0, 1.0)):
     scale, shift, var = scaling
     m = 4**k

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     aggregate_prob,
     best_path,
     dense_viterbi,
     enumerate_joints,
+    order_by_order_traceback,
     path_index,
     path_joint,
+    paths_log_joints,
     table_prob,
 )
 from ensembleseed.decode import (
@@ -111,12 +114,12 @@ def test_viterbi_matches_exhaustive_argmax(seed, k, n):
     assert got.log_joint == pytest.approx(math.log(want_p), rel=1e-9, abs=1e-9)
 
 
-def quantised_instance(seed, mode):
-    """A random k <= 3 model and read whose levels, events and transition
+def quantised_instance(seed, mode, max_k=3):
+    """A random k <= max_k model and read whose levels, events and transition
     weights come from small grids, so Viterbi meets exact ties and parallel
     pairs (homopolymers, period-2 k-mers) carry summed mass."""
     rng = np.random.default_rng(seed)
-    k = 1 + seed % 3
+    k = 1 + seed % max_k
     m = 4**k
     pore = PoreModel(k, rng.choice([90.0, 100.0, 110.0], m), rng.choice([2.0, 4.0], m))
     max_shift = int(rng.integers(1, k + 1))
@@ -145,6 +148,20 @@ def test_viterbi_matches_dense_reference(mode):
         got = viterbi(hmm, events)
         assert got.states.tolist() == want_states, f"seed {seed}"
         assert got.log_joint == want_joint, f"seed {seed}"
+
+
+@pytest.mark.parametrize("mode", ["per-order", "per-transition"])
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_sample_paths_matches_order_by_order_traceback(mode, count):
+    for seed in range(24):
+        hmm, events = quantised_instance(seed, mode, max_k=4)
+        fwd = forward(hmm, events)
+        tables = hmm.transitions.tables
+        want = order_by_order_traceback(fwd.columns, tables, hmm.k, count, seed)
+        want_joints = paths_log_joints(emission_log_matrix(hmm, events), want, hmm.k, tables)
+        got = sample_paths(hmm, events, fwd, count, seed=seed)
+        np.testing.assert_array_equal(np.stack([p.states for p in got]), want, f"seed {seed}")
+        assert [p.log_joint for p in got] == want_joints.tolist(), f"seed {seed}"
 
 
 def test_forward_rejects_zero_mass_column():
@@ -245,13 +262,15 @@ class TestPathToSequence:
         )
         call = path_to_sequence(StatePath(states, 0.0), 3)
         assert call.sequence == "ACGTAC"
-        assert call.event_spans == [(0, 3), (3, 1), (4, 0), (4, 2)]
+        assert call.lengths.dtype == np.uint8
+        assert call.lengths.tolist() == [3, 1, 0, 2]
+        assert call.event_spans.tolist() == [[0, 3], [3, 1], [4, 0], [4, 2]]
         assert len(call) == 6
 
     def test_single_event(self):
         call = path_to_sequence(StatePath(np.array([encode_kmer("GT")]), 0.0), 2)
         assert call.sequence == "GT"
-        assert call.event_spans == [(0, 2)]
+        assert call.event_spans.tolist() == [[0, 2]]
 
     def test_illegal_pair_reports_position(self):
         states = np.array([encode_kmer("A"), encode_kmer("C")])
@@ -260,14 +279,17 @@ class TestPathToSequence:
 
 
 def write_call_files(tmp_path, records):
-    """FASTA and spans files for (read id, call kind, index, sequence) records."""
+    """FASTA and spans files for (read id, call kind, index, sequence) records.
+
+    Each call is one event that emitted its whole sequence.
+    """
     fasta = tmp_path / "calls.fasta"
     spans = tmp_path / "spans.jsonl"
     with open(fasta, "w") as fa, open(spans, "w") as sp:
         for read_id, kind, index, seq in records:
             label = "viterbi" if kind == "viterbi" else f"sample{index}"
             fa.write(f">{read_id} {label}\n{seq}\n")
-            record = {"read_id": read_id, "call": kind, "index": index, "spans": [[0, len(seq)]]}
+            record = {"read_id": read_id, "call": kind, "index": index, "spans": chr(48 + len(seq))}
             sp.write(json.dumps(record) + "\n")
     return fasta, spans
 
@@ -277,7 +299,7 @@ def test_load_basecalls_rejects_repeated_spans_record(tmp_path):
         tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
     )
     with open(spans, "a") as sp:
-        sp.write(json.dumps({"read_id": "r1", "call": "viterbi", "index": None, "spans": [[0, 3]]}))
+        sp.write(json.dumps({"read_id": "r1", "call": "viterbi", "index": None, "spans": "3"}))
     with pytest.raises(ValueError, match=r"spans\.jsonl:3: repeated viterbi call for read 'r1'"):
         load_basecalls(fasta, spans)
 
@@ -292,21 +314,77 @@ def test_load_basecalls_rejects_repeated_fasta_record(tmp_path):
         load_basecalls(fasta, spans)
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"read_id": "r1", "call": "sample", "index": 0, "spans": "3"', "not a JSON record"),
+        ('["r1", "sample", 0, "3"]', "not a JSON object"),
+        ('{"read_id": "r1", "call": "sample", "index": 0}', "record lacks spans"),
+        ('{"read_id": "r1", "index": 0, "spans": "3"}', "record lacks call"),
+        ('{"read_id": "r1", "call": "best", "index": 0, "spans": "3"}', "unknown call 'best'"),
+        ('{"read_id": "r1", "call": "sample", "index": 0, "spans": "12A"}', r"character 'A'"),
+        ('{"read_id": "r1", "call": "sample", "index": 0, "spans": "2/"}', r"character '/'"),
+        ('{"read_id": "r1", "call": "sample", "index": 0, "spans": "2\u00e9"}', "character"),
+        (
+            '{"read_id": "r1", "call": "sample", "index": 0, "spans": [[0, 3]]}',
+            "spans must be a string of one length character per event, got a JSON list",
+        ),
+    ],
+)
+def test_load_basecalls_names_malformed_spans_line(tmp_path, line, message):
+    fasta, spans = write_call_files(
+        tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    )
+    lines = spans.read_text().splitlines()
+    lines[1] = line
+    spans.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"spans\.jsonl:2: .*" + message):
+        load_basecalls(fasta, spans)
+
+
+def test_load_basecalls_rejects_spans_not_covering_sequence(tmp_path):
+    fasta, spans = write_call_files(
+        tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    )
+    spans.write_text(spans.read_text().replace('"3"', '"31"', 1))
+    with pytest.raises(ValueError, match=r"spans\.jsonl:1: spans cover 4 bases"):
+        load_basecalls(fasta, spans)
+
+
 def test_basecall_files_round_trip(tmp_path):
     ens = [
         ReadEnsemble(
             "readA",
-            BaseCall("ACGTAC", [(0, 3), (3, 1), (4, 0), (4, 2)]),
-            [BaseCall("ACGT", [(0, 3), (3, 1)]), BaseCall("ACG", [(0, 3), (3, 0)])],
+            BaseCall("ACGTAC", [3, 1, 0, 2]),
+            [BaseCall("ACGT", [3, 1]), BaseCall("ACG", [3, 0])],
         ),
-        ReadEnsemble("readB", BaseCall("GGT", [(0, 3)]), []),
+        ReadEnsemble("readB", BaseCall("GGT", [3]), []),
     ]
     fasta = tmp_path / "calls.fasta"
     spans = tmp_path / "spans.jsonl"
     write_basecalls(fasta, spans, ens)
+    assert json.loads(spans.read_text().splitlines()[0])["spans"] == "3102"
     back = load_basecalls(fasta, spans)
     assert [e.read_id for e in back] == ["readA", "readB"]
     assert back[0].viterbi.sequence == "ACGTAC"
-    assert back[0].viterbi.event_spans == ens[0].viterbi.event_spans
+    assert back[0].viterbi.event_spans.tolist() == [[0, 3], [3, 1], [4, 0], [4, 2]]
     assert [s.sequence for s in back[0].samples] == ["ACGT", "ACG"]
     assert back[1].samples == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=40), min_size=1, max_size=5))
+def test_basecall_files_round_trip_any_lengths(tmp_path_factory, calls):
+    rng = np.random.default_rng(len(calls))
+    made = [BaseCall("".join(rng.choice(list("ACGT"), sum(ls))), ls) for ls in calls]
+    root = tmp_path_factory.mktemp("calls")
+    fasta, spans = root / "calls.fasta", root / "spans.jsonl"
+    write_basecalls(fasta, spans, [ReadEnsemble("r", made[0], made[1:])])
+    (back,) = load_basecalls(fasta, spans)
+    for want, got in zip(made, [back.viterbi, *back.samples]):
+        assert got.sequence == want.sequence
+        np.testing.assert_array_equal(got.lengths, want.lengths)
+        offsets, lengths = got.event_spans.T
+        assert offsets[0] == 0
+        np.testing.assert_array_equal(offsets[1:], offsets[:-1] + lengths[:-1])
+        assert offsets[-1] + lengths[-1] == len(got.sequence)

@@ -29,8 +29,8 @@ from ensembleseed.simulate import simulate_corpus, synthetic_pore_model
 
 def tiny_ensemble():
     """Three k=1 events with a two-base second event in the sample call."""
-    viterbi = BaseCall("ACG", [(0, 1), (1, 1), (2, 1)])
-    sample = BaseCall("ATTG", [(0, 1), (1, 2), (3, 1)])
+    viterbi = BaseCall("ACG", [1, 1, 1])
+    sample = BaseCall("ATTG", [1, 2, 1])
     ensemble = ReadEnsemble("r0", viterbi, [sample])
     true_path = StatePath(np.array([0, 1, 2]), 0.0)
     return ensemble, true_path
@@ -55,9 +55,35 @@ class TestBuildWindows:
 
     def test_span_count_mismatch_rejected(self):
         ensemble, true_path = tiny_ensemble()
-        ensemble.samples[0] = BaseCall("AT", [(0, 1), (1, 1)])
+        ensemble.samples[0] = BaseCall("AT", [1, 1])
         with pytest.raises(ValueError, match="event spans"):
             build_windows(ensemble, ("ref", 50, 53, "+"), true_path, 1, window_size=3)
+
+    def test_spans_not_tiling_the_call_rejected(self):
+        ensemble, true_path = tiny_ensemble()
+        ensemble.samples[0] = BaseCall("ATTG", [1, 1, 1])
+        with pytest.raises(ValueError, match="do not tile"):
+            build_windows(ensemble, ("ref", 50, 53, "+"), true_path, 1, window_size=3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_match_per_event_padding(self, seed):
+        rng = np.random.default_rng(seed)
+        n_events, size = 40, 15
+        calls = []
+        for _ in range(int(rng.integers(1, 6))):
+            lengths = rng.integers(0, 4, n_events)
+            calls.append(BaseCall("".join(rng.choice(list("ACGT"), lengths.sum())), lengths))
+        ensemble = ReadEnsemble("r", calls[0], calls[1:])
+        true_path = StatePath(np.zeros(n_events, dtype=np.int64), 0.0)
+        wins = build_windows(ensemble, ("ref", 0, 100, "+"), true_path, 1, window_size=size)
+        assert len(wins) == n_events // size
+        for win in wins:
+            a, b = win.event_range
+            pieces = [[c.sequence[o : o + n] for o, n in c.event_spans[a:b]] for c in calls]
+            widths = [max(len(p[e]) for p in pieces) for e in range(b - a)]
+            want = ["".join(t.ljust(w, "-") for t, w in zip(p, widths)) for p in pieces]
+            assert [win.viterbi_row, *win.sample_rows] == want
+            np.testing.assert_array_equal(win.event_offsets, np.cumsum([0, *widths]))
 
     @pytest.mark.parametrize("strand", ["+", "-"])
     def test_truth_intervals_cover_window_kmers(self, strand):
@@ -72,7 +98,7 @@ class TestBuildWindows:
             call = path_to_sequence(read.true_path, 3)
             # An event's 3-mer ends where its contribution ends (splits
             # contribute nothing and re-read the 3-mer already in place).
-            ends = [off + ln for off, ln in call.event_spans]
+            ends = call.event_spans.sum(axis=1)
             ens = ReadEnsemble(read.read_id, call, [])
             for win in build_windows(ens, read.truth, read.true_path, 3, window_size=30):
                 a, b = win.event_range

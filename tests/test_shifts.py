@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from ensembleseed.pore_model import TransitionModel
 from ensembleseed.shifts import (
     distinct_pairs,
+    gained,
+    incoming_edges,
     links,
     predecessors,
     smallest_orders,
@@ -78,3 +80,16 @@ def test_distinct_pairs_lists_each_linked_pair_once():
     assert pairs == sorted(set(pairs))
     want = {(a, b) for a in range(64) for b in range(64) if smallest_orders(a, b, 3, 2) >= 0}
     assert set(pairs) == want
+
+
+def test_incoming_edges_list_each_order_in_code_order():
+    k, rng = 3, np.random.default_rng(2)
+    tables = [rng.random(64), rng.random((64, 4)), rng.random((64, 16))]
+    pool, weights = incoming_edges(tables, k)
+    assert pool.shape == weights.shape == (64, 21)
+    for y in range(64):
+        want = [(y, tables[0][y])]
+        for j in (1, 2):
+            want += [(x, tables[j][x, y % 4**j]) for x in range(64) if links(x, y, k, j)]
+        assert list(zip(pool[y].tolist(), weights[y].tolist())) == want
+    assert gained(np.arange(64), 2).tolist() == [y % 16 for y in range(64)]

@@ -171,3 +171,31 @@ class TestModelFiles:
         )
         with pytest.raises(ValueError):
             load_transition_model(path)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("0\t0.5\nx\t0.5\n", r"gap\.tsv:4: cannot parse order 'x'"),
+            ("0\t0.5\n1\tabc\n", r"gap\.tsv:4: cannot parse probability 'abc'"),
+        ],
+    )
+    def test_load_names_unparsable_per_order_field(self, tmp_path, rows, message):
+        path = tmp_path / "gap.tsv"
+        path.write_text("# k=2 max_shift=1 mode=per-order pseudocount=1\norder\tprob\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            load_transition_model(path)
+
+    def test_load_names_unparsable_per_transition_probability(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(
+            "# k=1 max_shift=1 mode=per-transition pseudocount=1\n"
+            "source_kmer\ttarget_kmer\tprob\nA\tA\t0.5\nA\tC\tabc\n"
+        )
+        with pytest.raises(ValueError, match=r"pairs\.tsv:4: cannot parse probability 'abc'"):
+            load_transition_model(path)
+
+    def test_load_names_unparsable_metadata(self, tmp_path):
+        path = tmp_path / "meta.tsv"
+        path.write_text("# k=two max_shift=1 mode=per-order pseudocount=1\norder\tprob\n")
+        with pytest.raises(ValueError, match=r"meta\.tsv:1: cannot parse k 'two'"):
+            load_transition_model(path)
