@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write, fasta_records
+from .io import atomic_write, fasta_records, jsonl_records
 from .kmers import BASES, decode_kmer
 from .pore_model import Hmm, EventSequence
 from .shifts import (
@@ -172,18 +172,19 @@ def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
     return StatePath(states=states, log_joint=float(scores[states[-1]]))
 
 
-def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray) -> float:
-    """Log P(path, events) for an explicit state path."""
+def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray):
+    """Log P(path, events) for an explicit state path, or for each row of a path array."""
     states = np.asarray(states, dtype=np.int64)
     scaling = events.scaling
     loc = scaling.scale * hmm.pore.level_mean[states] + scaling.shift
     sd = hmm.pore.level_stdv[states] * scaling.var
     z = (events.means - loc) / sd
-    emit = np.sum(-0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi)))
-    trans = pair_probs(hmm.transitions, states[:-1], states[1:])
+    emit = np.sum(-0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi)), axis=-1)
+    trans = pair_probs(hmm.transitions, states[..., :-1], states[..., 1:])
     if np.any(trans <= 0):
         raise IllegalPathError("path contains a zero-probability transition")
-    return float(-np.log(hmm.num_states) + emit + np.log(trans).sum())
+    joints = -np.log(hmm.num_states) + emit + np.log(trans).sum(axis=-1)
+    return float(joints) if states.ndim == 1 else joints
 
 
 def sample_paths(
@@ -233,10 +234,7 @@ def sample_paths(
         cur = pool[draws, pick]
         paths[:, i] = cur
 
-    logpdf = emission_log_matrix(hmm, events)
-    emit = logpdf[np.arange(n)[None, :], paths].sum(axis=1)
-    step = pair_probs(trans, paths[:, :-1], paths[:, 1:])
-    joints = -np.log(m) + emit + np.log(step).sum(axis=1)
+    joints = path_log_joint(hmm, events, paths)
     return [StatePath(states=paths[d], log_joint=float(joints[d])) for d in range(count)]
 
 
@@ -276,6 +274,7 @@ def path_to_sequence(path: StatePath, k: int, max_shift: int | None = None) -> B
 
 _LENGTH_ZERO = ord("0")
 _MAX_LENGTH = 16
+SPANS_FIELDS = {"read_id": str, "call": object, "index": object, "spans": object}
 
 
 def _call_label(kind: str, index: int | None) -> str:
@@ -296,40 +295,25 @@ def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> No
                 sp.write(json.dumps(record) + "\n")
 
 
-def _spans_record(line: str, where: str) -> tuple[tuple[str, str], np.ndarray]:
-    """One spans line's (read id, call label) key and per-event lengths."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: not a JSON record: {exc}") from None
-    if not isinstance(rec, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    missing = [key for key in ("read_id", "call", "index", "spans") if key not in rec]
-    if missing:
-        raise ValueError(f"{where}: record lacks {', '.join(missing)}")
-    kind, index, spans = rec["call"], rec["index"], rec["spans"]
-    if not (kind == "viterbi" or (kind == "sample" and isinstance(index, int))):
-        raise ValueError(f"{where}: unknown call {kind!r} with index {index!r}")
-    if not isinstance(spans, str):
-        raise ValueError(
-            f"{where}: spans must be a string of one length character per event, "
-            f"got a JSON {type(spans).__name__}"
-        )
-    lengths = np.frombuffer(spans.encode("utf-8"), dtype=np.uint8) - np.uint8(_LENGTH_ZERO)
-    if np.any(lengths > _MAX_LENGTH):
-        bad = next(c for c in spans if not 0 <= ord(c) - _LENGTH_ZERO <= _MAX_LENGTH)
-        raise ValueError(f"{where}: span character {bad!r} encodes no length in 0..{_MAX_LENGTH}")
-    return (rec["read_id"], _call_label(kind, index)), lengths
-
-
 def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
-    spans: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
-    with open(spans_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            key, lengths = _spans_record(line, f"{spans_path}:{lineno}")
-            if key in spans:
-                raise ValueError(f"{spans_path}:{lineno}: repeated {key[1]} call for read {key[0]!r}")
-            spans[key] = (lineno, lengths)
+    spans: dict[tuple[str, str], tuple[str, np.ndarray]] = {}
+    for where, rec in jsonl_records(spans_path, SPANS_FIELDS):
+        kind, index, text = rec["call"], rec["index"], rec["spans"]
+        if not (kind == "viterbi" or (kind == "sample" and type(index) is int)):
+            raise ValueError(f"{where}: unknown call {kind!r} with index {index!r}")
+        if not isinstance(text, str):
+            raise ValueError(
+                f"{where}: spans must be a string of one length character per event, "
+                f"got a JSON {type(text).__name__}"
+            )
+        lengths = np.frombuffer(text.encode("utf-8"), dtype=np.uint8) - np.uint8(_LENGTH_ZERO)
+        if np.any(lengths > _MAX_LENGTH):
+            bad = next(c for c in text if not 0 <= ord(c) - _LENGTH_ZERO <= _MAX_LENGTH)
+            raise ValueError(f"{where}: span character {bad!r} encodes no length 0..{_MAX_LENGTH}")
+        key = (rec["read_id"], _call_label(kind, index))
+        if key in spans:
+            raise ValueError(f"{where}: repeated {key[1]} call for read {key[0]!r}")
+        spans[key] = (where, lengths)
 
     ensembles: list[ReadEnsemble] = []
     by_read: dict[str, ReadEnsemble] = {}
@@ -338,15 +322,15 @@ def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
         read_id, _, label = header.partition(" ")
         key = (read_id, label)
         if key not in spans:
-            raise ValueError(f"{fasta_path}: no spans recorded for {header!r}")
+            raise ValueError(f"{fasta_path}:{lineno}: no spans recorded for {header!r}")
         if key in seen:
             raise ValueError(f"{fasta_path}:{lineno}: repeated {label} call for read {read_id!r}")
         seen.add(key)
-        spans_line, lengths = spans[key]
+        spans_where, lengths = spans[key]
         covered = int(lengths.sum(dtype=np.int64))
         if covered != len(seq):
             raise ValueError(
-                f"{spans_path}:{spans_line}: spans cover {covered} bases, "
+                f"{spans_where}: spans cover {covered} bases, "
                 f"the FASTA record {header!r} has {len(seq)}"
             )
         call = BaseCall(sequence=seq, lengths=lengths)

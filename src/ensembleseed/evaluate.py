@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import ReadEnsemble, StatePath
-from .io import atomic_write
+from .io import atomic_write, tsv_rows
 from .seeding import (
     GAP,
     KmerIndex,
@@ -97,11 +97,17 @@ def build_windows(
     starts = np.cumsum(lengths.ravel()).reshape(lengths.shape) - lengths
 
     states = true_path.states
+    if states.min() < 0 or states.max() >= 4**k:
+        raise ValueError(f"read {ensemble.read_id}: true path has states outside the {k}-mers")
     orders = smallest_orders(states[:-1], states[1:], k, k)
     if np.any(orders < 0):
         raise ValueError(f"read {ensemble.read_id}: true path is not a legal walk")
     rel = np.concatenate([[0], np.cumsum(orders)])
     contig, fs, fe, strand = truth
+    if k + rel[-1] > fe - fs:
+        raise ValueError(
+            f"read {ensemble.read_id}: true path spans {k + rel[-1]} bases, truth {fe - fs}"
+        )
 
     windows: list[Window] = []
     for w in range(n_events // window_size):
@@ -307,24 +313,12 @@ def write_report(path, rows: list[EvalRow]) -> None:
 
 def load_report(path) -> list[EvalRow]:
     rows: list[EvalRow] = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != REPORT_HEADER:
-            raise ValueError(f"{path}: unexpected report header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(REPORT_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(REPORT_HEADER)} columns")
-            rows.append(
-                EvalRow(
-                    strategy=fields[0], k=int(fields[1]), t=int(fields[2]),
-                    n=int(fields[3]), tp=int(fields[4]), windows=int(fields[5]),
-                    sn=float(fields[6]), fp=int(fields[7]),
-                )
-            )
+    types = (str, int, int, int, int, int, float, int)
+    for where, fields in tsv_rows(path, REPORT_HEADER, types):
+        try:
+            rows.append(EvalRow(*fields))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return rows
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write
-from .kmers import decode_kmer, encode_kmer
+from .io import atomic_write, jsonl_records, number_array, tsv_rows
+from .kmers import BASES, decode_kmer, encode_kmer
 
 # Untrained defaults: stay, move, skip-2. Move-dominant to match the intended
 # one-base-per-event semantics; training overrides these.
@@ -236,6 +236,7 @@ def make_hmm(pore: PoreModel, transitions: TransitionModel | None = None) -> Hmm
 # File formats
 
 PORE_MODEL_HEADER = ["kmer", "mu", "sigma"]
+EVENT_FIELDS = {"read_id": str, "scale": float, "shift": float, "var": float, "events": list}
 
 
 def write_pore_model(path, pore: PoreModel) -> None:
@@ -249,28 +250,20 @@ def write_pore_model(path, pore: PoreModel) -> None:
 def load_pore_model(path) -> PoreModel:
     """Read a ``kmer<TAB>mu<TAB>sigma`` table covering all 4**k k-mers."""
     rows: dict[str, tuple[float, float]] = {}
-    k = None
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != PORE_MODEL_HEADER:
-            raise ValueError(f"{path}: expected header {PORE_MODEL_HEADER}, got {header}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            kmer, mu, sigma = parts[0], float(parts[1]), float(parts[2])
-            if sigma <= 0:
-                raise ValueError(f"{path}:{lineno}: sigma must be positive")
-            if kmer in rows:
-                raise ValueError(f"{path}:{lineno}: duplicate k-mer {kmer}")
-            if k is None:
-                k = len(kmer)
-            rows[kmer] = (mu, sigma)
-    if k is None:
+    for where, (kmer, mu, sigma) in tsv_rows(path, PORE_MODEL_HEADER, (str, float, float)):
+        k = len(next(iter(rows), kmer))  # the first row sets k
+        if not kmer or len(kmer) != k or not set(kmer) <= set(BASES):
+            raise ValueError(f"{where}: expected a {k}-mer over {BASES}, got {kmer!r}")
+        if not sigma > 0:
+            raise ValueError(f"{where}: sigma must be positive")
+        if kmer in rows:
+            raise ValueError(f"{where}: duplicate k-mer {kmer}")
+        rows[kmer] = (mu, sigma)
+    if not rows:
         raise ValueError(f"{path}: empty pore model")
+    k = len(next(iter(rows)))
+    if len(rows) != 4**k:
+        raise ValueError(f"{path}: {len(rows)} k-mers, a {k}-mer pore model needs {4**k}")
     return PoreModel.from_rows(k, rows)
 
 
@@ -290,18 +283,11 @@ def write_events(path, reads: list[EventSequence]) -> None:
 def load_events(path) -> list[EventSequence]:
     """Read one event sequence per JSON line."""
     reads = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                scaling = ReadScaling(
-                    scale=record["scale"], shift=record["shift"], var=record["var"]
-                )
-                read = EventSequence(record["read_id"], record["events"], scaling)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad event record: {exc}") from None
-            reads.append(read)
+    for where, rec in jsonl_records(path, EVENT_FIELDS):
+        means = number_array(rec["events"], "if", "events", where)
+        try:
+            scaling = ReadScaling(scale=rec["scale"], shift=rec["shift"], var=rec["var"])
+            reads.append(EventSequence(rec["read_id"], means, scaling))
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad event record: {exc}") from None
     return reads

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decode import StatePath, path_log_joint, path_to_sequence
-from .io import atomic_write
+from .io import atomic_write, jsonl_records, number_array, tsv_rows
 from .kmers import BASES, kmer_codes, reverse_complement
 from .pore_model import EventSequence, Hmm, PoreModel, ReadScaling
 from .shifts import edge_table
@@ -218,11 +218,8 @@ def simulate_corpus(
             contig=contig,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reads = list(pool.map(one, range(read_count)))
-    else:
-        reads = [one(i) for i in range(read_count)]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        reads = list(pool.map(one, range(read_count)))
     return reference, reads
 
 
@@ -231,6 +228,7 @@ def simulate_corpus(
 # so training and evaluation can reuse them without re-deriving anything.
 
 TRUTH_HEADER = ["contig", "start", "end", "strand", "read_id"]
+TRUE_PATH_FIELDS = {"read_id": str, "states": list, "log_joint": float}
 
 
 def write_truth(path, reads: list[SimulatedRead]) -> None:
@@ -244,23 +242,15 @@ def write_truth(path, reads: list[SimulatedRead]) -> None:
 def load_truth(path) -> dict[str, tuple[str, int, int, str]]:
     """Truth intervals keyed by read id."""
     out: dict[str, tuple[str, int, int, str]] = {}
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != TRUTH_HEADER:
-            raise ValueError(f"{path}: unexpected truth header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(fields)}")
-            contig, start, end, strand, read_id = fields
-            if strand not in STRANDS:
-                raise ValueError(f"{path}:{lineno}: bad strand {strand!r}")
-            if read_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate read id {read_id!r}")
-            out[read_id] = (contig, int(start), int(end), strand)
+    types = (str, int, int, str, str)
+    for where, (contig, start, end, strand, read_id) in tsv_rows(path, TRUTH_HEADER, types):
+        if strand not in STRANDS:
+            raise ValueError(f"{where}: bad strand {strand!r}")
+        if not 0 <= start < end:
+            raise ValueError(f"{where}: interval [{start}, {end}) is empty or negative")
+        if read_id in out:
+            raise ValueError(f"{where}: duplicate read id {read_id!r}")
+        out[read_id] = (contig, start, end, strand)
     return out
 
 
@@ -281,20 +271,9 @@ def write_true_paths(path, reads: list[SimulatedRead]) -> None:
 
 def load_true_paths(path) -> dict[str, StatePath]:
     out: dict[str, StatePath] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                read_id = rec["read_id"]
-                true_path = StatePath(
-                    states=np.asarray(rec["states"], dtype=np.int64),
-                    log_joint=float(rec["log_joint"]),
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad true-path record: {exc}") from None
-            if read_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate read id {read_id!r}")
-            out[read_id] = true_path
+    for where, rec in jsonl_records(path, TRUE_PATH_FIELDS):
+        if rec["read_id"] in out:
+            raise ValueError(f"{where}: duplicate read id {rec['read_id']!r}")
+        states = number_array(rec["states"], "i", "states", where)
+        out[rec["read_id"]] = StatePath(states=states, log_joint=rec["log_joint"])
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import IllegalPathError, StatePath
-from .io import atomic_write
+from .io import atomic_write, parse_field, tsv_rows
 from .kmers import decode_kmer
 from .pore_model import TransitionModel
 from .shifts import distinct_pairs, edge_table, gained, pair_probs, smallest_orders
@@ -168,6 +168,10 @@ def estimate_transitions(counts: TransitionCounts, pseudocount: int = 1) -> Tran
 # smallest linking order, which leaves every state-to-state probability intact.
 
 
+ORDER_HEADER = ["order", "prob"]
+PAIR_HEADER = ["source_kmer", "target_kmer", "prob"]
+
+
 def save_transition_model(path, model: TransitionModel, pseudocount: int = 1) -> None:
     meta = (
         f"# k={model.k} max_shift={model.max_shift} "
@@ -176,102 +180,70 @@ def save_transition_model(path, model: TransitionModel, pseudocount: int = 1) ->
     with atomic_write(path) as fh:
         fh.write(meta)
         if model.mode == "per-order":
-            fh.write("order\tprob\n")
+            fh.write("\t".join(ORDER_HEADER) + "\n")
             for j, p in enumerate(model.order_probs):
                 fh.write(f"{j}\t{p:.17g}\n")
             return
-        fh.write("source_kmer\ttarget_kmer\tprob\n")
+        fh.write("\t".join(PAIR_HEADER) + "\n")
         src, tgt = distinct_pairs(model.k, model.max_shift)
         names = [decode_kmer(code, model.k) for code in range(4**model.k)]
         for x, y, prob in zip(src.tolist(), tgt.tolist(), pair_probs(model, src, tgt).tolist()):
             fh.write(f"{names[x]}\t{names[y]}\t{prob:.17g}\n")
 
 
-def _parse_meta(line: str, path) -> dict:
+def _parse_meta(path) -> tuple[int, int, str]:
+    """k, max shift and mode from the metadata line opening a model file."""
+    where = f"{path}:1"
+    with open(path) as fh:
+        line = fh.readline().rstrip("\n")
     if not line.startswith("#"):
-        raise ValueError(f"{path}: missing metadata line")
-    meta: dict = {}
-    for token in line[1:].split():
-        key, _, value = token.partition("=")
-        meta[key] = value
+        raise ValueError(f"{where}: missing metadata line")
+    meta = dict(token.partition("=")[::2] for token in line[1:].split())
     for key in ("k", "max_shift", "mode", "pseudocount"):
         if key not in meta:
-            raise ValueError(f"{path}: metadata line lacks {key}")
-    return meta
-
-
-def _parse_field(parse, text: str, name: str, where: str):
-    try:
-        return parse(text)
-    except ValueError:
-        raise ValueError(f"{where}: cannot parse {name} {text!r}") from None
+            raise ValueError(f"{where}: metadata line lacks {key}")
+    if meta["mode"] not in MODES:
+        raise ValueError(f"{where}: unknown mode {meta['mode']!r}")
+    k = parse_field(int, meta["k"], "k", where)
+    max_shift = parse_field(int, meta["max_shift"], "max_shift", where)
+    if not 1 <= max_shift <= k <= 16:
+        raise ValueError(f"{where}: need 1 <= max_shift <= k <= 16, got {max_shift} and {k}")
+    return k, max_shift, meta["mode"]
 
 
 def load_transition_model(path) -> TransitionModel:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    meta = _parse_meta(lines[0], path)
-    k = _parse_field(int, meta["k"], "k", f"{path}:1")
-    max_shift = _parse_field(int, meta["max_shift"], "max_shift", f"{path}:1")
-    mode = meta["mode"]
-    if mode not in MODES:
-        raise ValueError(f"{path}: unknown mode {mode!r}")
-
-    header = lines[1] if len(lines) > 1 else ""
+    k, max_shift, mode = _parse_meta(path)
     if mode == "per-order":
-        if header != "order\tprob":
-            raise ValueError(f"{path}: expected header 'order\\tprob', got {header!r}")
-        probs = np.zeros(max_shift + 1)
-        seen = np.zeros(max_shift + 1, dtype=bool)
-        for lineno, line in enumerate(lines[2:], start=3):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            j = _parse_field(int, fields[0], "order", f"{path}:{lineno}")
+        probs: dict[int, float] = {}
+        for where, (j, prob) in tsv_rows(path, ORDER_HEADER, (int, str), header_line=2):
             if not 0 <= j <= max_shift:
-                raise ValueError(f"{path}:{lineno}: order {j} outside [0, {max_shift}]")
-            if seen[j]:
-                raise ValueError(f"{path}:{lineno}: duplicate order {j}")
-            seen[j] = True
-            probs[j] = _parse_field(float, fields[1], "probability", f"{path}:{lineno}")
-        if not seen.all():
-            raise ValueError(f"{path}: missing order rows {np.flatnonzero(~seen).tolist()}")
-        return TransitionModel.per_order(k, order_probs=probs)
-
-    if header != "source_kmer\ttarget_kmer\tprob":
-        raise ValueError(
-            f"{path}: expected header 'source_kmer\\ttarget_kmer\\tprob', got {header!r}"
-        )
-    codes = {decode_kmer(code, k): code for code in range(4**k)}
-    linenos, src, tgt, probs = [], [], [], []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(fields)}")
-        if len(fields[0]) != k or len(fields[1]) != k:
-            raise ValueError(f"{path}:{lineno}: k-mers must have length {k}")
-        for kmer in fields[:2]:
-            if kmer not in codes:
-                raise ValueError(f"{path}:{lineno}: non-ACGT base in k-mer {kmer!r}")
-        linenos.append(lineno)
-        src.append(codes[fields[0]])
-        tgt.append(codes[fields[1]])
-        probs.append(_parse_field(float, fields[2], "probability", f"{path}:{lineno}"))
-    src = np.array(src, dtype=np.int64)
-    tgt = np.array(tgt, dtype=np.int64)
-    orders = smallest_orders(src, tgt, k, max_shift)
-    bad = np.flatnonzero(orders < 0)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"{path}:{linenos[i]}: {decode_kmer(int(src[i]), k)} -> "
-            f"{decode_kmer(int(tgt[i]), k)} is not reachable with max shift {max_shift}"
-        )
-    tables = _order_tables(k, max_shift, src, tgt, orders, np.array(probs), fill=0.0)
-    return TransitionModel(k, tables, mode="per-transition")
+                raise ValueError(f"{where}: order {j} outside [0, {max_shift}]")
+            if j in probs:
+                raise ValueError(f"{where}: duplicate order {j}")
+            probs[j] = parse_field(float, prob, "probability", where)
+        missing = sorted(set(range(max_shift + 1)) - set(probs))
+        if missing:
+            raise ValueError(f"{path}: missing order rows {missing}")
+    else:
+        codes = {decode_kmer(code, k): code for code in range(4**k)}
+        rows: dict[tuple[int, int], tuple[str, float]] = {}
+        types = (codes.__getitem__, codes.__getitem__, str)
+        for where, (x, y, prob) in tsv_rows(path, PAIR_HEADER, types, header_line=2):
+            if (x, y) in rows:
+                pair = f"{decode_kmer(x, k)} -> {decode_kmer(y, k)}"
+                raise ValueError(f"{where}: duplicate pair {pair}")
+            rows[x, y] = (where, parse_field(float, prob, "probability", where))
+        src, tgt = np.array(list(rows), dtype=np.int64).reshape(-1, 2).T
+        orders = smallest_orders(src, tgt, k, max_shift)
+        if np.any(orders < 0):
+            (x, y), (where, _) = list(rows.items())[int(np.argmax(orders < 0))]
+            pair = f"{decode_kmer(x, k)} -> {decode_kmer(y, k)}"
+            raise ValueError(f"{where}: {pair} is not reachable with max shift {max_shift}")
+        mass = np.array([prob for _, prob in rows.values()])
+        tables = _order_tables(k, max_shift, src, tgt, orders, mass, fill=0.0)
+    try:
+        if mode == "per-order":
+            return TransitionModel.per_order(k, order_probs=[probs[j] for j in sorted(probs)])
+        return TransitionModel(k, tables, mode="per-transition")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -144,6 +144,28 @@ def test_malformed_truth_fails_cleanly(pipeline, tmp_path, capsys):
     assert "ensembleseed eval" in capsys.readouterr().err
 
 
+def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):
+    _, sim, _, _ = pipeline
+    bad = tmp_path / "true_paths.jsonl"
+    bad.write_text((sim / "true_paths.jsonl").read_text() + "[1,2]\n")
+    rc = run_cli("train", "--model-k", 3, "--true-paths", bad, "--out-dir", tmp_path / "out")
+    assert rc == 2
+    assert "true_paths.jsonl:7: not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model_k", [2, 4])
+def test_eval_rejects_true_paths_of_another_k(pipeline, tmp_path, capsys, model_k):
+    _, sim, _, calls = pipeline
+    rc = run_cli(
+        "eval", "--model-k", model_k, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--out-dir", tmp_path / "out",
+    )
+    assert rc == 2
+    assert "ensembleseed eval: read read0000: true path" in capsys.readouterr().err
+
+
 def test_invalid_model_configuration_rejected(tmp_path, capsys):
     rc = run_cli(
         "simulate", "--model-k", 1, "--max-shift", 2,

@@ -85,6 +85,20 @@ class TestBuildWindows:
             assert [win.viterbi_row, *win.sample_rows] == want
             np.testing.assert_array_equal(win.event_offsets, np.cumsum([0, *widths]))
 
+    @pytest.mark.parametrize(
+        "k,message",
+        [(2, "true path has states outside the 2-mers"), (4, r"true path spans \d+ bases, truth")],
+    )
+    def test_true_path_of_another_k_rejected(self, k, message):
+        hmm = make_hmm(synthetic_pore_model(3, seed=19))
+        _, (read,) = simulate_corpus(
+            hmm, reference_length=5000, read_count=1, events_per_read=90, seed=61
+        )
+        ens = ReadEnsemble(read.read_id, path_to_sequence(read.true_path, 3), [])
+        assert len(build_windows(ens, read.truth, read.true_path, 3, window_size=30)) == 3
+        with pytest.raises(ValueError, match=rf"read {read.read_id}: {message}"):
+            build_windows(ens, read.truth, read.true_path, k, window_size=30)
+
     @pytest.mark.parametrize("strand", ["+", "-"])
     def test_truth_intervals_cover_window_kmers(self, strand):
         """Window truth must quote exactly the reference bases of its events."""
@@ -268,3 +282,20 @@ def test_alignment_identity():
     assert alignment_identity("ACGT", "ACGT") == 1.0
     assert alignment_identity("AAAA", "AAAT") == 0.75
     assert alignment_identity("", "ACGT") == 0.0
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("chain\t10\t1\tx\t1\t2\t0.500\t0", "cannot parse n 'x'"),
+        ("chain\t10\t1\t1\t1\t2\t1.500\t0", r"Sn must be in \[0, 1\]"),
+        ("chain\t10\t1\t1\t1\t2\t0.500\t-1", "FP must be >= 0"),
+        ("chain\t10\t1\t1\t1\t2\t0.500", "expected 8 columns, got 7"),
+    ],
+)
+def test_load_report_names_malformed_line(tmp_path, row, message):
+    path = tmp_path / "report.tsv"
+    write_report(path, [EvalRow("chain", 10, 1, 1, 1, 2, 0.5, 0)])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError, match=rf"report\.tsv:3: {message}"):
+        load_report(path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -219,3 +220,64 @@ def test_events_round_trip(tmp_path):
     np.testing.assert_array_equal(back[0].means, reads[0].means)
     assert back[0].scaling == reads[0].scaling
     assert back[1].scaling == ReadScaling()
+
+
+@pytest.mark.parametrize(
+    "lineno,line,message",
+    [
+        (1, "kmer\tmu", r"expected header 'kmer\\tmu\\tsigma'"),
+        (3, "C\tx\t2.0", "cannot parse mu 'x'"),
+        (3, "C\t100.0\tnan", "sigma must be positive"),
+        (3, "C\t100.0", "expected 3 columns, got 2"),
+        (3, "CA\t100.0\t2.0", "expected a 1-mer over ACGT, got 'CA'"),
+        (3, "N\t100.0\t2.0", "expected a 1-mer over ACGT, got 'N'"),
+        (6, "A\t100.0\t2.0", "duplicate k-mer A"),
+    ],
+)
+def test_load_pore_model_names_malformed_line(tmp_path, lineno, line, message):
+    path = tmp_path / "pore.tsv"
+    write_pore_model(path, toy_pore(1))
+    lines = path.read_text().splitlines() + [""]
+    lines[lineno - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"pore\.tsv:{lineno}: {message}"):
+        load_pore_model(path)
+
+
+def test_load_pore_model_rejects_incomplete_table(tmp_path):
+    path = tmp_path / "pore.tsv"
+    write_pore_model(path, toy_pore(2))
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(ValueError, match=r"pore\.tsv: 15 k-mers, a 2-mer pore model needs 16"):
+        load_pore_model(path)
+
+
+def event_line(**fields):
+    record = {"read_id": "r2", "scale": 1.0, "shift": 0.0, "var": 1.0, "events": [100.0]}
+    record.update(fields)
+    return json.dumps({key: value for key, value in record.items() if value is not None})
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (event_line(events=[100.0, "a"]), "events must be a non-empty flat array of numbers"),
+        (event_line(events=[[100.0, 101.0]]), "events must be a non-empty flat array"),
+        (event_line(events=[True]), "events must be a non-empty flat array"),
+        (event_line(events=[]), "events must be a non-empty flat array"),
+        (event_line(events=[float("inf")]), "bad event record: read 'r2': non-finite"),
+        (event_line(scale=0), "bad event record: scale must be positive"),
+        (event_line(read_id=7), "read_id must be a JSON str, got a JSON int"),
+        (event_line(shift="0"), "shift must be a JSON float, got a JSON str"),
+        (event_line(var=10**400), "var must be a JSON float, got a JSON int"),
+        (event_line(events=None), "record lacks events"),
+        ('["r2", 1.0, 0.0, 1.0, [100.0]]', "not a JSON object"),
+        (event_line()[:-1], "not a JSON record"),
+    ],
+)
+def test_load_events_names_malformed_line(tmp_path, line, message):
+    path = tmp_path / "events.jsonl"
+    write_events(path, [EventSequence("r1", [100.0])])
+    path.write_text(path.read_text() + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=rf"events\.jsonl:3: {message}"):
+        load_events(path)

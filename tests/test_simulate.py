@@ -169,3 +169,42 @@ def test_true_paths_loader_rejects_duplicates(tmp_path):
     )
     with pytest.raises(ValueError, match=r"paths\.jsonl:3: duplicate read id 'r1'"):
         load_true_paths(path)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("ref\tfoo\t10\t+\tr3", "cannot parse start 'foo'"),
+        ("ref\t10\t3\t+\tr3", r"interval \[10, 3\) is empty or negative"),
+        ("ref\t0\t10\t*\tr3", "bad strand '\\*'"),
+        ("ref\t0\t10\t+", "expected 5 columns, got 4"),
+    ],
+)
+def test_truth_loader_names_malformed_line(tmp_path, line, message):
+    path = tmp_path / "truth.tsv"
+    path.write_text(
+        "contig\tstart\tend\tstrand\tread_id\nref\t0\t10\t+\tr1\nref\t5\t15\t-\tr2\n" + line + "\n"
+    )
+    with pytest.raises(ValueError, match=rf"truth\.tsv:4: {message}"):
+        load_truth(path)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"read_id": "r2", "states": [[1, 2], [3, 4]], "log_joint": -2.0}', "states must be a"),
+        ('{"read_id": "r2", "states": [1.5], "log_joint": -2.0}', "states must be a"),
+        ('{"read_id": "r2", "states": [], "log_joint": -2.0}', "states must be a"),
+        ('{"read_id": "r2", "states": ["1"], "log_joint": -2.0}', "states must be a"),
+        ('{"read_id": ["r2"], "states": [1], "log_joint": -2.0}', "read_id must be a JSON str"),
+        ('{"read_id": "r2", "states": [1], "log_joint": "x"}', "log_joint must be a JSON float"),
+        ('{"read_id": "r2", "log_joint": -2.0}', "record lacks states"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"read_id": "r2", "states": [1]', "not a JSON record"),
+    ],
+)
+def test_true_paths_loader_names_malformed_line(tmp_path, line, message):
+    path = tmp_path / "paths.jsonl"
+    path.write_text('{"read_id": "r1", "states": [0, 1], "log_joint": -1.0}\n' + line + "\n")
+    with pytest.raises(ValueError, match=rf"paths\.jsonl:2: {message}"):
+        load_true_paths(path)

@@ -199,3 +199,32 @@ class TestModelFiles:
         path.write_text("# k=two max_shift=1 mode=per-order pseudocount=1\norder\tprob\n")
         with pytest.raises(ValueError, match=r"meta\.tsv:1: cannot parse k 'two'"):
             load_transition_model(path)
+
+
+ORDER_FILE = "# k=2 max_shift=1 mode=per-order pseudocount=1\norder\tprob\n"
+PAIR_FILE = (
+    "# k=2 max_shift=1 mode=per-transition pseudocount=1\nsource_kmer\ttarget_kmer\tprob\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (ORDER_FILE.replace("prob", "p"), r":2: expected header 'order\\tprob', got 'order\\tp'"),
+        (ORDER_FILE.replace("max_shift=1", "max_shift=3"), r":1: need 1 <= max_shift <= k"),
+        (ORDER_FILE + "0\t0.5\n2\t0.5\n", r":4: order 2 outside \[0, 1\]"),
+        (ORDER_FILE + "0\t0.5\n0\t0.5\n", ":4: duplicate order 0"),
+        (ORDER_FILE + "0\t0.5\n1\n", ":4: expected 2 columns, got 1"),
+        (ORDER_FILE + "0\t0.5\n1\t0.6\n", ": order probabilities must be >= 0 and sum to 1"),
+        (PAIR_FILE + "AA\tAC\t1.0\nAA\tACG\t0.5\n", ":4: cannot parse target_kmer 'ACG'"),
+        (PAIR_FILE + "AA\tAC\t1.0\nAN\tAC\t0.5\n", ":4: cannot parse source_kmer 'AN'"),
+        (PAIR_FILE + "AA\tAC\t1.0\nAA\tAC\t0.5\n", ":4: duplicate pair AA -> AC"),
+        (PAIR_FILE + "AA\tAC\t1.0\nAA\tGG\t0.5\n", ":4: AA -> GG is not reachable with max shift 1"),
+        (PAIR_FILE + "AA\tAC\t1.0\n", ": transition rows must sum to 1"),
+    ],
+)
+def test_load_names_malformed_line(tmp_path, text, message):
+    path = tmp_path / "model.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"model\.tsv" + message):
+        load_transition_model(path)
