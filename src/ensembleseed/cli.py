@@ -29,9 +29,7 @@ from .decode import (
 )
 from .evaluate import (
     CHAIN_10,
-    CHAIN_10_VITERBI,
     SINGLE_13,
-    SINGLE_13_VITERBI,
     StrategyConfig,
     build_windows,
     load_report,
@@ -227,9 +225,11 @@ def cmd_eval(args) -> int:
         )
     log.info("evaluating %d windows", len(windows))
 
+    strategies = _strategies(args)
+    indexes = {k: build_index(reference, k) for k in {c.seed_k for c in strategies}}
     rows = []
-    for config in _strategies(args):
-        index = build_index(reference, config.seed_k)
+    for config in strategies:
+        index = indexes[config.seed_k]
         rows += sweep(windows, index, config, args.t, args.n, radius=args.dedup_radius)
     write_report(os.path.join(args.out_dir, "report.tsv"), rows)
     _write_config(args.out_dir, "eval", args)

@@ -344,4 +344,7 @@ def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
     for ens in ensembles:
         if ens.viterbi is None:
             raise ValueError(f"{fasta_path}: read {ens.read_id} has no viterbi call")
+    for (read_id, label), (spans_where, _) in spans.items():
+        if (read_id, label) not in seen:
+            raise ValueError(f"{spans_where}: no FASTA record for the {label} call of {read_id!r}")
     return ensembles

@@ -138,28 +138,23 @@ def is_valid_hit(point, truth: tuple[int, int, str]) -> bool:
     return point.strand == strand and start <= point.ref_pos < end
 
 
-def _coords(point) -> tuple[int, int]:
-    if hasattr(point, "point"):
-        return point.point()
-    return (int(point[0]), int(point[1]))
-
-
 def greedy_dedup(points, radius: int = DEFAULT_DEDUP_RADIUS) -> list:
     """Greedy cluster representatives of one window's invalid left endpoints.
 
-    Points are scanned in (query_col, ref_pos) order; a point is kept unless an
-    already-kept point is within ``radius`` in BOTH coordinates. Strand is
-    ignored: all of a window's invalid points form one pool.
+    Points are SeedHits or plain ``(query_col, ref_pos)`` tuples, scanned in
+    (query_col, ref_pos) order; a point is kept unless an already-kept point is
+    within ``radius`` in BOTH coordinates. Strand is ignored: all of a window's
+    invalid points form one pool.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    order = sorted(points, key=_coords)
+    order = sorted(points, key=lambda p: p[:2])
     kept: list = []
-    kept_coords: list[tuple[int, int]] = []
+    kept_pos: list[tuple[int, int]] = []
     for point in order:
-        q, r = _coords(point)
+        q, r = point[:2]
         clash = False
-        for sq, sr in reversed(kept_coords):
+        for sq, sr in reversed(kept_pos):
             if sq < q - radius:
                 break
             if abs(sq - q) <= radius and abs(sr - r) <= radius:
@@ -167,7 +162,7 @@ def greedy_dedup(points, radius: int = DEFAULT_DEDUP_RADIUS) -> list:
                 break
         if not clash:
             kept.append(point)
-            kept_coords.append((q, r))
+            kept_pos.append((q, r))
     return kept
 
 

@@ -283,7 +283,11 @@ def write_events(path, reads: list[EventSequence]) -> None:
 def load_events(path) -> list[EventSequence]:
     """Read one event sequence per JSON line."""
     reads = []
+    seen: set[str] = set()
     for where, rec in jsonl_records(path, EVENT_FIELDS):
+        if rec["read_id"] in seen:
+            raise ValueError(f"{where}: duplicate read id {rec['read_id']!r}")
+        seen.add(rec["read_id"])
         means = number_array(rec["events"], "if", "events", where)
         try:
             scaling = ReadScaling(scale=rec["scale"], shift=rec["shift"], var=rec["var"])

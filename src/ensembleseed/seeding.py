@@ -10,111 +10,96 @@ support threshold t and a dedup radius make sense at all.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kmers import BASES, kmer_codes, reverse_complement
+from .kmers import kmer_codes, reverse_complement
 
 # Pads each event's slice of a window row to the widest call's slice there.
 GAP = "-"
 
 
-@dataclass(frozen=True)
-class SeedHit:
+class SeedHit(NamedTuple):
     """Left endpoints of a seed match: event column in the query, offset in the reference."""
 
     query_col: int
     ref_pos: int
     strand: str
 
-    def point(self) -> tuple[int, int]:
-        return (self.query_col, self.ref_pos)
-
 
 @dataclass
 class KmerIndex:
-    """All k-mer occurrences of both reference strands, keyed by k-mer string.
+    """All k-mer occurrences of both reference strands, keyed by k-mer code.
 
-    Reverse-strand entries store the forward coordinate of the match's left
-    endpoint, so hit positions from either strand live on one axis.
+    Codes are those of ``kmers.kmer_codes``. Reverse-strand entries store the
+    forward coordinate of the match's left endpoint, so hit positions from
+    either strand live on one axis.
     """
 
     k: int
-    positions: dict[str, list[tuple[int, str]]]
+    positions: dict[int, list[tuple[int, str]]]
     reference_length: int
 
-    def lookup(self, kmer: str) -> list[tuple[int, str]]:
-        return self.positions.get(kmer, [])
+    def lookup(self, code: int) -> list[tuple[int, str]]:
+        return self.positions.get(code, [])
 
 
-def _decode_block(codes: np.ndarray, k: int) -> list[str]:
-    """Decode an array of k-mer codes to strings in one shot."""
-    lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
-    digits = np.empty((codes.size, k), dtype=np.int64)
-    for pos in range(k):
-        digits[:, pos] = (codes >> (2 * (k - 1 - pos))) & 3
-    flat = lookup[digits].tobytes().decode("ascii")
-    return [flat[i * k : (i + 1) * k] for i in range(codes.size)]
-
-
-def build_index(reference: str, k: int, on_ambiguous: str = "skip") -> KmerIndex:
+def build_index(reference: str, k: int) -> KmerIndex:
     """Index every k-mer of the reference and of its reverse complement.
 
-    ``on_ambiguous`` controls k-mers overlapping non-ACGT characters: "skip"
-    drops them, "error" raises.
+    k-mers overlapping a non-ACGT character are skipped. Each k-mer's entries
+    are sorted by (offset, strand).
     """
     if not 1 <= k <= 16:
         raise ValueError(f"seed length must be in [1, 16], got {k}")
-    if on_ambiguous not in ("skip", "error"):
-        raise ValueError(f"on_ambiguous must be 'skip' or 'error', got {on_ambiguous!r}")
     L = len(reference)
-    positions: dict[str, list[tuple[int, str]]] = defaultdict(list)
-    for strand, seq in (("+", reference), ("-", reverse_complement(reference))):
-        codes = kmer_codes(seq, k)
-        good = codes >= 0
-        if not good.all() and on_ambiguous == "error":
-            first = int(np.flatnonzero(~good)[0])
-            raise ValueError(f"ambiguous base in k-mer at offset {first} on strand {strand}")
-        offsets = np.flatnonzero(good)
-        if strand == "-":
-            # revcomp offset j covers forward bases [L-j-k, L-j)
-            fwd = L - offsets - k
-        else:
-            fwd = offsets
-        for kmer, off in zip(_decode_block(codes[offsets], k), fwd.tolist()):
-            positions[kmer].append((off, strand))
-    for entries in positions.values():
-        entries.sort()
-    return KmerIndex(k=k, positions=dict(positions), reference_length=L)
+    codes = np.concatenate(
+        [kmer_codes(reference, k), kmer_codes(reverse_complement(reference), k)]
+    )
+    count = codes.size // 2
+    # revcomp offset j covers forward bases [L-j-k, L-j)
+    offsets = np.concatenate([np.arange(count), L - k - np.arange(count)])
+    strand = np.repeat([0, 1], count)
+    order = np.lexsort((strand, offsets, codes))
+    order = order[codes[order] >= 0]
+    codes = codes[order]
+    strands = np.array(["+", "-"], dtype=object)[strand[order]]
+    entries = list(zip(offsets[order].tolist(), strands.tolist()))
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    ends = np.append(starts[1:], codes.size)
+    positions = {
+        code: entries[a:b]
+        for code, a, b in zip(codes[starts].tolist(), starts.tolist(), ends.tolist())
+    }
+    return KmerIndex(k=k, positions=positions, reference_length=L)
 
 
 @dataclass
 class EnsembleKmers:
-    """Thresholded k-mers per event column, with their sample support counts."""
+    """Thresholded k-mer codes per event column, with their sample support counts."""
 
     k: int
     n: int
     t: int
-    per_column: dict[int, dict[str, int]]
-
-    def columns(self) -> list[int]:
-        return sorted(self.per_column)
+    per_column: dict[int, dict[int, int]]
 
 
-def _row_anchor_kmers(row: str, event_offsets: np.ndarray, k: int) -> dict[int, str]:
-    """Event column -> the gap-free k-mer starting at the row's base for that event."""
+def _row_anchor_kmers(row: str, event_offsets: np.ndarray, k: int) -> np.ndarray:
+    """``col * 4**k + code`` for each event column that anchors a k-mer in the row.
+
+    The code is that of the gap-free k-mer starting at the row's first base for
+    the column's event.
+    """
     arr = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-    nongap = np.concatenate([[0], np.cumsum(arr != ord(GAP))])
-    base_prefix = nongap[event_offsets]
-    bases = row.replace(GAP, "")
-    out: dict[int, str] = {}
-    for c in range(event_offsets.size - 1):
-        start = int(base_prefix[c])
-        if base_prefix[c + 1] > start and start + k <= len(bases):
-            out[c] = bases[start : start + k]
-    return out
+    start = np.concatenate([[0], np.cumsum(arr != ord(GAP))])[event_offsets]
+    codes = kmer_codes(row.replace(GAP, ""), k)
+    cols = np.flatnonzero((start[1:] > start[:-1]) & (start[:-1] < codes.size))
+    picked = codes[start[cols]]
+    keep = picked >= 0
+    return cols[keep] * 4**k + picked[keep]
 
 
 def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> EnsembleKmers:
@@ -131,20 +116,20 @@ def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> Ensembl
         raise ValueError(f"window has {len(rows)} sample rows, need n={n}")
     offsets = np.asarray(window.event_offsets)
     cache = getattr(window, "cache", None)
-    support: dict[int, Counter] = defaultdict(Counter)
+    anchors = []
     for row in rows[:n]:
-        anchors = None if cache is None else cache.get((k, row))
-        if anchors is None:
-            anchors = _row_anchor_kmers(row, offsets, k)
+        keys = None if cache is None else cache.get((k, row))
+        if keys is None:
+            keys = _row_anchor_kmers(row, offsets, k)
             if cache is not None:
-                cache[(k, row)] = anchors
-        for col, kmer in anchors.items():
-            support[col][kmer] += 1
-    per_column = {
-        col: kept
-        for col, counts in support.items()
-        if (kept := {kmer: c for kmer, c in counts.items() if c >= t})
-    }
+                cache[(k, row)] = keys
+        anchors.append(keys)
+    keys, support = np.unique(np.concatenate(anchors), return_counts=True)
+    kept = support >= t
+    per_column: dict[int, dict[int, int]] = {}
+    for key, count in zip(keys[kept].tolist(), support[kept].tolist()):
+        col, code = divmod(key, 4**k)
+        per_column.setdefault(col, {})[code] = count
     return EnsembleKmers(k=k, n=n, t=t, per_column=per_column)
 
 
@@ -152,12 +137,13 @@ def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
     """One hit per (event column, reference position, strand), sorted."""
     if index.k != kmers.k:
         raise ValueError(f"index k={index.k} does not match ensemble k={kmers.k}")
-    hits: list[SeedHit] = []
-    for col in kmers.columns():
-        for kmer in sorted(kmers.per_column[col]):
-            for off, strand in index.lookup(kmer):
-                hits.append(SeedHit(query_col=col, ref_pos=off, strand=strand))
-    hits.sort(key=lambda h: (h.query_col, h.ref_pos, h.strand))
+    hits = [
+        SeedHit(col, off, strand)
+        for col, kept in kmers.per_column.items()
+        for code in kept
+        for off, strand in index.lookup(code)
+    ]
+    hits.sort()
     return hits
 
 
@@ -203,37 +189,30 @@ def chain_hits(
         sign = 1 if strand == "+" else -1
         pool = sorted(by_strand[strand], key=lambda h: (h.query_col, sign * h.ref_pos))
         cols = [h.query_col for h in pool]
-        count = len(pool)
+        walk = [sign * h.ref_pos for h in pool]  # reference coordinate in walk direction
 
         def successors(i: int) -> range:
-            lo = bisect_left(cols, pool[i].query_col + min_gap, lo=i + 1)
-            hi = bisect_right(cols, pool[i].query_col + max_gap, lo=lo)
+            lo = bisect_left(cols, cols[i] + min_gap, lo=i + 1)
+            hi = bisect_right(cols, cols[i] + max_gap, lo=lo)
             return range(lo, hi)
 
-        def ref_gap(i: int, j: int) -> int:
-            return sign * (pool[j].ref_pos - pool[i].ref_pos)
+        def links(i: int, j: int) -> bool:
+            gap_r = walk[j] - walk[i]
+            return min_gap <= gap_r <= max_gap and cols[j] > cols[i] and gap_r > 0
 
         # reach[i] = longest chain (in hits) that can start at pool[i]
-        reach = np.ones(count, dtype=np.int64)
-        for i in range(count - 1, -1, -1):
-            best = 0
-            for j in successors(i):
-                gap_q = pool[j].query_col - pool[i].query_col
-                gap_r = ref_gap(i, j)
-                if min_gap <= gap_r <= max_gap and gap_q > 0 and gap_r > 0:
-                    best = max(best, int(reach[j]))
-            reach[i] = 1 + best
+        reach = [1] * len(pool)
+        for i in range(len(pool) - 1, -1, -1):
+            reach[i] = 1 + max((reach[j] for j in successors(i) if links(i, j)), default=0)
 
-        for i in range(count):
+        for i in range(len(pool)):
             if reach[i] < length:
                 continue
             chain = [pool[i]]
             cur = i
             for depth in range(length - 1, 0, -1):
                 for j in successors(cur):
-                    gap_q = pool[j].query_col - pool[cur].query_col
-                    gap_r = ref_gap(cur, j)
-                    if min_gap <= gap_r <= max_gap and gap_q > 0 and gap_r > 0 and reach[j] >= depth:
+                    if reach[j] >= depth and links(cur, j):
                         chain.append(pool[j])
                         cur = j
                         break

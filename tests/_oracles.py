@@ -169,6 +169,22 @@ def scan_kmer_positions(reference, kmer):
     return out
 
 
+def anchor_kmers(row, event_offsets, k, gap="-"):
+    """Event column -> the gap-free k-mer starting at the row's base for that event.
+
+    A column anchors a k-mer when its slice of the row holds a base and at
+    least k bases remain from there on.
+    """
+    base_prefix = [len(row[:off].replace(gap, "")) for off in event_offsets]
+    bases = row.replace(gap, "")
+    out = {}
+    for c in range(len(event_offsets) - 1):
+        start = base_prefix[c]
+        if base_prefix[c + 1] > start and start + k <= len(bases):
+            out[c] = bases[start : start + k]
+    return out
+
+
 def chain_triples(hits, min_gap, max_gap):
     """All 3-hit chains by brute force over every ordered triple.
 

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import ensembleseed
+from ensembleseed import cli
 from ensembleseed.cli import main
 from ensembleseed.evaluate import load_report
+from ensembleseed.seeding import build_index
 from ensembleseed.simulate import load_truth
 
 
@@ -90,6 +92,25 @@ def test_eval_and_report(pipeline, tmp_path):
     assert any("single-kmer_t1" in name for name in produced)
 
 
+@pytest.mark.parametrize("seed_k,lengths", [([], [10, 13]), (["--seed-k", 11], [11])])
+def test_eval_builds_one_index_per_seed_length(pipeline, tmp_path, monkeypatch, seed_k, lengths):
+    _, sim, _, calls = pipeline
+    built = []
+
+    def counting_build_index(reference, k):
+        built.append(k)
+        return build_index(reference, k)
+
+    monkeypatch.setattr(cli, "build_index", counting_build_index)
+    assert run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--n", "1,2", *seed_k, "--out-dir", tmp_path / "out",
+    ) == 0
+    assert sorted(built) == lengths
+
+
 def test_eval_reruns_are_byte_identical(pipeline, tmp_path):
     _, sim, _, calls = pipeline
     outs = []
@@ -142,6 +163,19 @@ def test_malformed_truth_fails_cleanly(pipeline, tmp_path, capsys):
     )
     assert rc == 2
     assert "ensembleseed eval" in capsys.readouterr().err
+
+
+def test_basecall_rejects_repeated_read_id(pipeline, tmp_path, capsys):
+    _, sim, _, _ = pipeline
+    events = tmp_path / "events.jsonl"
+    first = (sim / "events.jsonl").read_text().splitlines()[0]
+    events.write_text(f"{first}\n{first}\n")
+    rc = run_cli(
+        "basecall", "--model-k", 3, "--events", events,
+        "--pore-model", sim / "pore_model.tsv", "--n", 1, "--out-dir", tmp_path / "out",
+    )
+    assert rc == 2
+    assert "events.jsonl:2: duplicate read id 'read0000'" in capsys.readouterr().err
 
 
 def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):

@@ -164,6 +164,36 @@ def test_sample_paths_matches_order_by_order_traceback(mode, count):
         assert [p.log_joint for p in got] == want_joints.tolist(), f"seed {seed}"
 
 
+MODES = ["per-order", "per-transition"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_forward_columns_sum_to_one(mode, seed):
+    hmm, events = quantised_instance(seed, mode, max_k=4)
+    np.testing.assert_allclose(forward(hmm, events).columns.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sampled_paths_take_only_linked_pairs(mode, seed):
+    hmm, events = quantised_instance(seed, mode, max_k=4)
+    paths = sample_paths(hmm, events, forward(hmm, events), 16, seed=seed)
+    states = np.stack([p.states for p in paths])
+    assert np.all(pair_probs(hmm.transitions, states[:, :-1], states[:, 1:]) > 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_viterbi_log_joint_is_its_path_log_joint(mode, seed):
+    hmm, events = quantised_instance(seed, mode, max_k=4)
+    best = viterbi(hmm, events)
+    assert best.log_joint == pytest.approx(path_log_joint(hmm, events, best.states), rel=1e-9)
+
+
 def test_forward_rejects_zero_mass_column():
     # A only splits back to itself and is the only state event 0 leaves alive
     # (the others are 100 sd away); event 1 sits 100 sd away from A.
@@ -348,6 +378,16 @@ def test_load_basecalls_rejects_spans_not_covering_sequence(tmp_path):
     )
     spans.write_text(spans.read_text().replace('"3"', '"31"', 1))
     with pytest.raises(ValueError, match=r"spans\.jsonl:1: spans cover 4 bases"):
+        load_basecalls(fasta, spans)
+
+
+def test_load_basecalls_rejects_spans_record_without_fasta_record(tmp_path):
+    fasta, spans = write_call_files(
+        tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    )
+    with open(spans, "a") as sp:
+        sp.write(json.dumps({"read_id": "ghost", "call": "viterbi", "index": None, "spans": "3"}))
+    with pytest.raises(ValueError, match=r"spans\.jsonl:3: no FASTA record for the viterbi call"):
         load_basecalls(fasta, spans)
 
 

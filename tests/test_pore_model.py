@@ -273,6 +273,7 @@ def event_line(**fields):
         (event_line(events=None), "record lacks events"),
         ('["r2", 1.0, 0.0, 1.0, [100.0]]', "not a JSON object"),
         (event_line()[:-1], "not a JSON record"),
+        (event_line(read_id="r1"), "duplicate read id 'r1'"),
     ],
 )
 def test_load_events_names_malformed_line(tmp_path, line, message):

@@ -2,8 +2,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import chain_triples, scan_kmer_positions
+from _oracles import anchor_kmers, chain_triples, scan_kmer_positions
+from ensembleseed.kmers import decode_kmer, encode_kmer
 from ensembleseed.seeding import (
     Chain,
     EnsembleKmers,
@@ -32,7 +34,8 @@ class TestBuildIndex:
         for k in (3, 7):
             idx = build_index(ref, k)
             seen = set()
-            for kmer, entries in idx.positions.items():
+            for code, entries in idx.positions.items():
+                kmer = decode_kmer(code, k)
                 assert sorted(scan_kmer_positions(ref, kmer)) == entries
                 seen.add(kmer)
             # nothing missing either: any k-mer occurring in ref must be a key
@@ -44,8 +47,8 @@ class TestBuildIndex:
         ref = "AACGTTACGG"
         idx = build_index(ref, 4)
         # CGTT at offset 2 forward; its revcomp AACG starts the forward strand
-        assert (2, "+") in idx.lookup("CGTT")
-        assert (2, "-") in idx.lookup("AACG")
+        assert (2, "+") in idx.lookup(encode_kmer("CGTT"))
+        assert (2, "-") in idx.lookup(encode_kmer("AACG"))
         assert idx.reference_length == 10
 
     def test_ambiguous_handling(self):
@@ -54,8 +57,6 @@ class TestBuildIndex:
         for entries in idx.positions.values():
             for off, _ in entries:
                 assert "N" not in ref[off : off + 3]
-        with pytest.raises(ValueError, match="ambiguous"):
-            build_index(ref, 3, on_ambiguous="error")
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -70,9 +71,9 @@ class TestCollectEnsembleKmers:
         rows = ["ACGTAC", "AC--TA"]
         win = window_stub(rows, [0, 2, 4, 6])
         got = collect_ensemble_kmers(win, 3, n=2, t=1)
-        assert got.per_column[0] == {"ACG": 1, "ACT": 1}
+        assert got.per_column[0] == {encode_kmer("ACG"): 1, encode_kmer("ACT"): 1}
         # column 1 anchored only by the first row ("GTA")
-        assert got.per_column[1] == {"GTA": 1}
+        assert got.per_column[1] == {encode_kmer("GTA"): 1}
         # column 2: row 1 starts at base 4 ("AC" too short), row 2 at base 2 ("TA" too short)
         assert 2 not in got.per_column
 
@@ -81,8 +82,8 @@ class TestCollectEnsembleKmers:
         win = window_stub(rows, [0, 4])
         loose = collect_ensemble_kmers(win, 4, n=3, t=1)
         tight = collect_ensemble_kmers(win, 4, n=3, t=2)
-        assert loose.per_column[0] == {"ACGT": 2, "TCGT": 1}
-        assert tight.per_column[0] == {"ACGT": 2}
+        assert loose.per_column[0] == {encode_kmer("ACGT"): 2, encode_kmer("TCGT"): 1}
+        assert tight.per_column[0] == {encode_kmer("ACGT"): 2}
 
     def test_threshold_nesting(self):
         rng = np.random.default_rng(2)
@@ -106,7 +107,22 @@ class TestCollectEnsembleKmers:
     def test_explicit_rows_override(self):
         win = window_stub(["AAAA"], [0, 4], viterbi_row="CCCC")
         got = collect_ensemble_kmers(win, 4, n=1, t=1, rows=[win.viterbi_row])
-        assert got.per_column[0] == {"CCCC": 1}
+        assert got.per_column[0] == {encode_kmer("CCCC"): 1}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    row=st.text(st.sampled_from("ACGT-"), max_size=40),
+    cuts=st.lists(st.floats(0, 1), max_size=12),
+    k=st.integers(1, 12),
+)
+def test_row_anchor_codes_match_string_slicing(row, cuts, k):
+    """Gap-only events, rows ending in gaps and k past the last base included."""
+    offsets = np.array([0, *sorted(int(c * len(row)) for c in cuts), len(row)])
+    got = collect_ensemble_kmers(window_stub([row], offsets), k, n=1, t=1).per_column
+    assert all(list(kept.values()) == [1] for kept in got.values())
+    decoded = {col: decode_kmer(code, k) for col, kept in got.items() for code in kept}
+    assert decoded == anchor_kmers(row, offsets, k)
 
 
 class TestFindHits:
@@ -114,7 +130,10 @@ class TestFindHits:
         ref = generate_reference(600, seed=23)
         idx = build_index(ref, 5)
         kmers = EnsembleKmers(
-            k=5, n=1, t=1, per_column={0: {ref[10:15]: 1}, 7: {ref[100:105]: 1}}
+            k=5,
+            n=1,
+            t=1,
+            per_column={0: {encode_kmer(ref[10:15]): 1}, 7: {encode_kmer(ref[100:105]): 1}},
         )
         hits = find_hits(idx, kmers)
         for col, kmer in ((0, ref[10:15]), (7, ref[100:105])):
@@ -130,7 +149,8 @@ class TestFindHits:
     def test_sorted_and_unique(self):
         ref = "ACACACACAC"
         idx = build_index(ref, 4)
-        kmers = EnsembleKmers(k=4, n=1, t=1, per_column={0: {"ACAC": 1}, 3: {"ACAC": 1}})
+        acac = encode_kmer("ACAC")
+        kmers = EnsembleKmers(k=4, n=1, t=1, per_column={0: {acac: 1}, 3: {acac: 1}})
         hits = find_hits(idx, kmers)
         keys = [(h.query_col, h.ref_pos, h.strand) for h in hits]
         assert keys == sorted(keys)
