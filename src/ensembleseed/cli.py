@@ -96,7 +96,12 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def _load_transitions(args, k: int) -> TransitionModel:
-    """The ``--transitions`` model, checked against k, or a per-order model for k."""
+    """The ``--transitions`` model, checked against k, or a per-order model for k.
+
+    k is the pore model's, which ``--model-k`` must match.
+    """
+    if args.model_k != k:
+        raise ValueError(f"pore model has k={k}, but --model-k is {args.model_k}")
     if getattr(args, "transitions", None):
         model = load_transition_model(args.transitions)
         if model.k != k:

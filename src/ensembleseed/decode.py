@@ -16,13 +16,7 @@ import numpy as np
 from .io import atomic_write, fasta_records, jsonl_records
 from .kmers import BASES, decode_kmer
 from .pore_model import Hmm, EventSequence
-from .shifts import (
-    by_dropped_bases,
-    incoming_edges,
-    pair_probs,
-    smallest_orders,
-    summed_edge_tables,
-)
+from .shifts import by_dropped_bases, incoming_edges, pair_probs, smallest_orders
 
 
 class IllegalPathError(ValueError):
@@ -149,13 +143,12 @@ def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
     n, m = logpdf.shape
 
     # Row y lists every predecessor of y in ascending id order, with the
-    # pair's total probability, so argmax's first maximum is the lowest id.
+    # pair's total probability, so argmax's first maximum is the lowest id
+    # (a pair linked by several orders repeats with the same total).
     targets = np.arange(m)
-    pool, weights = incoming_edges(summed_edge_tables(hmm.transitions), hmm.k)
-    rank = np.argsort(pool, axis=1, kind="stable")
-    pool = np.take_along_axis(pool, rank, axis=1)
+    pool = np.sort(incoming_edges(hmm.transitions.tables, hmm.k)[0], axis=1)
     with np.errstate(divide="ignore"):
-        log_t = np.log(np.take_along_axis(weights, rank, axis=1))
+        log_t = np.log(pair_probs(hmm.transitions, pool, targets[:, None]))
 
     scores = logpdf[0] - np.log(m)
     backptr = np.empty((n, m), dtype=np.int32)

@@ -190,7 +190,6 @@ class StrategyConfig:
 SINGLE_13 = StrategyConfig(kind="single", seed_k=13)
 CHAIN_10 = StrategyConfig(kind="chain", seed_k=10)
 SINGLE_13_VITERBI = StrategyConfig(kind="single", seed_k=13, use_viterbi=True)
-CHAIN_10_VITERBI = StrategyConfig(kind="chain", seed_k=10, use_viterbi=True)
 
 
 @dataclass(frozen=True)
@@ -230,25 +229,8 @@ def evaluate(
     n: int,
     radius: int = DEFAULT_DEDUP_RADIUS,
 ) -> EvalRow:
-    """Score one parameter point: TP over windows, plus deduped FP clusters.
-
-    A Viterbi-mode config always scores its single Viterbi row (t and n only
-    label the output row), so it serves as the fixed baseline in sweeps.
-    """
-    t_eff, n_eff = (1, 1) if config.use_viterbi else (t, n)
-    tp = fp = 0
-    for window in windows:
-        points = window_points(window, index, config, t_eff, n_eff)
-        invalid = [p for p in points if not is_valid_hit(p, window.truth)]
-        if len(invalid) < len(points):
-            tp += 1
-        fp += len(greedy_dedup(invalid, radius))
-    count = len(windows)
-    sn = tp / count if count else 0.0
-    return EvalRow(
-        strategy=config.label, k=config.seed_k, t=t, n=n,
-        tp=tp, windows=count, sn=sn, fp=fp,
-    )
+    """Score one parameter point: TP over windows, plus deduped FP clusters (see ``sweep``)."""
+    return sweep(windows, index, config, [t], [n], radius)[0]
 
 
 def sweep(
@@ -261,33 +243,33 @@ def sweep(
 ) -> list[EvalRow]:
     """Full cartesian (t, n) grid for one strategy, t-major order.
 
-    Ensemble grid points that cannot draw samples (n = 0, or t > n) become
-    all-zero rows so the grid stays rectangular; a Viterbi-mode strategy is
-    evaluated once and its row replicated across the grid.
+    Each distinct point is scored once. A Viterbi-mode strategy scores its
+    single Viterbi row at (1, 1) for every grid point (t and n only label the
+    row), so it serves as the fixed baseline. Ensemble points that cannot draw
+    samples (n = 0, or t > n) score zero so the grid stays rectangular.
     """
-    rows: list[EvalRow] = []
-    fixed: EvalRow | None = None
     count = len(windows)
+    scored: dict[tuple[int, int], tuple[int, int]] = {}
+    rows: list[EvalRow] = []
     for t in t_values:
         for n in n_values:
-            if config.use_viterbi:
-                if fixed is None:
-                    fixed = evaluate(windows, index, config, t, n, radius)
-                rows.append(
-                    EvalRow(
-                        strategy=fixed.strategy, k=fixed.k, t=t, n=n,
-                        tp=fixed.tp, windows=fixed.windows, sn=fixed.sn, fp=fixed.fp,
-                    )
+            key = (1, 1) if config.use_viterbi else (t, n)
+            if key not in scored:
+                tp = fp = 0
+                if config.use_viterbi or not (n == 0 or t > n):
+                    for window in windows:
+                        points = window_points(window, index, config, *key)
+                        invalid = [p for p in points if not is_valid_hit(p, window.truth)]
+                        tp += len(invalid) < len(points)
+                        fp += len(greedy_dedup(invalid, radius))
+                scored[key] = tp, fp
+            tp, fp = scored[key]
+            rows.append(
+                EvalRow(
+                    strategy=config.label, k=config.seed_k, t=t, n=n,
+                    tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
                 )
-            elif n == 0 or t > n:
-                rows.append(
-                    EvalRow(
-                        strategy=config.label, k=config.seed_k, t=t, n=n,
-                        tp=0, windows=count, sn=0.0, fp=0,
-                    )
-                )
-            else:
-                rows.append(evaluate(windows, index, config, t, n, radius))
+            )
     return rows
 
 
@@ -323,32 +305,3 @@ def write_points(path, rows: list[EvalRow]) -> None:
         fh.write("FP\tTP\n")
         for r in sorted(rows, key=lambda r: r.n):
             fh.write(f"{r.fp}\t{r.tp}\n")
-
-
-# ---------------------------------------------------------------------------
-# Read-level identity, for sanity corridors rather than for scoring.
-
-
-def levenshtein(a: str, b: str) -> int:
-    if not a or not b:
-        return max(len(a), len(b))
-    ca = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
-    cb = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    idx = np.arange(cb.size + 1)
-    cur = idx.copy()
-    for i in range(ca.size):
-        prev = cur
-        cur = np.empty_like(prev)
-        cur[0] = i + 1
-        np.minimum(prev[:-1] + (cb != ca[i]), prev[1:] + 1, out=cur[1:])
-        # close insertions: cur[j] = min over i <= j of cur[i] + (j - i)
-        np.minimum(cur, idx + np.minimum.accumulate(cur - idx), out=cur)
-    return int(cur[-1])
-
-
-def alignment_identity(a: str, b: str) -> float:
-    """1 - edit distance over the longer length; empty vs empty is 1.0."""
-    longer = max(len(a), len(b))
-    if longer == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longer

@@ -10,7 +10,6 @@ support threshold t and a dedup radius make sense at all.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,9 +41,6 @@ class KmerIndex:
     k: int
     positions: dict[int, list[tuple[int, str]]]
     reference_length: int
-
-    def lookup(self, code: int) -> list[tuple[int, str]]:
-        return self.positions.get(code, [])
 
 
 def build_index(reference: str, k: int) -> KmerIndex:
@@ -115,14 +111,11 @@ def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> Ensembl
     if n > len(rows):
         raise ValueError(f"window has {len(rows)} sample rows, need n={n}")
     offsets = np.asarray(window.event_offsets)
-    cache = getattr(window, "cache", None)
     anchors = []
     for row in rows[:n]:
-        keys = None if cache is None else cache.get((k, row))
+        keys = window.cache.get((k, row))
         if keys is None:
-            keys = _row_anchor_kmers(row, offsets, k)
-            if cache is not None:
-                cache[(k, row)] = keys
+            keys = window.cache[(k, row)] = _row_anchor_kmers(row, offsets, k)
         anchors.append(keys)
     keys, support = np.unique(np.concatenate(anchors), return_counts=True)
     kept = support >= t
@@ -141,7 +134,7 @@ def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
         SeedHit(col, off, strand)
         for col, kept in kmers.per_column.items()
         for code in kept
-        for off, strand in index.lookup(code)
+        for off, strand in index.positions.get(code, ())
     ]
     hits.sort()
     return hits
@@ -180,42 +173,32 @@ def chain_hits(
     if not 0 <= min_gap <= max_gap:
         raise ValueError(f"need 0 <= min_gap <= max_gap, got [{min_gap}, {max_gap}]")
 
-    by_strand: dict[str, list[SeedHit]] = defaultdict(list)
-    for hit in set(hits):
-        by_strand[hit.strand].append(hit)
-
+    least = max(min_gap, 1)  # coordinates strictly increase along a chain
     chains: list[Chain] = []
-    for strand in sorted(by_strand):
-        sign = 1 if strand == "+" else -1
-        pool = sorted(by_strand[strand], key=lambda h: (h.query_col, sign * h.ref_pos))
-        cols = [h.query_col for h in pool]
-        walk = [sign * h.ref_pos for h in pool]  # reference coordinate in walk direction
-
-        def successors(i: int) -> range:
-            lo = bisect_left(cols, cols[i] + min_gap, lo=i + 1)
-            hi = bisect_right(cols, cols[i] + max_gap, lo=lo)
-            return range(lo, hi)
-
-        def links(i: int, j: int) -> bool:
-            gap_r = walk[j] - walk[i]
-            return min_gap <= gap_r <= max_gap and cols[j] > cols[i] and gap_r > 0
-
-        # reach[i] = longest chain (in hits) that can start at pool[i]
-        reach = [1] * len(pool)
-        for i in range(len(pool) - 1, -1, -1):
-            reach[i] = 1 + max((reach[j] for j in successors(i) if links(i, j)), default=0)
-
-        for i in range(len(pool)):
-            if reach[i] < length:
-                continue
-            chain = [pool[i]]
-            cur = i
-            for depth in range(length - 1, 0, -1):
-                for j in successors(cur):
-                    if reach[j] >= depth and links(cur, j):
-                        chain.append(pool[j])
-                        cur = j
+    for strand, sign in (("+", 1), ("-", -1)):
+        pool = {h for h in hits if h.strand == strand}
+        alive = sorted(pool, key=lambda h: (h.query_col, sign * h.ref_pos))
+        # Round d keeps the hits that start a chain of d hits, each with its
+        # first linked successor, in this order, among round d-1's survivors;
+        # a chain of d hits starts a chain of d-1, so only those are scanned.
+        steps: list[dict[SeedHit, SeedHit]] = []
+        for _ in range(length - 1):
+            cols = [h.query_col for h in alive]
+            walk = [sign * h.ref_pos for h in alive]  # reference coordinate in walk direction
+            step = {}
+            for a, hit in enumerate(alive):
+                lo = bisect_left(cols, cols[a] + least, lo=a + 1)
+                hi = bisect_right(cols, cols[a] + max_gap, lo=lo)
+                for b in range(lo, hi):
+                    if least <= walk[b] - walk[a] <= max_gap:
+                        step[hit] = alive[b]
                         break
+            steps.append(step)
+            alive = list(step)
+        for hit in alive:
+            chain = [hit]
+            for step in reversed(steps):
+                chain.append(step[chain[-1]])
             chains.append(Chain(hits=tuple(chain)))
     chains.sort(key=lambda c: (c.leftmost.query_col, c.leftmost.ref_pos, c.strand))
     return chains

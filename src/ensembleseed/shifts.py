@@ -98,21 +98,6 @@ def pair_probs(transitions, x, y) -> np.ndarray:
     return total
 
 
-def summed_edge_tables(transitions) -> list[np.ndarray]:
-    """Per-order (m, 4**j) edge tables in which each edge carries its pair's total.
-
-    They differ from ``transitions.tables`` only on the parallel pairs (76 of
-    them at k=5 with max_shift 2), which every order linking them now gives
-    the summed probability, so a max over a state's incoming edges is a max
-    over state-to-state probabilities.
-    """
-    states = np.arange(4**transitions.k)
-    return [
-        pair_probs(transitions, states[:, None], successors(states, transitions.k, j))
-        for j in range(transitions.max_shift + 1)
-    ]
-
-
 def distinct_pairs(k: int, max_shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Every linked (x, y) pair once, sorted by source then target."""
     states = np.arange(4**k)

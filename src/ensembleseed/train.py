@@ -28,7 +28,7 @@ class TransitionCounts:
     """Tally of observed transitions.
 
     ``counts`` is keyed by (source, target) state codes in per-transition mode
-    and by shift order in per-order mode. Tables with matching shape add.
+    and by shift order in per-order mode.
     """
 
     k: int
@@ -51,13 +51,6 @@ class TransitionCounts:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def __add__(self, other: "TransitionCounts") -> "TransitionCounts":
-        if (self.k, self.max_shift, self.mode) != (other.k, other.max_shift, other.mode):
-            raise ValueError("can only add counts with matching k, max_shift, and mode")
-        merged = Counter(self.counts)
-        merged.update(other.counts)
-        return TransitionCounts(self.k, self.max_shift, self.mode, dict(merged))
 
 
 def _path_states(path) -> np.ndarray:

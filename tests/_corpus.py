@@ -12,7 +12,7 @@ import numpy as np
 
 from ensembleseed import forward, make_hmm, path_to_sequence, sample_paths, viterbi
 from ensembleseed.decode import ReadEnsemble
-from ensembleseed.evaluate import alignment_identity, build_windows
+from ensembleseed.evaluate import build_windows
 from ensembleseed.seeding import build_index
 from ensembleseed.simulate import (
     DEFAULT_CORPUS_SEED,
@@ -22,6 +22,31 @@ from ensembleseed.simulate import (
 
 CORPUS_K = 5
 CORPUS_SAMPLES = 16
+
+
+def levenshtein(a: str, b: str) -> int:
+    if not a or not b:
+        return max(len(a), len(b))
+    ca = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    cb = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    idx = np.arange(cb.size + 1)
+    cur = idx.copy()
+    for i in range(ca.size):
+        prev = cur
+        cur = np.empty_like(prev)
+        cur[0] = i + 1
+        np.minimum(prev[:-1] + (cb != ca[i]), prev[1:] + 1, out=cur[1:])
+        # close insertions: cur[j] = min over i <= j of cur[i] + (j - i)
+        np.minimum(cur, idx + np.minimum.accumulate(cur - idx), out=cur)
+    return int(cur[-1])
+
+
+def alignment_identity(a: str, b: str) -> float:
+    """1 - edit distance over the longer length; empty vs empty is 1.0."""
+    longer = max(len(a), len(b))
+    if longer == 0:
+        return 1.0
+    return 1.0 - levenshtein(a, b) / longer
 
 
 def build_pinned_corpus() -> SimpleNamespace:

@@ -6,6 +6,8 @@ formulas, no shared code with the package beyond plain dataclass fields.
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 
 import numpy as np
 
@@ -207,6 +209,54 @@ def chain_triples(hits, min_gap, max_gap):
                 break
         if ok:
             chains.append((a, b, c))
+    return chains
+
+
+def reach_chains(hits, length, min_gap, max_gap):
+    """Chains by longest reach, then a traceback per head: the first fast version.
+
+    Per strand, hits are sorted by (query column, walk coordinate). Going right
+    to left, ``reach[i]`` is the longest chain that can start at hit i. Each hit
+    with reach >= ``length`` heads one chain, traced by taking, at every step,
+    the first linked successor in that order whose reach covers the hits still
+    needed. Returns the chains as tuples of hits, sorted by their first hit's
+    (query column, reference position, strand).
+    """
+    by_strand = defaultdict(list)
+    for hit in set(hits):
+        by_strand[hit.strand].append(hit)
+    chains = []
+    for strand in sorted(by_strand):
+        sign = 1 if strand == "+" else -1
+        pool = sorted(by_strand[strand], key=lambda h: (h.query_col, sign * h.ref_pos))
+        cols = [h.query_col for h in pool]
+        walk = [sign * h.ref_pos for h in pool]
+
+        def successors(i):
+            lo = bisect_left(cols, cols[i] + min_gap, lo=i + 1)
+            hi = bisect_right(cols, cols[i] + max_gap, lo=lo)
+            return range(lo, hi)
+
+        def links(i, j):
+            gap_r = walk[j] - walk[i]
+            return min_gap <= gap_r <= max_gap and cols[j] > cols[i] and gap_r > 0
+
+        reach = [1] * len(pool)
+        for i in range(len(pool) - 1, -1, -1):
+            reach[i] = 1 + max((reach[j] for j in successors(i) if links(i, j)), default=0)
+        for i in range(len(pool)):
+            if reach[i] < length:
+                continue
+            chain = [pool[i]]
+            cur = i
+            for depth in range(length - 1, 0, -1):
+                for j in successors(cur):
+                    if reach[j] >= depth and links(cur, j):
+                        chain.append(pool[j])
+                        cur = j
+                        break
+            chains.append(tuple(chain))
+    chains.sort(key=lambda c: (c[0].query_col, c[0].ref_pos, c[0].strand))
     return chains
 
 

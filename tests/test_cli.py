@@ -223,6 +223,22 @@ def test_train_viterbi_source(pipeline, tmp_path):
     assert text[1] == "source_kmer\ttarget_kmer\tprob"
 
 
+@pytest.mark.parametrize("command", ["basecall", "train"])
+def test_model_k_must_match_the_pore_model(pipeline, tmp_path, capsys, command):
+    """A k=3 pore model decodes at k=3, so --model-k 4 is refused, not recorded."""
+    _, sim, _, _ = pipeline
+    out = tmp_path / "out"
+    extra = ["--n", 1] if command == "basecall" else ["--source", "viterbi"]
+    rc = run_cli(
+        command, "--model-k", 4, "--events", sim / "events.jsonl",
+        "--pore-model", sim / "pore_model.tsv", *extra, "--out-dir", out,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"ensembleseed {command}: pore model has k=3, but --model-k is 4" in err
+    assert not any(out.glob("*.json"))
+
+
 def test_train_viterbi_source_requires_events(tmp_path, capsys):
     rc = run_cli("train", "--source", "viterbi", "--out-dir", tmp_path / "x")
     assert rc == 2

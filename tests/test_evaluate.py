@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from _corpus import alignment_identity, levenshtein
 from _oracles import edit_distance
+import ensembleseed.evaluate as evaluate_module
 from ensembleseed.decode import BaseCall, ReadEnsemble, StatePath, path_to_sequence
 from ensembleseed.evaluate import (
     CHAIN_10,
@@ -9,12 +11,10 @@ from ensembleseed.evaluate import (
     SINGLE_13_VITERBI,
     EvalRow,
     StrategyConfig,
-    alignment_identity,
     build_windows,
     evaluate,
     greedy_dedup,
     is_valid_hit,
-    levenshtein,
     load_report,
     sweep,
     window_points,
@@ -233,6 +233,44 @@ def test_sweep_viterbi_strategy_is_constant_across_grid(scored_corpus):
     assert len(rows) == 4
     assert len({(r.tp, r.fp) for r in rows}) == 1
     assert {(r.t, r.n) for r in rows} == {(1, 1), (1, 4), (2, 1), (2, 4)}
+
+
+def test_sweep_scores_each_distinct_point_once(scored_corpus, monkeypatch):
+    ref, windows = scored_corpus
+    index = build_index(ref, 13)
+    calls = []
+
+    def counting_window_points(window, index, config, t, n):
+        calls.append((window.window_id, t, n))
+        return window_points(window, index, config, t, n)
+
+    monkeypatch.setattr(evaluate_module, "window_points", counting_window_points)
+    rows = sweep(windows, index, SINGLE_13_VITERBI, [1, 2], [1, 4])
+    assert len(rows) == 4
+    assert calls == [(w.window_id, 1, 1) for w in windows]
+    calls.clear()
+    rows = sweep(windows, index, SINGLE_13, [1, 2, 3], [0, 2, 2])
+    assert len(rows) == 9
+    # (1, 2) and (2, 2) once each; n = 0 and t > n score zero without running
+    assert calls == [(w.window_id, t, 2) for t in (1, 2) for w in windows]
+
+
+def test_sweep_rejects_threshold_below_one(scored_corpus):
+    ref, windows = scored_corpus
+    index = build_index(ref, 13)
+    with pytest.raises(ValueError, match="1 <= t <= n"):
+        sweep(windows, index, SINGLE_13, [0], [1])
+    with pytest.raises(ValueError, match="1 <= t <= n"):
+        evaluate(windows, index, SINGLE_13, 0, 1)
+
+
+def test_evaluate_is_one_sweep_point(scored_corpus):
+    ref, windows = scored_corpus
+    index = build_index(ref, 13)
+    row = evaluate(windows, index, SINGLE_13, 2, 2)
+    assert row == sweep(windows, index, SINGLE_13, [2], [2])[0]
+    zero = evaluate(windows, index, SINGLE_13, 3, 2)
+    assert (zero.t, zero.n, zero.tp, zero.windows, zero.fp) == (3, 2, 0, len(windows), 0)
 
 
 def test_report_round_trip(tmp_path):

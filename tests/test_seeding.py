@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import anchor_kmers, chain_triples, scan_kmer_positions
+from _oracles import anchor_kmers, chain_triples, reach_chains, scan_kmer_positions
 from ensembleseed.kmers import decode_kmer, encode_kmer
 from ensembleseed.seeding import (
     Chain,
@@ -47,8 +47,8 @@ class TestBuildIndex:
         ref = "AACGTTACGG"
         idx = build_index(ref, 4)
         # CGTT at offset 2 forward; its revcomp AACG starts the forward strand
-        assert (2, "+") in idx.lookup(encode_kmer("CGTT"))
-        assert (2, "-") in idx.lookup(encode_kmer("AACG"))
+        assert (2, "+") in idx.positions[encode_kmer("CGTT")]
+        assert (2, "-") in idx.positions[encode_kmer("AACG")]
         assert idx.reference_length == 10
 
     def test_ambiguous_handling(self):
@@ -236,3 +236,33 @@ class TestChainHits:
         valid = {tuple((h.query_col, h.ref_pos, h.strand) for h in t) for t in triples}
         for c in got:
             assert tuple((h.query_col, h.ref_pos, h.strand) for h in c.hits) in valid
+
+
+@st.composite
+def chain_instances(draw):
+    """Hit sets made of overlapping colinear runs, so that chains branch often."""
+    length = draw(st.integers(1, 5))
+    max_gap = draw(st.integers(0, 15))
+    min_gap = draw(st.integers(0, max_gap))
+    gap = st.integers(0, max_gap + 2)
+    run = st.tuples(
+        st.sampled_from("+-"), st.integers(0, 30), st.integers(0, 30),
+        st.lists(st.tuples(gap, gap), max_size=6),
+    )
+    hits = []
+    for strand, q, r, steps in draw(st.lists(run, max_size=12)):
+        sign = 1 if strand == "+" else -1
+        hits.append(SeedHit(q, r, strand))
+        for dq, dr in steps:
+            q, r = q + dq, r + sign * dr
+            hits.append(SeedHit(q, r, strand))
+    return hits, length, min_gap, max_gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_instances())
+def test_chain_hits_match_reach_traceback(case):
+    """Same chains, same hits in each and same order as longest reach plus traceback."""
+    hits, length, min_gap, max_gap = case
+    got = [c.hits for c in chain_hits(hits, length, min_gap, max_gap)]
+    assert got == reach_chains(hits, length, min_gap, max_gap)

@@ -8,10 +8,10 @@ from ensembleseed.shifts import (
     gained,
     incoming_edges,
     links,
+    pair_probs,
     predecessors,
     smallest_orders,
     successors,
-    summed_edge_tables,
 )
 
 
@@ -56,15 +56,12 @@ def test_predecessors_and_successors_are_the_order_j_edges(k, j):
 
 
 def test_summed_tables_differ_exactly_on_parallel_pairs():
+    """Pair totals over incoming edges differ from raw weights on exactly the parallel pairs."""
     trans = TransitionModel.per_order(5)
-    summed = summed_edge_tables(trans)
-    states = np.arange(4**5)
-    changed = set()
-    for j, (raw, total) in enumerate(zip(trans.tables, summed)):
-        raw = raw[:, None] if j == 0 else raw
-        targets = successors(states, 5, j)
-        for x, b in zip(*np.nonzero(total != raw)):
-            changed.add((int(x), int(targets[x, b])))
+    pool, raw = incoming_edges(trans.tables, 5)
+    targets = np.arange(4**5)[:, None]
+    total = pair_probs(trans, pool, targets)
+    changed = {(int(pool[y, i]), int(y)) for y, i in zip(*np.nonzero(total != raw))}
     orders_linking = {
         pair: sum(bool(links(pair[0], pair[1], 5, j)) for j in range(3)) for pair in changed
     }

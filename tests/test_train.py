@@ -61,17 +61,6 @@ class TestCountTransitions:
         assert counts.total == 0
 
 
-def test_counts_add():
-    a = TransitionCounts(3, 2, "per-order", {0: 1, 1: 4})
-    b = TransitionCounts(3, 2, "per-order", {1: 1, 2: 2})
-    merged = a + b
-    assert merged.counts == {0: 1, 1: 5, 2: 2}
-    with pytest.raises(ValueError, match="matching"):
-        a + TransitionCounts(3, 1, "per-order", {})
-    with pytest.raises(ValueError, match="matching"):
-        a + TransitionCounts(3, 2, "per-transition", {})
-
-
 def test_counts_validation():
     with pytest.raises(ValueError, match="non-negative"):
         TransitionCounts(2, 1, "per-order", {0: -1})
