@@ -16,11 +16,9 @@ from .pore_model import (
     DEFAULT_ORDER_PROBS,
     EventSequence,
     Hmm,
-    KmerStateSpace,
     PoreModel,
     ReadScaling,
     TransitionModel,
-    emission_log_density,
     load_events,
     load_pore_model,
     make_hmm,
@@ -37,14 +35,12 @@ __all__ = [
     "ForwardMatrix",
     "Hmm",
     "IllegalPathError",
-    "KmerStateSpace",
     "PoreModel",
     "ReadEnsemble",
     "ReadScaling",
     "StatePath",
     "TransitionModel",
     "decode_kmer",
-    "emission_log_density",
     "encode_kmer",
     "forward",
     "load_events",

@@ -54,12 +54,13 @@ class ForwardMatrix:
         return float(self.log_scale_factors.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class BaseCall:
     """A decoded DNA sequence plus the number of bases each event emitted.
 
     Event i emitted ``sequence[offset : offset + lengths[i]]``, its offset
-    being the sum of the lengths before it.
+    being the sum of the lengths before it. Calls compare and hash by
+    identity.
     """
 
     sequence: str

@@ -1,11 +1,11 @@
-"""Windowed evaluation: padding, hit classification, FP dedup, parameter sweeps.
+"""Windowed evaluation: event windows, hit classification, FP dedup, parameter sweeps.
 
-Reads are cut into fixed-size event windows. Within a window the Viterbi call
-and every sample are padded per event to a common width, giving all rows the
-same event-column geometry; seeds then carry an event-column query coordinate
-that is comparable across samples. A window scores a true positive when any
-seed (or chain) lands inside its true reference interval on the right strand;
-everything else is clustered greedily and counted as false positives.
+Reads are cut into fixed-size event windows, and a window holds its slice of
+the Viterbi call and of every sample: the bases and lengths of its events.
+Seeds carry an event-column query coordinate, the event's index in the
+window, which is comparable across samples. A window scores a true positive
+when any seed (or chain) lands inside its true reference interval on the right
+strand; everything else is clustered greedily and counted as false positives.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decode import ReadEnsemble, StatePath
+from .decode import BaseCall, ReadEnsemble, StatePath
 from .io import atomic_write, tsv_rows
-from .seeding import (
-    GAP,
-    KmerIndex,
-    chain_hits,
-    collect_ensemble_kmers,
-    find_hits,
-)
+from .seeding import KmerIndex, chain_hits, collect_ensemble_kmers, find_hits
 from .shifts import smallest_orders
 
 DEFAULT_WINDOW_SIZE = 500
@@ -31,38 +25,15 @@ DEFAULT_DEDUP_RADIUS = 10
 
 @dataclass(eq=False)
 class Window:
-    """One window of events with padded rows and its true reference interval."""
+    """One window of events: each call's slice over them and the true reference interval."""
 
     window_id: str
     read_id: str
     event_range: tuple[int, int]
-    viterbi_row: str
-    sample_rows: list[str]
-    event_offsets: np.ndarray
+    viterbi: BaseCall
+    samples: list[BaseCall]
     truth: tuple[int, int, str]
     cache: dict = field(default_factory=dict, repr=False)
-
-
-def _window_rows(text, lengths, starts, a: int, b: int) -> tuple[list[str], np.ndarray]:
-    """Pad each call's event contributions in [a, b) to the per-event maximum.
-
-    ``text`` holds every call's bases back to back as uint8, ``lengths`` is
-    the (calls, events) emitted-length matrix and ``starts`` each event's first
-    position in ``text``. The rows come from scattering those bytes into a
-    GAP-filled (calls, width) buffer.
-    """
-    lens = lengths[:, a:b]
-    widths = lens.max(axis=0)
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    rows = np.full((lens.shape[0], offsets[-1]), ord(GAP), dtype=np.uint8)
-    # Each byte of the window keeps its place r within its event's bases and
-    # moves from the event's start in ``text`` to the event's row and column.
-    flat = lens.ravel()
-    r = np.arange(flat.sum()) - np.repeat(np.cumsum(flat) - flat, flat)
-    dest = np.arange(lens.shape[0])[:, None] * rows.shape[1] + offsets[:-1]
-    source = np.repeat(starts[:, a:b].ravel(), flat) + r
-    rows.ravel()[np.repeat(dest.ravel(), flat) + r] = text[source]
-    return [row.tobytes().decode("ascii") for row in rows], offsets
 
 
 def build_windows(
@@ -72,7 +43,7 @@ def build_windows(
     k: int,
     window_size: int = DEFAULT_WINDOW_SIZE,
 ) -> list[Window]:
-    """Split one read into disjoint full windows, padding rows per event.
+    """Split one read into disjoint full windows, slicing every call per window.
 
     The window's true interval restricts the read's interval using the
     cumulative per-event shifts of the generating path, so it covers exactly
@@ -82,6 +53,7 @@ def build_windows(
         raise ValueError(f"window size must be >= 1, got {window_size}")
     calls = [ensemble.viterbi] + list(ensemble.samples)
     n_events = len(true_path.states)
+    starts = []  # per call, each event's first base offset, then the call's length
     for call in calls:
         if call.lengths.size == 0:
             raise ValueError(f"read {ensemble.read_id}: base call lacks event spans")
@@ -90,11 +62,9 @@ def build_windows(
                 f"read {ensemble.read_id}: call has {call.lengths.size} event "
                 f"spans, true path has {n_events}"
             )
-        if call.lengths.sum() != len(call.sequence):
+        starts.append(np.concatenate([[0], np.cumsum(call.lengths, dtype=np.int64)]))
+        if starts[-1][-1] != len(call.sequence):
             raise ValueError(f"read {ensemble.read_id}: event spans do not tile the call")
-    text = np.frombuffer("".join(c.sequence for c in calls).encode("ascii"), dtype=np.uint8)
-    lengths = np.stack([c.lengths for c in calls]).astype(np.int64)
-    starts = np.cumsum(lengths.ravel()).reshape(lengths.shape) - lengths
 
     states = true_path.states
     if states.min() < 0 or states.max() >= 4**k:
@@ -112,7 +82,7 @@ def build_windows(
     windows: list[Window] = []
     for w in range(n_events // window_size):
         a, b = w * window_size, (w + 1) * window_size
-        rows, offsets = _window_rows(text, lengths, starts, a, b)
+        sliced = [BaseCall(c.sequence[o[a] : o[b]], c.lengths[a:b]) for c, o in zip(calls, starts)]
         lo, hi = int(rel[a]), int(rel[b - 1]) + k
         if strand == "+":
             wtruth = (fs + lo, fs + hi, "+")
@@ -123,9 +93,8 @@ def build_windows(
                 window_id=f"{ensemble.read_id}:{w}",
                 read_id=ensemble.read_id,
                 event_range=(a, b),
-                viterbi_row=rows[0],
-                sample_rows=rows[1:],
-                event_offsets=offsets,
+                viterbi=sliced[0],
+                samples=sliced[1:],
                 truth=wtruth,
             )
         )
@@ -212,13 +181,13 @@ class EvalRow:
 
 def window_points(window: Window, index: KmerIndex, config: StrategyConfig, t: int, n: int):
     """The window's candidate left endpoints under a strategy: hits or chain heads."""
-    rows = [window.viterbi_row] if config.use_viterbi else None
+    rows = [window.viterbi] if config.use_viterbi else None
     kmers = collect_ensemble_kmers(window, config.seed_k, n, t, rows=rows)
     hits = find_hits(index, kmers)
     if config.kind == "single":
         return hits
     chains = chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)
-    return [c.leftmost for c in chains]
+    return [c[0] for c in chains]
 
 
 def evaluate(
@@ -246,8 +215,14 @@ def sweep(
     Each distinct point is scored once. A Viterbi-mode strategy scores its
     single Viterbi row at (1, 1) for every grid point (t and n only label the
     row), so it serves as the fixed baseline. Ensemble points that cannot draw
-    samples (n = 0, or t > n) score zero so the grid stays rectangular.
+    samples (n = 0, or t > n) score zero so the grid stays rectangular; a
+    t < 1 or n < 0 anywhere in the grid is rejected before any scoring.
     """
+    if min(t_values, default=1) < 1 or min(n_values, default=0) < 0:
+        raise ValueError(
+            f"need every t >= 1 and n >= 0 (scored where 1 <= t <= n), "
+            f"got t={list(t_values)}, n={list(n_values)}"
+        )
     count = len(windows)
     scored: dict[tuple[int, int], tuple[int, int]] = {}
     rows: list[EvalRow] = []

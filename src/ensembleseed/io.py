@@ -16,6 +16,11 @@ import tempfile
 
 import numpy as np
 
+# The umask can only be read by setting it, which races with threads that
+# create files meanwhile, so it is read once, at import.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def parse_field(parse, text, name: str, where: str):
     """``parse(text)``; a ValueError or KeyError from it becomes one naming ``where``."""
@@ -130,16 +135,15 @@ def atomic_write(path, mode: str = "w"):
     """Write to a temp file in the target directory, then rename into place.
 
     Guarantees readers never see a partially written file. The result gets
-    the permissions a plain ``open`` would give it under the current umask.
+    the permissions a plain ``open`` would give it under the umask the
+    process had when this module was imported.
     """
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

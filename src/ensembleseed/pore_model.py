@@ -1,4 +1,4 @@
-"""K-mer HMM building blocks: state space, Gaussian emissions, transitions.
+"""K-mer HMM building blocks: Gaussian emissions, transitions, the assembled HMM.
 
 The hidden states are the 4**k k-mers (one per pore context); a read starts
 in each with equal probability. An event's mean current is emitted from
@@ -21,28 +21,6 @@ from .kmers import BASES, decode_kmer, encode_kmer
 # Untrained defaults: stay, move, skip-2. Move-dominant to match the intended
 # one-base-per-event semantics; training overrides these.
 DEFAULT_ORDER_PROBS = (0.1, 0.8, 0.1)
-
-@dataclass(frozen=True)
-class KmerStateSpace:
-    """All k-mers over ACGT as integer-identified states."""
-
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= 16:
-            raise ValueError(f"k must be in [1, 16], got {self.k}")
-
-    @property
-    def num_states(self) -> int:
-        return 4**self.k
-
-    def encode(self, kmer: str) -> int:
-        if len(kmer) != self.k:
-            raise ValueError(f"expected a {self.k}-mer, got {kmer!r}")
-        return encode_kmer(kmer)
-
-    def decode(self, state: int) -> str:
-        return decode_kmer(state, self.k)
 
 
 @dataclass(frozen=True)
@@ -120,27 +98,6 @@ class PoreModel:
             raise ValueError(f"pore model incomplete: missing k-mer {missing}")
         return cls(k, mean, stdv)
 
-    def params(self, kmer: str) -> tuple[float, float]:
-        """(mean, sd) for a k-mer string; raises KeyError for unknown k-mers."""
-        try:
-            code = encode_kmer(kmer)
-        except ValueError as exc:
-            raise KeyError(str(exc)) from None
-        if len(kmer) != self.k:
-            raise KeyError(f"{kmer!r} is not a {self.k}-mer")
-        return float(self.level_mean[code]), float(self.level_stdv[code])
-
-
-def emission_log_density(
-    pore: PoreModel, kmer: str, event_mean: float, scaling: ReadScaling
-) -> float:
-    """Log density of observing ``event_mean`` from a k-mer's scaled pore gaussian."""
-    mu, sigma = pore.params(kmer)
-    loc = scaling.scale * mu + scaling.shift
-    sd = sigma * scaling.var
-    z = (event_mean - loc) / sd
-    return -0.5 * z * z - math.log(sd * math.sqrt(2.0 * math.pi))
-
 
 class TransitionModel:
     """Outgoing transition probabilities over k-mer states, organised by shift order.
@@ -204,32 +161,30 @@ class TransitionModel:
 
 @dataclass(frozen=True)
 class Hmm:
-    """The assembled model: state space, emission table and transition structure."""
+    """The assembled model over the 4**k k-mer states: emission table and transitions."""
 
-    space: KmerStateSpace
     pore: PoreModel
     transitions: TransitionModel
 
     def __post_init__(self):
-        if not (self.space.k == self.pore.k == self.transitions.k):
+        if self.pore.k != self.transitions.k:
             raise ValueError(
-                f"inconsistent k: space={self.space.k}, pore={self.pore.k}, "
-                f"transitions={self.transitions.k}"
+                f"inconsistent k: pore={self.pore.k}, transitions={self.transitions.k}"
             )
 
     @property
     def k(self) -> int:
-        return self.space.k
+        return self.pore.k
 
     @property
     def num_states(self) -> int:
-        return self.space.num_states
+        return 4**self.k
 
 
 def make_hmm(pore: PoreModel, transitions: TransitionModel | None = None) -> Hmm:
     if transitions is None:
         transitions = TransitionModel.per_order(pore.k)
-    return Hmm(KmerStateSpace(pore.k), pore, transitions)
+    return Hmm(pore, transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Reference k-mer indexing, ensemble k-mer collection, hit finding, chaining.
 
-Ensemble k-mers are anchored at event columns of a padded window: a sample
-contributes a k-mer at column c when it emitted at least one base for that
-event, and the k-mer is read gap-free rightward from that base. Anchoring at
-event columns makes positions comparable across samples, which is what lets a
+Ensemble k-mers are anchored at event columns: column c is the c-th event of
+the window, and a sample contributes the k-mer starting at its first base for
+that event, when the event emitted at least one base. Anchoring at event
+columns makes positions comparable across samples, which is what lets a
 support threshold t and a dedup radius make sense at all.
 """
 
@@ -15,10 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .decode import BaseCall
 from .kmers import kmer_codes, reverse_complement
-
-# Pads each event's slice of a window row to the widest call's slice there.
-GAP = "-"
 
 
 class SeedHit(NamedTuple):
@@ -40,7 +38,6 @@ class KmerIndex:
 
     k: int
     positions: dict[int, list[tuple[int, str]]]
-    reference_length: int
 
 
 def build_index(reference: str, k: int) -> KmerIndex:
@@ -70,7 +67,7 @@ def build_index(reference: str, k: int) -> KmerIndex:
         code: entries[a:b]
         for code, a, b in zip(codes[starts].tolist(), starts.tolist(), ends.tolist())
     }
-    return KmerIndex(k=k, positions=positions, reference_length=L)
+    return KmerIndex(k=k, positions=positions)
 
 
 @dataclass
@@ -78,44 +75,41 @@ class EnsembleKmers:
     """Thresholded k-mer codes per event column, with their sample support counts."""
 
     k: int
-    n: int
-    t: int
     per_column: dict[int, dict[int, int]]
 
 
-def _row_anchor_kmers(row: str, event_offsets: np.ndarray, k: int) -> np.ndarray:
-    """``col * 4**k + code`` for each event column that anchors a k-mer in the row.
+def _row_anchor_kmers(call: BaseCall, k: int) -> np.ndarray:
+    """``col * 4**k + code`` for each event column that anchors a k-mer in the call.
 
-    The code is that of the gap-free k-mer starting at the row's first base for
-    the column's event.
+    The code is that of the k-mer starting at the call's first base for the
+    column's event.
     """
-    arr = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-    start = np.concatenate([[0], np.cumsum(arr != ord(GAP))])[event_offsets]
-    codes = kmer_codes(row.replace(GAP, ""), k)
-    cols = np.flatnonzero((start[1:] > start[:-1]) & (start[:-1] < codes.size))
+    codes = kmer_codes(call.sequence, k)
+    start, length = call.event_spans.T
+    cols = np.flatnonzero((length > 0) & (start < codes.size))
     picked = codes[start[cols]]
     keep = picked >= 0
     return cols[keep] * 4**k + picked[keep]
 
 
 def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> EnsembleKmers:
-    """k-mers supported by at least t of the first n sample rows, per event column.
+    """k-mers supported by at least t of the first n sample calls, per event column.
 
-    ``rows`` overrides the sample rows, letting a lone Viterbi row stand in as
-    a single sample.
+    ``rows`` overrides the sample calls, letting a lone Viterbi call stand in
+    as a single sample. Anchors are cached per call object: two calls with the
+    same bases but different event lengths anchor differently.
     """
     if rows is None:
-        rows = window.sample_rows
+        rows = window.samples
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     if n > len(rows):
         raise ValueError(f"window has {len(rows)} sample rows, need n={n}")
-    offsets = np.asarray(window.event_offsets)
     anchors = []
-    for row in rows[:n]:
-        keys = window.cache.get((k, row))
+    for call in rows[:n]:
+        keys = window.cache.get((k, call))
         if keys is None:
-            keys = window.cache[(k, row)] = _row_anchor_kmers(row, offsets, k)
+            keys = window.cache[(k, call)] = _row_anchor_kmers(call, k)
         anchors.append(keys)
     keys, support = np.unique(np.concatenate(anchors), return_counts=True)
     kept = support >= t
@@ -123,7 +117,7 @@ def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> Ensembl
     for key, count in zip(keys[kept].tolist(), support[kept].tolist()):
         col, code = divmod(key, 4**k)
         per_column.setdefault(col, {})[code] = count
-    return EnsembleKmers(k=k, n=n, t=t, per_column=per_column)
+    return EnsembleKmers(k=k, per_column=per_column)
 
 
 def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
@@ -140,24 +134,9 @@ def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
     return hits
 
 
-@dataclass
-class Chain:
-    """A fixed-length run of same-strand hits with bounded start gaps."""
-
-    hits: tuple[SeedHit, ...]
-
-    @property
-    def leftmost(self) -> SeedHit:
-        return self.hits[0]
-
-    @property
-    def strand(self) -> str:
-        return self.hits[0].strand
-
-
 def chain_hits(
     hits: list[SeedHit], length: int = 3, min_gap: int = 10, max_gap: int = 50
-) -> list[Chain]:
+) -> list[tuple[SeedHit, ...]]:
     """All maximal-credit chains, one per distinct leftmost hit.
 
     A chain is ``length`` same-strand hits with strictly increasing coordinates
@@ -166,7 +145,8 @@ def chain_hits(
     left endpoints, so colinear reverse-strand matches run right to left on the
     reference: for a "-" pool the reference distance is taken in walk
     direction, earlier minus later. When several chains share a leftmost hit
-    only one (the lexicographically first) is kept.
+    only one (the lexicographically first) is kept. Each chain is the tuple of
+    its hits, and chains come sorted by leftmost hit.
     """
     if length < 1:
         raise ValueError(f"chain length must be >= 1, got {length}")
@@ -174,7 +154,7 @@ def chain_hits(
         raise ValueError(f"need 0 <= min_gap <= max_gap, got [{min_gap}, {max_gap}]")
 
     least = max(min_gap, 1)  # coordinates strictly increase along a chain
-    chains: list[Chain] = []
+    chains: list[tuple[SeedHit, ...]] = []
     for strand, sign in (("+", 1), ("-", -1)):
         pool = {h for h in hits if h.strand == strand}
         alive = sorted(pool, key=lambda h: (h.query_col, sign * h.ref_pos))
@@ -199,6 +179,6 @@ def chain_hits(
             chain = [hit]
             for step in reversed(steps):
                 chain.append(step[chain[-1]])
-            chains.append(Chain(hits=tuple(chain)))
-    chains.sort(key=lambda c: (c.leftmost.query_col, c.leftmost.ref_pos, c.strand))
+            chains.append(tuple(chain))
+    chains.sort(key=lambda c: c[0])
     return chains

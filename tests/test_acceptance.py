@@ -220,7 +220,7 @@ def test_criterion_06_seeding_oracles():
         }
     )
     got = {
-        (c.leftmost.query_col, c.leftmost.ref_pos, c.strand)
+        (c[0].query_col, c[0].ref_pos, c[0].strand)
         for c in chain_hits(hits, length=3, min_gap=10, max_gap=50)
     }
     want = {

@@ -126,6 +126,21 @@ def test_eval_reruns_are_byte_identical(pipeline, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("t,n", [("0", "0"), ("1", "-1")])
+def test_eval_rejects_t_below_one_or_negative_n(pipeline, tmp_path, capsys, t, n):
+    _, sim, _, calls = pipeline
+    out = tmp_path / "out"
+    rc = run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--t", t, "--n", n, "--out-dir", out,
+    )
+    assert rc == 2
+    assert "ensembleseed eval: need every t >= 1 and n >= 0" in capsys.readouterr().err
+    assert not (out / "report.tsv").exists()
+
+
 def test_simulate_threads_do_not_change_outputs(tmp_path):
     digests = []
     for threads in (1, 2):

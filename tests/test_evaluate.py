@@ -37,15 +37,17 @@ def tiny_ensemble():
 
 
 class TestBuildWindows:
-    def test_padding_and_offsets(self):
+    def test_window_holds_each_call_slice(self):
         ensemble, true_path = tiny_ensemble()
-        (win,) = build_windows(ensemble, ("ref", 50, 53, "+"), true_path, 1, window_size=3)
-        assert win.viterbi_row == "AC-G"
-        assert win.sample_rows == ["ATTG"]
-        np.testing.assert_array_equal(win.event_offsets, [0, 1, 3, 4])
-        assert win.truth == (50, 53, "+")
+        (win,) = build_windows(ensemble, ("ref", 50, 53, "+"), true_path, 1, window_size=2)
+        assert win.viterbi.sequence == "AC"
+        np.testing.assert_array_equal(win.viterbi.lengths, [1, 1])
+        (sample,) = win.samples
+        assert sample.sequence == "ATT"
+        np.testing.assert_array_equal(sample.lengths, [1, 2])
+        assert win.truth == (50, 52, "+")
         assert win.window_id == "r0:0"
-        assert win.event_range == (0, 3)
+        assert win.event_range == (0, 2)
 
     def test_partial_trailing_window_is_dropped(self):
         ensemble, true_path = tiny_ensemble()
@@ -66,7 +68,7 @@ class TestBuildWindows:
             build_windows(ensemble, ("ref", 50, 53, "+"), true_path, 1, window_size=3)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_rows_match_per_event_padding(self, seed):
+    def test_calls_are_event_range_slices(self, seed):
         rng = np.random.default_rng(seed)
         n_events, size = 40, 15
         calls = []
@@ -79,11 +81,12 @@ class TestBuildWindows:
         assert len(wins) == n_events // size
         for win in wins:
             a, b = win.event_range
-            pieces = [[c.sequence[o : o + n] for o, n in c.event_spans[a:b]] for c in calls]
-            widths = [max(len(p[e]) for p in pieces) for e in range(b - a)]
-            want = ["".join(t.ljust(w, "-") for t, w in zip(p, widths)) for p in pieces]
-            assert [win.viterbi_row, *win.sample_rows] == want
-            np.testing.assert_array_equal(win.event_offsets, np.cumsum([0, *widths]))
+            got = [win.viterbi, *win.samples]
+            assert len(got) == len(calls)
+            for piece, c in zip(got, calls):
+                want = "".join(c.sequence[o : o + n] for o, n in c.event_spans[a:b])
+                assert piece.sequence == want
+                np.testing.assert_array_equal(piece.lengths, c.lengths[a:b])
 
     @pytest.mark.parametrize(
         "k,message",

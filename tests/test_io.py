@@ -41,6 +41,19 @@ def test_atomic_write_gives_umask_default_mode(tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == default_mode()
 
 
+def test_atomic_write_does_not_touch_the_umask(tmp_path, monkeypatch):
+    """Setting the umask to read it races with threads creating files."""
+
+    def umask(mask):
+        raise AssertionError("atomic_write called os.umask")
+
+    want = default_mode()
+    monkeypatch.setattr(os, "umask", umask)
+    with atomic_write(tmp_path / "out.txt") as fh:
+        fh.write("hello\n")
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == want
+
+
 def test_pipeline_writers_give_umask_default_mode(tmp_path):
     write_fasta(tmp_path / "ref.fasta", [("ref", "ACGT")])
     write_pore_model(tmp_path / "pore.tsv", PoreModel(1, [90.0, 100.0, 110.0, 120.0], [2.0] * 4))

@@ -11,11 +11,9 @@ from ensembleseed.pore_model import (
     DEFAULT_ORDER_PROBS,
     EventSequence,
     Hmm,
-    KmerStateSpace,
     PoreModel,
     ReadScaling,
     TransitionModel,
-    emission_log_density,
     load_events,
     load_pore_model,
     make_hmm,
@@ -119,24 +117,14 @@ class TestTransitionModel:
             assert all(smallest_shift(state, t, 3, 2) is not None for t in reached)
 
 
-def test_state_space():
-    space = KmerStateSpace(3)
-    assert space.num_states == 64
-    assert space.encode("ACG") == encode_kmer("ACG")
-    assert space.decode(0) == "AAA"
-    with pytest.raises(ValueError):
-        KmerStateSpace(0)
-    with pytest.raises(ValueError):
-        space.encode("AC")
-
-
 def test_hmm_requires_consistent_k():
     with pytest.raises(ValueError, match="inconsistent k"):
-        Hmm(KmerStateSpace(2), toy_pore(3), TransitionModel.per_order(3))
+        Hmm(toy_pore(2), TransitionModel.per_order(3))
 
 
 def test_make_hmm_defaults():
     hmm = make_hmm(toy_pore(3))
+    assert (hmm.k, hmm.num_states) == (3, 64)
     assert hmm.transitions.mode == "per-order"
     np.testing.assert_allclose(hmm.transitions.order_probs, DEFAULT_ORDER_PROBS)
 
@@ -162,9 +150,11 @@ def test_transitions_from_regular_state_matches_oracle():
 def test_emission_log_density():
     pore = toy_pore(2, seed=5)
     scaling = ReadScaling(scale=1.02, shift=-1.5, var=1.1)
-    mu, sigma = pore.params("GT")
+    code = encode_kmer("GT")
+    mu, sigma = pore.level_mean[code], pore.level_stdv[code]
     want = math.log(normal_pdf(97.0, 1.02 * mu - 1.5, sigma * 1.1))
-    assert emission_log_density(pore, "GT", 97.0, scaling) == pytest.approx(want, rel=1e-12)
+    got = emission_log_matrix(make_hmm(pore), EventSequence("r", [97.0], scaling))
+    assert got[0, code] == pytest.approx(want, rel=1e-12)
 
 
 def test_read_scaling_validation():
@@ -193,7 +183,8 @@ def test_pore_model_validation():
 def test_pore_model_from_rows_detects_missing_and_duplicates():
     rows = {"A": (90.0, 2.0), "C": (100.0, 2.0), "G": (110.0, 2.0), "T": (120.0, 2.0)}
     pm = PoreModel.from_rows(1, rows)
-    assert pm.params("G") == (110.0, 2.0)
+    code = encode_kmer("G")
+    assert (pm.level_mean[code], pm.level_stdv[code]) == (110.0, 2.0)
     with pytest.raises(ValueError, match="missing"):
         PoreModel.from_rows(1, {"A": (90.0, 2.0)})
 

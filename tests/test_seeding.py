@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import anchor_kmers, chain_triples, reach_chains, scan_kmer_positions
+from ensembleseed.decode import BaseCall
 from ensembleseed.kmers import decode_kmer, encode_kmer
 from ensembleseed.seeding import (
-    Chain,
     EnsembleKmers,
     SeedHit,
     build_index,
@@ -18,13 +18,13 @@ from ensembleseed.seeding import (
 from ensembleseed.simulate import generate_reference
 
 
-def window_stub(sample_rows, event_offsets, viterbi_row=None):
-    return SimpleNamespace(
-        sample_rows=sample_rows,
-        viterbi_row=viterbi_row,
-        event_offsets=np.asarray(event_offsets),
-        cache={},
-    )
+def window_stub(samples, viterbi=None):
+    return SimpleNamespace(samples=samples, viterbi=viterbi, cache={})
+
+
+def call(*pieces):
+    """A base call whose events emitted ``pieces`` in order."""
+    return BaseCall("".join(pieces), [len(p) for p in pieces])
 
 
 class TestBuildIndex:
@@ -49,7 +49,6 @@ class TestBuildIndex:
         # CGTT at offset 2 forward; its revcomp AACG starts the forward strand
         assert (2, "+") in idx.positions[encode_kmer("CGTT")]
         assert (2, "-") in idx.positions[encode_kmer("AACG")]
-        assert idx.reference_length == 10
 
     def test_ambiguous_handling(self):
         ref = "ACGTNACGT"
@@ -67,19 +66,17 @@ class TestBuildIndex:
 
 class TestCollectEnsembleKmers:
     def test_anchoring_skips_gap_only_events(self):
-        # events: [0,2) [2,4) [4,6); middle event contributes nothing in row 2
-        rows = ["ACGTAC", "AC--TA"]
-        win = window_stub(rows, [0, 2, 4, 6])
+        # three events; the middle one emits nothing in the second call
+        win = window_stub([call("AC", "GT", "AC"), call("AC", "", "TA")])
         got = collect_ensemble_kmers(win, 3, n=2, t=1)
         assert got.per_column[0] == {encode_kmer("ACG"): 1, encode_kmer("ACT"): 1}
-        # column 1 anchored only by the first row ("GTA")
+        # column 1 anchored only by the first call ("GTA")
         assert got.per_column[1] == {encode_kmer("GTA"): 1}
-        # column 2: row 1 starts at base 4 ("AC" too short), row 2 at base 2 ("TA" too short)
+        # column 2: call 1 starts at base 4 ("AC" too short), call 2 at base 2 ("TA" too short)
         assert 2 not in got.per_column
 
     def test_support_threshold(self):
-        rows = ["ACGT", "ACGT", "TCGT"]
-        win = window_stub(rows, [0, 4])
+        win = window_stub([call("ACGT"), call("ACGT"), call("TCGT")])
         loose = collect_ensemble_kmers(win, 4, n=3, t=1)
         tight = collect_ensemble_kmers(win, 4, n=3, t=2)
         assert loose.per_column[0] == {encode_kmer("ACGT"): 2, encode_kmer("TCGT"): 1}
@@ -87,8 +84,11 @@ class TestCollectEnsembleKmers:
 
     def test_threshold_nesting(self):
         rng = np.random.default_rng(2)
-        rows = ["".join(rng.choice(list("ACGT-"), 40)) for _ in range(6)]
-        win = window_stub(rows, [0, 10, 20, 30, 40])
+        samples = []
+        for _ in range(6):
+            lengths = rng.integers(0, 11, 4)
+            samples.append(BaseCall("".join(rng.choice(list("ACGT"), lengths.sum())), lengths))
+        win = window_stub(samples)
         prev = None
         for t in (1, 2, 3):
             cur = collect_ensemble_kmers(win, 5, n=6, t=t)
@@ -98,31 +98,58 @@ class TestCollectEnsembleKmers:
             prev = cur
 
     def test_parameter_validation(self):
-        win = window_stub(["ACGT"], [0, 4])
+        win = window_stub([call("ACGT")])
         with pytest.raises(ValueError, match="1 <= t <= n"):
             collect_ensemble_kmers(win, 3, n=1, t=2)
         with pytest.raises(ValueError, match="sample rows"):
             collect_ensemble_kmers(win, 3, n=2, t=1)
 
     def test_explicit_rows_override(self):
-        win = window_stub(["AAAA"], [0, 4], viterbi_row="CCCC")
-        got = collect_ensemble_kmers(win, 4, n=1, t=1, rows=[win.viterbi_row])
+        win = window_stub([call("AAAA")], viterbi=call("CCCC"))
+        got = collect_ensemble_kmers(win, 4, n=1, t=1, rows=[win.viterbi])
         assert got.per_column[0] == {encode_kmer("CCCC"): 1}
+
+    def test_same_bases_with_other_lengths_anchor_apart(self):
+        """Anchors are cached per call, not per sequence text."""
+        even, skewed = call("AC", "GT", "AC"), call("A", "C", "GTAC")
+        win = window_stub([even, skewed])
+        assert collect_ensemble_kmers(win, 3, n=1, t=1).per_column == {
+            0: {encode_kmer("ACG"): 1},
+            1: {encode_kmer("GTA"): 1},
+        }
+        assert collect_ensemble_kmers(win, 3, n=1, t=1, rows=[skewed]).per_column == {
+            0: {encode_kmer("ACG"): 1},
+            1: {encode_kmer("CGT"): 1},
+            2: {encode_kmer("GTA"): 1},
+        }
+        both = collect_ensemble_kmers(win, 3, n=2, t=2).per_column
+        assert both == {0: {encode_kmer("ACG"): 2}}
+
+    def test_kmers_over_non_acgt_bases_are_dropped(self):
+        win = window_stub([call("A", "C", "N", "G", "T")])
+        got = collect_ensemble_kmers(win, 2, n=1, t=1).per_column
+        assert got == {0: {encode_kmer("AC"): 1}, 3: {encode_kmer("GT"): 1}}
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    row=st.text(st.sampled_from("ACGT-"), max_size=40),
-    cuts=st.lists(st.floats(0, 1), max_size=12),
+    events=st.lists(
+        st.tuples(st.text(st.sampled_from("ACGT"), max_size=5), st.integers(0, 3)), max_size=12
+    ),
     k=st.integers(1, 12),
 )
-def test_row_anchor_codes_match_string_slicing(row, cuts, k):
-    """Gap-only events, rows ending in gaps and k past the last base included."""
-    offsets = np.array([0, *sorted(int(c * len(row)) for c in cuts), len(row)])
-    got = collect_ensemble_kmers(window_stub([row], offsets), k, n=1, t=1).per_column
-    assert all(list(kept.values()) == [1] for kept in got.values())
-    decoded = {col: decode_kmer(code, k) for col, kept in got.items() for code in kept}
-    assert decoded == anchor_kmers(row, offsets, k)
+def test_row_anchor_codes_match_string_slicing(events, k):
+    """Empty events, trailing empty events and k past the last base included.
+
+    The oracle reads the row padded per event with gaps, as a window would
+    be when other calls emit more bases for the same events.
+    """
+    padded = [piece + "-" * pad for piece, pad in events]
+    offsets = np.cumsum([0, *map(len, padded)])
+    got = collect_ensemble_kmers(window_stub([call(*(p for p, _ in events))]), k, n=1, t=1)
+    assert all(list(kept.values()) == [1] for kept in got.per_column.values())
+    decoded = {col: decode_kmer(code, k) for col, kept in got.per_column.items() for code in kept}
+    assert decoded == anchor_kmers("".join(padded), offsets, k)
 
 
 class TestFindHits:
@@ -131,8 +158,6 @@ class TestFindHits:
         idx = build_index(ref, 5)
         kmers = EnsembleKmers(
             k=5,
-            n=1,
-            t=1,
             per_column={0: {encode_kmer(ref[10:15]): 1}, 7: {encode_kmer(ref[100:105]): 1}},
         )
         hits = find_hits(idx, kmers)
@@ -144,13 +169,13 @@ class TestFindHits:
     def test_k_mismatch(self):
         idx = build_index("ACGTACGT", 4)
         with pytest.raises(ValueError, match="does not match"):
-            find_hits(idx, EnsembleKmers(k=3, n=1, t=1, per_column={}))
+            find_hits(idx, EnsembleKmers(k=3, per_column={}))
 
     def test_sorted_and_unique(self):
         ref = "ACACACACAC"
         idx = build_index(ref, 4)
         acac = encode_kmer("ACAC")
-        kmers = EnsembleKmers(k=4, n=1, t=1, per_column={0: {acac: 1}, 3: {acac: 1}})
+        kmers = EnsembleKmers(k=4, per_column={0: {acac: 1}, 3: {acac: 1}})
         hits = find_hits(idx, kmers)
         keys = [(h.query_col, h.ref_pos, h.strand) for h in hits]
         assert keys == sorted(keys)
@@ -162,8 +187,7 @@ class TestChainHits:
         hits = [SeedHit(0, 100, "+"), SeedHit(15, 118, "+"), SeedHit(32, 140, "+")]
         chains = chain_hits(hits)
         assert len(chains) == 1
-        assert chains[0].leftmost == SeedHit(0, 100, "+")
-        assert chains[0].strand == "+"
+        assert chains[0][0] == SeedHit(0, 100, "+")
 
     def test_gap_bounds_enforced(self):
         base = [SeedHit(0, 100, "+"), SeedHit(15, 118, "+")]
@@ -176,7 +200,7 @@ class TestChainHits:
         dec = [SeedHit(0, 200, "-"), SeedHit(15, 182, "-"), SeedHit(32, 160, "-")]
         chains = chain_hits(dec)
         assert len(chains) == 1
-        assert chains[0].leftmost == SeedHit(0, 200, "-")
+        assert chains[0][0] == SeedHit(0, 200, "-")
         # the same shape with ascending reference positions cannot chain on "-"
         inc = [SeedHit(0, 100, "-"), SeedHit(15, 118, "-"), SeedHit(32, 140, "-")]
         assert chain_hits(inc) == []
@@ -195,7 +219,7 @@ class TestChainHits:
         chains = chain_hits(hits)
         assert len(chains) == 1
         # lexicographically first witness: the (15, 118) middle hit
-        assert chains[0].hits[1] == SeedHit(15, 118, "+")
+        assert chains[0][1] == SeedHit(15, 118, "+")
 
     def test_duplicate_hits_collapse(self):
         hits = [SeedHit(0, 100, "+"), SeedHit(0, 100, "+"), SeedHit(15, 118, "+"),
@@ -205,7 +229,7 @@ class TestChainHits:
     def test_length_one_and_validation(self):
         hits = [SeedHit(4, 9, "+")]
         chains = chain_hits(hits, length=1)
-        assert [c.hits for c in chains] == [(SeedHit(4, 9, "+"),)]
+        assert chains == [(SeedHit(4, 9, "+"),)]
         with pytest.raises(ValueError):
             chain_hits(hits, length=0)
         with pytest.raises(ValueError):
@@ -229,13 +253,13 @@ class TestChainHits:
         got = chain_hits(hits, length=3, min_gap=10, max_gap=50)
         triples = chain_triples(hits, 10, 50)
         want_leftmost = {(t[0].query_col, t[0].ref_pos, t[0].strand) for t in triples}
-        got_leftmost = {(c.leftmost.query_col, c.leftmost.ref_pos, c.strand) for c in got}
+        got_leftmost = {(c[0].query_col, c[0].ref_pos, c[0].strand) for c in got}
         assert got_leftmost == want_leftmost
         assert len(got) == len(got_leftmost)
         # every reported chain must itself be a witnessed triple
         valid = {tuple((h.query_col, h.ref_pos, h.strand) for h in t) for t in triples}
         for c in got:
-            assert tuple((h.query_col, h.ref_pos, h.strand) for h in c.hits) in valid
+            assert tuple((h.query_col, h.ref_pos, h.strand) for h in c) in valid
 
 
 @st.composite
@@ -264,5 +288,5 @@ def chain_instances(draw):
 def test_chain_hits_match_reach_traceback(case):
     """Same chains, same hits in each and same order as longest reach plus traceback."""
     hits, length, min_gap, max_gap = case
-    got = [c.hits for c in chain_hits(hits, length, min_gap, max_gap)]
+    got = chain_hits(hits, length, min_gap, max_gap)
     assert got == reach_chains(hits, length, min_gap, max_gap)
