@@ -72,9 +72,12 @@ log = logging.getLogger("ensembleseed")
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
@@ -215,6 +218,13 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.reference}: expected exactly one reference sequence")
     reference = records[0][1]
     ensembles = load_basecalls(args.basecalls, args.spans)
+    # grid points with t > n score zero without drawing samples
+    need = max((n for n in args.n if n >= min(args.t)), default=0)
+    have = min((len(ens.samples) for ens in ensembles), default=need)
+    if have < need:
+        raise ValueError(
+            f"--n {need} needs {need} sample calls per read, but {args.basecalls} has {have}"
+        )
     truth = load_truth(args.truth)
     true_paths = load_true_paths(args.true_paths)
 

@@ -1,14 +1,14 @@
 """Line readers for every input file, and atomic writes for every output.
 
 Every TSV, JSON-lines and FASTA reader here skips blank lines and starts each
-error with ``path:line:``. Loaders loop over a reader and add only the rules
-of their own format, naming the line by the ``where`` string each row carries.
+error with ``path:line:``. Loaders loop over a reader's rows, or take a
+table's columns whole, and add only the rules of their own format, naming the
+line by the ``where`` string or line number each row carries.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import sys
@@ -30,26 +30,45 @@ def parse_field(parse, text, name: str, where: str):
         raise ValueError(f"{where}: cannot parse {name} {text!r}") from None
 
 
-def tsv_rows(path, header: list[str], types, header_line: int = 1):
-    """Yield (where, values) for each data row of a tab-separated table.
+def tsv_fields(path, header: list[str], header_line: int = 1):
+    """Line numbers and columns of the data rows of a tab-separated table.
 
     Line ``header_line`` must be exactly ``header``; earlier lines are the
-    caller's. Each later line has one field per column, parsed by ``types``.
+    caller's. Each later non-blank line has one field per column. A column is
+    the list of its rows' fields, unparsed.
     """
-    want, prefix = "\t".join(header), f"{path}:"
     with open(path) as fh:
-        lines = enumerate(fh, start=1)
-        got = next(itertools.islice(lines, header_line - 1, None), (0, ""))[1].rstrip("\n")
-        if got != want:
-            raise ValueError(f"{path}:{header_line}: expected header {want!r}, got {got!r}")
-        for lineno, line in lines:
-            if not line.strip():
-                continue
-            where = f"{prefix}{lineno}"
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(header):
-                raise ValueError(f"{where}: expected {len(header)} columns, got {len(fields)}")
-            yield where, [parse_field(p, f, n, where) for p, f, n in zip(types, fields, header)]
+        lines = fh.read().split("\n")
+    want = "\t".join(header)
+    got = lines[header_line - 1] if header_line <= len(lines) else ""
+    if got != want:
+        raise ValueError(f"{path}:{header_line}: expected header {want!r}, got {got!r}")
+    rows = enumerate(lines[header_line:], header_line + 1)
+    numbered = [(n, line) for n, line in rows if line.strip()]
+    for lineno, line in numbered:
+        if line.count("\t") != len(header) - 1:
+            found = len(line.split("\t"))
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {found}")
+    fields = "\t".join(line for _, line in numbered).split("\t") if numbered else []
+    return [n for n, _ in numbered], [fields[i :: len(header)] for i in range(len(header))]
+
+
+def tsv_rows(path, header: list[str], types, header_line: int = 1):
+    """Yield (where, values) for each row of ``tsv_fields``, each field parsed by ``types``."""
+    linenos, columns = tsv_fields(path, header, header_line)
+    for lineno, fields in zip(linenos, zip(*columns)):
+        where = f"{path}:{lineno}"
+        yield where, [parse_field(p, f, n, where) for p, f, n in zip(types, fields, header)]
+
+
+def parse_column(parse, fields, name: str, path, linenos: list[int]) -> list:
+    """``parse`` over a whole column, re-run field by field only on failure, to name the line."""
+    try:
+        return list(map(parse, fields))
+    except (ValueError, KeyError):
+        for lineno, text in zip(linenos, fields):
+            parse_field(parse, text, name, f"{path}:{lineno}")
+        raise
 
 
 def jsonl_records(path, fields: dict):

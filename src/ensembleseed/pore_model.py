@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write, jsonl_records, number_array, tsv_rows
+from .io import atomic_write, jsonl_records, number_array, parse_column, tsv_fields
 from .kmers import BASES, decode_kmer, encode_kmer
 
 # Untrained defaults: stay, move, skip-2. Move-dominant to match the intended
@@ -204,19 +204,22 @@ def write_pore_model(path, pore: PoreModel) -> None:
 
 def load_pore_model(path) -> PoreModel:
     """Read a ``kmer<TAB>mu<TAB>sigma`` table covering all 4**k k-mers."""
-    rows: dict[str, tuple[float, float]] = {}
-    for where, (kmer, mu, sigma) in tsv_rows(path, PORE_MODEL_HEADER, (str, float, float)):
-        k = len(next(iter(rows), kmer))  # the first row sets k
-        if not kmer or len(kmer) != k or not set(kmer) <= set(BASES):
-            raise ValueError(f"{where}: expected a {k}-mer over {BASES}, got {kmer!r}")
-        if not sigma > 0:
-            raise ValueError(f"{where}: sigma must be positive")
-        if kmer in rows:
-            raise ValueError(f"{where}: duplicate k-mer {kmer}")
-        rows[kmer] = (mu, sigma)
-    if not rows:
+    linenos, (kmers, mu, sigma) = tsv_fields(path, PORE_MODEL_HEADER)
+    mu = parse_column(float, mu, "mu", path, linenos)
+    sigma = parse_column(float, sigma, "sigma", path, linenos)
+    if not kmers:
         raise ValueError(f"{path}: empty pore model")
-    k = len(next(iter(rows)))
+    k = len(kmers[0])  # the first row sets k
+    rows: dict[str, tuple[float, float]] = {}
+    alphabet = set(BASES)
+    for lineno, kmer, params in zip(linenos, kmers, zip(mu, sigma)):
+        if not kmer or len(kmer) != k or not set(kmer) <= alphabet:
+            raise ValueError(f"{path}:{lineno}: expected a {k}-mer over {BASES}, got {kmer!r}")
+        if not params[1] > 0:
+            raise ValueError(f"{path}:{lineno}: sigma must be positive")
+        if kmer in rows:
+            raise ValueError(f"{path}:{lineno}: duplicate k-mer {kmer}")
+        rows[kmer] = params
     if len(rows) != 4**k:
         raise ValueError(f"{path}: {len(rows)} k-mers, a {k}-mer pore model needs {4**k}")
     return PoreModel.from_rows(k, rows)

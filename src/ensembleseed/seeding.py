@@ -9,7 +9,6 @@ support threshold t and a dedup radius make sense at all.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +16,9 @@ import numpy as np
 
 from .decode import BaseCall
 from .kmers import kmer_codes, reverse_complement
+
+_LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
+_PAIRS = 1 << 18  # (hit, column) pairs a chaining step tests: bounds memory on dense hits
 
 
 class SeedHit(NamedTuple):
@@ -29,53 +31,54 @@ class SeedHit(NamedTuple):
 
 @dataclass
 class KmerIndex:
-    """All k-mer occurrences of both reference strands, keyed by k-mer code.
+    """All k-mer occurrences of both reference strands, as sorted integer keys.
 
-    Codes are those of ``kmers.kmer_codes``. Reverse-strand entries store the
-    forward coordinate of the match's left endpoint, so hit positions from
-    either strand live on one axis.
+    ``positions`` maps each strand ("+", "-") to a sorted ``uint64`` array of
+    ``code << 32 | offset`` keys, codes being those of ``kmers.kmer_codes``.
+    Reverse-strand offsets are the forward coordinate of the match's left
+    endpoint, so hit positions from either strand live on one axis.
     """
 
     k: int
-    positions: dict[int, list[tuple[int, str]]]
+    positions: dict[str, np.ndarray]
 
 
 def build_index(reference: str, k: int) -> KmerIndex:
     """Index every k-mer of the reference and of its reverse complement.
 
-    k-mers overlapping a non-ACGT character are skipped. Each k-mer's entries
-    are sorted by (offset, strand).
+    k-mers overlapping a non-ACGT character are skipped.
     """
     if not 1 <= k <= 16:
         raise ValueError(f"seed length must be in [1, 16], got {k}")
-    L = len(reference)
-    codes = np.concatenate(
-        [kmer_codes(reference, k), kmer_codes(reverse_complement(reference), k)]
-    )
-    count = codes.size // 2
-    # revcomp offset j covers forward bases [L-j-k, L-j)
-    offsets = np.concatenate([np.arange(count), L - k - np.arange(count)])
-    strand = np.repeat([0, 1], count)
-    order = np.lexsort((strand, offsets, codes))
-    order = order[codes[order] >= 0]
-    codes = codes[order]
-    strands = np.array(["+", "-"], dtype=object)[strand[order]]
-    entries = list(zip(offsets[order].tolist(), strands.tolist()))
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    ends = np.append(starts[1:], codes.size)
-    positions = {
-        code: entries[a:b]
-        for code, a, b in zip(codes[starts].tolist(), starts.tolist(), ends.tolist())
-    }
+    if len(reference) >= 2**32:
+        raise ValueError(f"reference of {len(reference)} bases exceeds 32-bit offsets")
+    positions = {}
+    for strand, seq in (("+", reference), ("-", reverse_complement(reference))):
+        codes = kmer_codes(seq, k)
+        offsets = np.arange(codes.size)
+        if strand == "-":  # revcomp offset j covers forward bases [L-j-k, L-j)
+            offsets = len(reference) - k - offsets
+        keep = codes >= 0
+        keys = codes[keep] << 32 | offsets[keep]  # k=16 codes reach the int64 sign bit
+        positions[strand] = np.sort(keys.astype(np.uint64))
     return KmerIndex(k=k, positions=positions)
 
 
 @dataclass
 class EnsembleKmers:
-    """Thresholded k-mer codes per event column, with their sample support counts."""
+    """Thresholded ensemble k-mers as sorted ``col * 4**k + code`` keys, with their support."""
 
     k: int
-    per_column: dict[int, dict[int, int]]
+    keys: np.ndarray
+    support: np.ndarray
+
+    @property
+    def per_column(self) -> dict[int, dict[int, int]]:
+        """``{event column: {code: support}}``, for reading the k-mers one column at a time."""
+        columns: dict[int, dict[int, int]] = {}
+        for key, count in zip(self.keys.tolist(), self.support.tolist()):
+            columns.setdefault(key // 4**self.k, {})[key % 4**self.k] = count
+        return columns
 
 
 def _row_anchor_kmers(call: BaseCall, k: int) -> np.ndarray:
@@ -113,25 +116,34 @@ def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> Ensembl
         anchors.append(keys)
     keys, support = np.unique(np.concatenate(anchors), return_counts=True)
     kept = support >= t
-    per_column: dict[int, dict[int, int]] = {}
-    for key, count in zip(keys[kept].tolist(), support[kept].tolist()):
-        col, code = divmod(key, 4**k)
-        per_column.setdefault(col, {})[code] = count
-    return EnsembleKmers(k=k, per_column=per_column)
+    return EnsembleKmers(k=k, keys=keys[kept], support=support[kept])
+
+
+def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[lo[i], lo[i] + count[i])`` laid end to end, and each element's i."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) + (lo - np.cumsum(count) + count)[owner]
 
 
 def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
     """One hit per (event column, reference position, strand), sorted."""
     if index.k != kmers.k:
         raise ValueError(f"index k={index.k} does not match ensemble k={kmers.k}")
-    hits = [
-        SeedHit(col, off, strand)
-        for col, kept in kmers.per_column.items()
-        for code in kept
-        for off, strand in index.positions.get(code, ())
-    ]
-    hits.sort()
-    return hits
+    cols, codes = np.divmod(kmers.keys, 4**kmers.k)
+    order = np.argsort(codes)  # sorted queries probe the index in order
+    cols, low = cols[order], codes[order].astype(np.uint64) << np.uint64(32)
+    # a code's keys lie in [low, low | _LOW): no offset reaches _LOW
+    bounds = np.stack([low, low | _LOW], axis=1)
+    parts = []
+    for s, strand in enumerate("+-"):
+        keys = index.positions[strand]
+        lo, hi = np.searchsorted(keys, bounds).T
+        owner, at = _ranges(lo, hi - lo)
+        parts.append((cols[owner], keys[at] & _LOW, np.full(owner.size, s)))
+    col, offset, strand = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((strand, offset, col))
+    strands = np.where(strand[order], "-", "+").tolist()
+    return list(map(SeedHit, col[order].tolist(), offset[order].tolist(), strands))
 
 
 def chain_hits(
@@ -154,31 +166,49 @@ def chain_hits(
         raise ValueError(f"need 0 <= min_gap <= max_gap, got [{min_gap}, {max_gap}]")
 
     least = max(min_gap, 1)  # coordinates strictly increase along a chain
+    if not hits:
+        return []
     chains: list[tuple[SeedHit, ...]] = []
+    cols, refs, strands = (np.array(v) for v in zip(*hits))
     for strand, sign in (("+", 1), ("-", -1)):
-        pool = {h for h in hits if h.strand == strand}
-        alive = sorted(pool, key=lambda h: (h.query_col, sign * h.ref_pos))
+        pool = np.flatnonzero(strands == strand)
+        col, walk = cols[pool], sign * refs[pool]  # walk: reference in the match's direction
+        # One key per distinct hit, sorted as (column, walk) is, so a search for
+        # a column and a walk coordinate finds that column's first hit at or past it.
+        base = walk.min(initial=0)
+        span = int(walk.max(initial=0) - base) + max_gap + 1
+        key, first = np.unique(col * span + (walk - base), return_index=True)
+        pool, col, walk = pool[first], col[first], walk[first]
         # Round d keeps the hits that start a chain of d hits, each with its
         # first linked successor, in this order, among round d-1's survivors;
         # a chain of d hits starts a chain of d-1, so only those are scanned.
-        steps: list[dict[SeedHit, SeedHit]] = []
+        alive = np.arange(pool.size)
+        steps = []
         for _ in range(length - 1):
-            cols = [h.query_col for h in alive]
-            walk = [sign * h.ref_pos for h in alive]  # reference coordinate in walk direction
-            step = {}
-            for a, hit in enumerate(alive):
-                lo = bisect_left(cols, cols[a] + least, lo=a + 1)
-                hi = bisect_right(cols, cols[a] + max_gap, lo=lo)
-                for b in range(lo, hi):
-                    if least <= walk[b] - walk[a] <= max_gap:
-                        step[hit] = alive[b]
-                        break
-            steps.append(step)
-            alive = list(step)
-        for hit in alive:
-            chain = [hit]
-            for step in reversed(steps):
-                chain.append(step[chain[-1]])
-            chains.append(tuple(chain))
+            c, w, kk = col[alive], walk[alive], key[alive]
+            occupied = np.unique(c)
+            lo = np.searchsorted(occupied, c + least)
+            hi = np.searchsorted(occupied, c + max_gap, side="right")
+            link = np.full(alive.size, -1)
+            todo = np.flatnonzero(hi > lo)
+            while todo.size:  # each hit's candidate columns in order, a slice per step
+                step = _PAIRS // todo.size + 1
+                a, at = _ranges(lo[todo], np.minimum(hi[todo] - lo[todo], step))
+                a = todo[a]
+                j = np.searchsorted(kk, occupied[at] * span + (w[a] + least - base))
+                j = np.minimum(j, alive.size - 1)
+                gap = w[j] - w[a]
+                linked = (c[j] == occupied[at]) & (gap >= least) & (gap <= max_gap)
+                heads, first = np.unique(a[linked], return_index=True)
+                link[heads] = j[linked][first]
+                lo[todo] += step
+                todo = todo[(link[todo] < 0) & (lo[todo] < hi[todo])]
+            heads = np.flatnonzero(link >= 0)
+            steps.append((alive[heads], alive[link[heads]]))
+            alive = alive[heads]
+        members = [alive]
+        for survivors, successor in reversed(steps):
+            members.append(successor[np.searchsorted(survivors, members[-1])])
+        chains += zip(*([hits[i] for i in pool[m].tolist()] for m in members))
     chains.sort(key=lambda c: c[0])
     return chains

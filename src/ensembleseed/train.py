@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import IllegalPathError, StatePath
-from .io import atomic_write, parse_field, tsv_rows
+from .io import atomic_write, parse_column, parse_field, tsv_fields, tsv_rows
 from .kmers import decode_kmer
 from .pore_model import TransitionModel
 from .shifts import distinct_pairs, edge_table, gained, pair_probs, smallest_orders
@@ -219,20 +219,21 @@ def load_transition_model(path) -> TransitionModel:
             raise ValueError(f"{path}: missing order rows {missing}")
     else:
         codes = {decode_kmer(code, k): code for code in range(4**k)}
-        rows: dict[tuple[int, int], tuple[str, float]] = {}
-        types = (codes.__getitem__, codes.__getitem__, str)
-        for where, (x, y, prob) in tsv_rows(path, PAIR_HEADER, types, header_line=2):
-            if (x, y) in rows:
-                pair = f"{decode_kmer(x, k)} -> {decode_kmer(y, k)}"
-                raise ValueError(f"{where}: duplicate pair {pair}")
-            rows[x, y] = (where, parse_field(float, prob, "probability", where))
-        src, tgt = np.array(list(rows), dtype=np.int64).reshape(-1, 2).T
+        linenos, (src, tgt, prob) = tsv_fields(path, PAIR_HEADER, header_line=2)
+        src, tgt = (
+            np.array(parse_column(codes.__getitem__, fields, name, path, linenos), dtype=np.int64)
+            for fields, name in ((src, "source_kmer"), (tgt, "target_kmer"))
+        )
+        mass = np.array(parse_column(float, prob, "probability", path, linenos))
         orders = smallest_orders(src, tgt, k, max_shift)
-        if np.any(orders < 0):
-            (x, y), (where, _) = list(rows.items())[int(np.argmax(orders < 0))]
-            pair = f"{decode_kmer(x, k)} -> {decode_kmer(y, k)}"
-            raise ValueError(f"{where}: {pair} is not reachable with max shift {max_shift}")
-        mass = np.array([prob for _, prob in rows.values()])
+        repeated = np.ones(src.size, dtype=bool)
+        repeated[np.unique(src * 4**k + tgt, return_index=True)[1]] = False
+        unreachable = f"{{}} is not reachable with max shift {max_shift}"
+        for bad, message in ((repeated, "duplicate pair {}"), (orders < 0, unreachable)):
+            if bad.any():
+                i = int(np.argmax(bad))
+                pair = f"{decode_kmer(int(src[i]), k)} -> {decode_kmer(int(tgt[i]), k)}"
+                raise ValueError(f"{path}:{linenos[i]}: " + message.format(pair))
         tables = _order_tables(k, max_shift, src, tgt, orders, mass, fill=0.0)
     try:
         if mode == "per-order":

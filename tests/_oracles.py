@@ -171,6 +171,18 @@ def scan_kmer_positions(reference, kmer):
     return out
 
 
+def index_entries(index):
+    """``{code: [(offset, strand), ...]}`` decoded from a ``KmerIndex``'s key arrays.
+
+    Each code's entries are sorted by (offset, strand), as a naive scan lists them.
+    """
+    entries = defaultdict(list)
+    for strand, keys in index.positions.items():
+        for key in keys.tolist():
+            entries[key >> 32].append((key & 0xFFFFFFFF, strand))
+    return {code: sorted(found) for code, found in entries.items()}
+
+
 def anchor_kmers(row, event_offsets, k, gap="-"):
     """Event column -> the gap-free k-mer starting at the row's base for that event.
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import aggregate_prob, chain_triples, normal_pdf, path_index
+from _oracles import aggregate_prob, chain_triples, index_entries, normal_pdf, path_index
 from conftest import record_criterion
 from ensembleseed import forward, make_hmm, path_to_sequence, sample_paths, viterbi
 from ensembleseed.cli import main as cli_main
@@ -203,7 +203,7 @@ def test_criterion_06_seeding_oracles():
             naive.setdefault(rc[j : j + k], []).append((len(ref) - j - k, "-"))
         for entries in naive.values():
             entries.sort()
-        scan_ok &= naive == {decode_kmer(code, k): v for code, v in index.positions.items()}
+        scan_ok &= naive == {decode_kmer(code, k): v for code, v in index_entries(index).items()}
 
     rng = np.random.default_rng(2718)
     from ensembleseed.seeding import SeedHit, chain_hits

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,86 @@ def test_eval_rejects_t_below_one_or_negative_n(pipeline, tmp_path, capsys, t, n
     assert rc == 2
     assert "ensembleseed eval: need every t >= 1 and n >= 0" in capsys.readouterr().err
     assert not (out / "report.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--t", "--n"])
+def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
+    _, sim, _, calls = pipeline
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(
+            "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+            "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+            "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+            flag, ",", "--out-dir", out,
+        )
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected at least one integer, got ','" in capsys.readouterr().err
+    assert not (out / "report.tsv").exists()
+
+
+def test_eval_checks_n_against_the_calls_before_any_index(pipeline, tmp_path, capsys, monkeypatch):
+    """The pipeline's calls hold 3 samples per read; n=4 fails before windows or indexes."""
+    _, sim, _, calls = pipeline
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eval built windows or an index before checking n")
+
+    monkeypatch.setattr(cli, "build_index", unreachable)
+    monkeypatch.setattr(cli, "build_windows", unreachable)
+    rc = run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--t", "1,5", "--n", "2,4,5", "--out-dir", tmp_path / "out",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ensembleseed eval: --n 5 needs 5 sample calls per read" in err
+    assert "basecalls.fasta has 3" in err
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, imported by path: the benchmark's outside-in spans and counters."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_eval_records_every_seeding_and_evaluate_layer(pipeline, tmp_path, monkeypatch):
+    """The benchmark tracer still reads the seeding types: every counter it takes is positive."""
+    _, sim, _, calls = pipeline
+    tracer = load_tracer()
+    layers = [layer for layer in tracer.LAYERS if layer[2].split(".")[0] in ("seeding", "evaluate")]
+    originals = {id(getattr(sys.modules[module], attr)) for module, attr, _, _ in tracer.LAYERS}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ensembleseed":
+            for key, value in list(vars(module).items()):
+                if id(value) in originals:  # undone after the test, unwrapping the tracer
+                    monkeypatch.setattr(module, key, value)
+
+    def run_eval(out):
+        return run_cli(
+            "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+            "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+            "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+            "--window", 60, "--seed-k", 6, "--t", "1,2", "--n", "1,3", "--out-dir", out,
+        )
+
+    assert run_eval(tmp_path / "plain") == 0
+    traced = tracer.Tracer()
+    traced.install()
+    assert run_eval(tmp_path / "traced") == 0
+    _, calls_per_layer, _ = tracer.summarize({"spans": traced.spans})
+    for _, _, span, counter in layers:
+        assert calls_per_layer.get(span, 0) > 0, span
+        if counter is not None:
+            counts = {k: v for k, v in traced.counts.items() if k.startswith(span + ".")}
+            assert counts and all(v > 0 for v in counts.values()), (span, counts)
+    report = "report.tsv"
+    assert (tmp_path / "traced" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
 
 
 def test_simulate_threads_do_not_change_outputs(tmp_path):

@@ -2,11 +2,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _oracles import anchor_kmers, chain_triples, reach_chains, scan_kmer_positions
+from _oracles import (
+    anchor_kmers,
+    chain_triples,
+    index_entries,
+    reach_chains,
+    scan_kmer_positions,
+)
+from ensembleseed import seeding
 from ensembleseed.decode import BaseCall
-from ensembleseed.kmers import decode_kmer, encode_kmer
+from ensembleseed.kmers import decode_kmer, encode_kmer, reverse_complement
 from ensembleseed.seeding import (
     EnsembleKmers,
     SeedHit,
@@ -22,6 +29,13 @@ def window_stub(samples, viterbi=None):
     return SimpleNamespace(samples=samples, viterbi=viterbi, cache={})
 
 
+def ensemble(k, per_column):
+    """``EnsembleKmers`` holding ``{col: [code, ...]}``, each code with support 1."""
+    keys = sorted(col * 4**k + code for col, codes in per_column.items() for code in codes)
+    keys = np.array(keys, dtype=np.int64)
+    return EnsembleKmers(k=k, keys=keys, support=np.ones(keys.size, dtype=np.int64))
+
+
 def call(*pieces):
     """A base call whose events emitted ``pieces`` in order."""
     return BaseCall("".join(pieces), [len(p) for p in pieces])
@@ -34,7 +48,7 @@ class TestBuildIndex:
         for k in (3, 7):
             idx = build_index(ref, k)
             seen = set()
-            for code, entries in idx.positions.items():
+            for code, entries in index_entries(idx).items():
                 kmer = decode_kmer(code, k)
                 assert sorted(scan_kmer_positions(ref, kmer)) == entries
                 seen.add(kmer)
@@ -47,13 +61,13 @@ class TestBuildIndex:
         ref = "AACGTTACGG"
         idx = build_index(ref, 4)
         # CGTT at offset 2 forward; its revcomp AACG starts the forward strand
-        assert (2, "+") in idx.positions[encode_kmer("CGTT")]
-        assert (2, "-") in idx.positions[encode_kmer("AACG")]
+        assert (2, "+") in index_entries(idx)[encode_kmer("CGTT")]
+        assert (2, "-") in index_entries(idx)[encode_kmer("AACG")]
 
     def test_ambiguous_handling(self):
         ref = "ACGTNACGT"
         idx = build_index(ref, 3)
-        for entries in idx.positions.values():
+        for entries in index_entries(idx).values():
             for off, _ in entries:
                 assert "N" not in ref[off : off + 3]
 
@@ -156,10 +170,7 @@ class TestFindHits:
     def test_matches_reference_scan(self):
         ref = generate_reference(600, seed=23)
         idx = build_index(ref, 5)
-        kmers = EnsembleKmers(
-            k=5,
-            per_column={0: {encode_kmer(ref[10:15]): 1}, 7: {encode_kmer(ref[100:105]): 1}},
-        )
+        kmers = ensemble(5, {0: [encode_kmer(ref[10:15])], 7: [encode_kmer(ref[100:105])]})
         hits = find_hits(idx, kmers)
         for col, kmer in ((0, ref[10:15]), (7, ref[100:105])):
             want = {(col, pos, strand) for pos, strand in scan_kmer_positions(ref, kmer)}
@@ -169,17 +180,59 @@ class TestFindHits:
     def test_k_mismatch(self):
         idx = build_index("ACGTACGT", 4)
         with pytest.raises(ValueError, match="does not match"):
-            find_hits(idx, EnsembleKmers(k=3, per_column={}))
+            find_hits(idx, ensemble(3, {}))
 
     def test_sorted_and_unique(self):
         ref = "ACACACACAC"
         idx = build_index(ref, 4)
         acac = encode_kmer("ACAC")
-        kmers = EnsembleKmers(k=4, per_column={0: {acac: 1}, 3: {acac: 1}})
+        kmers = ensemble(4, {0: [acac], 3: [acac]})
         hits = find_hits(idx, kmers)
         keys = [(h.query_col, h.ref_pos, h.strand) for h in hits]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
+
+
+@st.composite
+def index_cases(draw):
+    """A reference of ACGT runs split by other characters, k, and k-mers to look up.
+
+    The queries mix k-mers of the reference with arbitrary codes, most of
+    which the reference lacks.
+    """
+    k = draw(st.integers(1, 16))
+    runs = draw(st.lists(st.text(st.sampled_from("ACGT"), max_size=40), min_size=1, max_size=4))
+    reference = runs[0] + "".join(draw(st.sampled_from("NnRY-")) + run for run in runs[1:])
+    present = [reference[i : i + k] for i in range(len(reference) - k + 1)]
+    present = sorted({kmer for kmer in present if set(kmer) <= set("ACGT")})
+    anywhere = st.integers(0, 4**k - 1).map(lambda code: decode_kmer(code, k))
+    kmer = st.sampled_from(present) | anywhere if present else anywhere
+    queries = draw(st.lists(kmer, max_size=8))
+    return reference, k, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_cases())
+@example(("GATTACA" * 3 + "N" + "T" * 18 + "ACGT", 16, ["T" * 16, "GATTACAGATTACAGA", "G" * 16]))
+def test_index_lookup_matches_reference_scan(case):
+    """Index and hits of both strands against a naive scan, for k from 1 to 16.
+
+    A k=16 code with a leading G or T fills the top bit of a ``uint64`` key.
+    """
+    reference, k, queries = case
+    index = build_index(reference, k)
+    forward = [reference[i : i + k] for i in range(len(reference) - k + 1)]
+    forward = {kmer for kmer in forward if set(kmer) <= set("ACGT")}
+    indexed = forward | {reverse_complement(kmer) for kmer in forward}
+    assert index_entries(index) == {
+        encode_kmer(kmer): scan_kmer_positions(reference, kmer) for kmer in indexed
+    }
+    hits = find_hits(index, ensemble(k, {col: [encode_kmer(q)] for col, q in enumerate(queries)}))
+    assert hits == [
+        (col, pos, strand)
+        for col, kmer in enumerate(queries)
+        for pos, strand in scan_kmer_positions(reference, kmer)
+    ]
 
 
 class TestChainHits:
@@ -260,6 +313,16 @@ class TestChainHits:
         valid = {tuple((h.query_col, h.ref_pos, h.strand) for h in t) for t in triples}
         for c in got:
             assert tuple((h.query_col, h.ref_pos, h.strand) for h in c) in valid
+
+
+def test_chaining_in_one_column_steps_matches_reach_traceback(monkeypatch):
+    """A budget of one (hit, column) pair per step tests each hit's columns one at a time."""
+    rng = np.random.default_rng(5)
+    cols, refs = rng.integers(0, 200, 600).tolist(), rng.integers(0, 400, 600).tolist()
+    hits = list(map(SeedHit, cols, refs, rng.choice(["+", "-"], 600).tolist()))
+    monkeypatch.setattr(seeding, "_PAIRS", 1)
+    for length in (2, 3, 4):
+        assert chain_hits(hits, length) == reach_chains(hits, length, 10, 50)
 
 
 @st.composite
