@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -70,21 +71,16 @@ from .train import (
 log = logging.getLogger("ensembleseed")
 
 
-def _int_list(text: str) -> list[int]:
+def _list_of(kind, text: str) -> list:
+    """A non-empty comma-separated list of ``kind`` (int or float) values, for argparse."""
+    noun = {int: "integer", float: "number"}[kind]
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}")
     if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one {noun}, got {text!r}")
     return values
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _write_config(out_dir: str, name: str, args: argparse.Namespace) -> None:
@@ -212,6 +208,7 @@ def _strategies(args) -> list[StrategyConfig]:
 
 
 def cmd_eval(args) -> int:
+    strategies = _strategies(args)
     _ensure_out_dir(args.out_dir)
     records = read_fasta(args.reference)
     if len(records) != 1:
@@ -240,7 +237,6 @@ def cmd_eval(args) -> int:
         )
     log.info("evaluating %d windows", len(windows))
 
-    strategies = _strategies(args)
     indexes = {k: build_index(reference, k) for k in {c.seed_k for c in strategies}}
     rows = []
     for config in strategies:
@@ -268,7 +264,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-k", type=int, default=5, help="HMM k-mer length")
     p.add_argument("--max-shift", type=int, default=2, help="largest skip order")
     p.add_argument(
-        "--order-probs", type=_float_list, default=None,
+        "--order-probs", type=partial(_list_of, float), default=None,
         help="per-order transition probabilities, comma separated (stay,move,skip...)",
     )
     p.add_argument("--transitions", default=None, help="trained transition model TSV")
@@ -328,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-gap", type=int, default=10)
     p.add_argument("--max-gap", type=int, default=50)
     p.add_argument("--dedup-radius", type=int, default=10)
-    p.add_argument("--t", type=_int_list, default=[1], help="support thresholds, comma separated")
-    p.add_argument("--n", type=_int_list, default=[1], help="sample counts, comma separated")
+    integers = partial(_list_of, int)
+    p.add_argument("--t", type=integers, default=[1], help="support thresholds, comma separated")
+    p.add_argument("--n", type=integers, default=[1], help="sample counts, comma separated")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .decode import BaseCall, ReadEnsemble, StatePath
 from .io import atomic_write, tsv_rows
+from .kmers import STRANDS
 from .seeding import KmerIndex, chain_hits, collect_ensemble_kmers, find_hits
 from .shifts import smallest_orders
 
@@ -101,38 +102,38 @@ def build_windows(
     return windows
 
 
-def is_valid_hit(point, truth: tuple[int, int, str]) -> bool:
-    """Valid iff the left endpoint lies inside the interval on the same strand."""
+def is_valid_hit(points: np.ndarray, truth: tuple[int, int, str]) -> np.ndarray:
+    """Mask over hit rows: valid iff the left endpoint is inside the interval, on its strand."""
     start, end, strand = truth
-    return point.strand == strand and start <= point.ref_pos < end
+    return (points[:, 2] == STRANDS.index(strand)) & (start <= points[:, 1]) & (points[:, 1] < end)
 
 
-def greedy_dedup(points, radius: int = DEFAULT_DEDUP_RADIUS) -> list:
-    """Greedy cluster representatives of one window's invalid left endpoints.
+def greedy_dedup(points: np.ndarray, radius: int = DEFAULT_DEDUP_RADIUS) -> np.ndarray:
+    """Greedy cluster representatives of one window's invalid hit rows.
 
-    Points are SeedHits or plain ``(query_col, ref_pos)`` tuples, scanned in
-    (query_col, ref_pos) order; a point is kept unless an already-kept point is
-    within ``radius`` in BOTH coordinates. Strand is ignored: all of a window's
-    invalid points form one pool.
+    Rows are scanned in (query_col, ref_pos) order, ties in input order; a row
+    is kept unless a kept row is within ``radius`` in BOTH coordinates, strand
+    ignored. Two rows in one cell of side radius + 1 clash, so a cell holds at
+    most one kept row, and a row is tested only against the 9 cells around its
+    own, of which the 3 at the next query_col hold no kept row yet.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    order = sorted(points, key=lambda p: p[:2])
-    kept: list = []
-    kept_pos: list[tuple[int, int]] = []
-    for point in order:
-        q, r = point[:2]
-        clash = False
-        for sq, sr in reversed(kept_pos):
-            if sq < q - radius:
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
+    kept = []
+    for i, q, r in zip(order.tolist(), *points[order, :2].T.tolist()):
+        cq, cr = q // (radius + 1), r // (radius + 1)
+        if (cq, cr) in cells:
+            continue
+        for cell in ((cq - 1, cr - 1), (cq - 1, cr), (cq - 1, cr + 1), (cq, cr - 1), (cq, cr + 1)):
+            p = cells.get(cell)
+            if p is not None and abs(p[0] - q) <= radius and abs(p[1] - r) <= radius:
                 break
-            if abs(sq - q) <= radius and abs(sr - r) <= radius:
-                clash = True
-                break
-        if not clash:
-            kept.append(point)
-            kept_pos.append((q, r))
-    return kept
+        else:
+            cells[cq, cr] = q, r
+            kept.append(i)
+    return points[kept]
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,10 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in ("single", "chain"):
             raise ValueError(f"kind must be 'single' or 'chain', got {self.kind!r}")
+        if self.chain_len < 1:
+            raise ValueError(f"chain length must be >= 1, got {self.chain_len}")
+        if not 0 <= self.min_gap <= self.max_gap:
+            raise ValueError(f"need 0 <= min_gap <= max_gap, got [{self.min_gap}, {self.max_gap}]")
 
     @property
     def label(self) -> str:
@@ -180,14 +185,13 @@ class EvalRow:
 
 
 def window_points(window: Window, index: KmerIndex, config: StrategyConfig, t: int, n: int):
-    """The window's candidate left endpoints under a strategy: hits or chain heads."""
+    """The window's candidate left endpoints under a strategy: hit rows or chain heads."""
     rows = [window.viterbi] if config.use_viterbi else None
     kmers = collect_ensemble_kmers(window, config.seed_k, n, t, rows=rows)
     hits = find_hits(index, kmers)
     if config.kind == "single":
         return hits
-    chains = chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)
-    return [c[0] for c in chains]
+    return chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]
 
 
 def evaluate(
@@ -216,13 +220,15 @@ def sweep(
     single Viterbi row at (1, 1) for every grid point (t and n only label the
     row), so it serves as the fixed baseline. Ensemble points that cannot draw
     samples (n = 0, or t > n) score zero so the grid stays rectangular; a
-    t < 1 or n < 0 anywhere in the grid is rejected before any scoring.
+    t < 1 or n < 0 anywhere in the grid, or radius < 0, is rejected before any scoring.
     """
     if min(t_values, default=1) < 1 or min(n_values, default=0) < 0:
         raise ValueError(
             f"need every t >= 1 and n >= 0 (scored where 1 <= t <= n), "
             f"got t={list(t_values)}, n={list(n_values)}"
         )
+    if radius < 0:
+        raise ValueError(f"dedup radius must be >= 0, got {radius}")
     count = len(windows)
     scored: dict[tuple[int, int], tuple[int, int]] = {}
     rows: list[EvalRow] = []
@@ -234,9 +240,9 @@ def sweep(
                 if config.use_viterbi or not (n == 0 or t > n):
                     for window in windows:
                         points = window_points(window, index, config, *key)
-                        invalid = [p for p in points if not is_valid_hit(p, window.truth)]
-                        tp += len(invalid) < len(points)
-                        fp += len(greedy_dedup(invalid, radius))
+                        valid = is_valid_hit(points, window.truth)
+                        tp += bool(valid.any())
+                        fp += len(greedy_dedup(points[~valid], radius))
                 scored[key] = tp, fp
             tp, fp = scored[key]
             rows.append(

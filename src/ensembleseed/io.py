@@ -115,9 +115,14 @@ def number_array(values: list, kinds: str, name: str, where: str) -> np.ndarray:
 
 
 def write_fasta(path, records, width: int = 80) -> None:
-    """Write (name, sequence) pairs; names may carry a description after a space."""
+    """Write (name, sequence) pairs; names may carry a description after a space.
+
+    A line break in a name, or one or a ">" in a sequence, raises ValueError.
+    """
     with atomic_write(path) as fh:
         for name, seq in records:
+            if any(c in name for c in "\r\n") or any(c in seq for c in "\r\n>"):
+                raise ValueError(f"{path}: record {name!r} cannot be written as FASTA")
             fh.write(f">{name}\n")
             for start in range(0, len(seq), width):
                 fh.write(seq[start : start + width] + "\n")

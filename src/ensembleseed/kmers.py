@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 BASES = "ACGT"
+STRANDS = ("+", "-")  # hit rows hold the index; a tuple, as "" in "+-" is True
 _BASE_TO_CODE = {b: i for i, b in enumerate(BASES)}
 _COMPLEMENT = str.maketrans("ACGTacgt", "TGCAtgca")
 

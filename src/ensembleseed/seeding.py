@@ -10,30 +10,21 @@ support threshold t and a dedup radius make sense at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .decode import BaseCall
-from .kmers import kmer_codes, reverse_complement
+from .kmers import STRANDS, kmer_codes, reverse_complement
 
 _LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
 _PAIRS = 1 << 18  # (hit, column) pairs a chaining step tests: bounds memory on dense hits
-
-
-class SeedHit(NamedTuple):
-    """Left endpoints of a seed match: event column in the query, offset in the reference."""
-
-    query_col: int
-    ref_pos: int
-    strand: str
 
 
 @dataclass
 class KmerIndex:
     """All k-mer occurrences of both reference strands, as sorted integer keys.
 
-    ``positions`` maps each strand ("+", "-") to a sorted ``uint64`` array of
+    ``positions`` maps each strand of ``STRANDS`` to a sorted ``uint64`` array of
     ``code << 32 | offset`` keys, codes being those of ``kmers.kmer_codes``.
     Reverse-strand offsets are the forward coordinate of the match's left
     endpoint, so hit positions from either strand live on one axis.
@@ -53,7 +44,7 @@ def build_index(reference: str, k: int) -> KmerIndex:
     if len(reference) >= 2**32:
         raise ValueError(f"reference of {len(reference)} bases exceeds 32-bit offsets")
     positions = {}
-    for strand, seq in (("+", reference), ("-", reverse_complement(reference))):
+    for strand, seq in zip(STRANDS, (reference, reverse_complement(reference))):
         codes = kmer_codes(seq, k)
         offsets = np.arange(codes.size)
         if strand == "-":  # revcomp offset j covers forward bases [L-j-k, L-j)
@@ -125,8 +116,8 @@ def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) + (lo - np.cumsum(count) + count)[owner]
 
 
-def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
-    """One hit per (event column, reference position, strand), sorted."""
+def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> np.ndarray:
+    """One sorted int64 row ``(query_col, ref_pos, strand index in STRANDS)`` per hit."""
     if index.k != kmers.k:
         raise ValueError(f"index k={index.k} does not match ensemble k={kmers.k}")
     cols, codes = np.divmod(kmers.keys, 4**kmers.k)
@@ -135,21 +126,20 @@ def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> list[SeedHit]:
     # a code's keys lie in [low, low | _LOW): no offset reaches _LOW
     bounds = np.stack([low, low | _LOW], axis=1)
     parts = []
-    for s, strand in enumerate("+-"):
+    for s, strand in enumerate(STRANDS):
         keys = index.positions[strand]
         lo, hi = np.searchsorted(keys, bounds).T
         owner, at = _ranges(lo, hi - lo)
-        parts.append((cols[owner], keys[at] & _LOW, np.full(owner.size, s)))
-    col, offset, strand = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((strand, offset, col))
-    strands = np.where(strand[order], "-", "+").tolist()
-    return list(map(SeedHit, col[order].tolist(), offset[order].tolist(), strands))
+        offset = (keys[at] & _LOW).astype(np.int64)
+        parts.append(np.stack([cols[owner], offset, np.full(owner.size, s)], axis=1))
+    hits = np.concatenate(parts)
+    return hits[np.lexsort(hits.T[::-1])]
 
 
 def chain_hits(
-    hits: list[SeedHit], length: int = 3, min_gap: int = 10, max_gap: int = 50
-) -> list[tuple[SeedHit, ...]]:
-    """All maximal-credit chains, one per distinct leftmost hit.
+    hits: np.ndarray, length: int = 3, min_gap: int = 10, max_gap: int = 50
+) -> np.ndarray:
+    """All maximal-credit chains of ``find_hits`` rows, one per distinct leftmost hit.
 
     A chain is ``length`` same-strand hits with strictly increasing coordinates
     in the match's own frame, adjacent start distances in [min_gap, max_gap] on
@@ -157,8 +147,8 @@ def chain_hits(
     left endpoints, so colinear reverse-strand matches run right to left on the
     reference: for a "-" pool the reference distance is taken in walk
     direction, earlier minus later. When several chains share a leftmost hit
-    only one (the lexicographically first) is kept. Each chain is the tuple of
-    its hits, and chains come sorted by leftmost hit.
+    only one (the lexicographically first) is kept. Returns a
+    ``(chains, length, 3)`` array of hit rows, sorted by leftmost hit.
     """
     if length < 1:
         raise ValueError(f"chain length must be >= 1, got {length}")
@@ -166,12 +156,10 @@ def chain_hits(
         raise ValueError(f"need 0 <= min_gap <= max_gap, got [{min_gap}, {max_gap}]")
 
     least = max(min_gap, 1)  # coordinates strictly increase along a chain
-    if not hits:
-        return []
-    chains: list[tuple[SeedHit, ...]] = []
-    cols, refs, strands = (np.array(v) for v in zip(*hits))
-    for strand, sign in (("+", 1), ("-", -1)):
-        pool = np.flatnonzero(strands == strand)
+    parts = []
+    cols, refs, strands = hits.T
+    for s, sign in enumerate((1, -1)):  # STRANDS order: "+" walks right, "-" left
+        pool = np.flatnonzero(strands == s)
         col, walk = cols[pool], sign * refs[pool]  # walk: reference in the match's direction
         # One key per distinct hit, sorted as (column, walk) is, so a search for
         # a column and a walk coordinate finds that column's first hit at or past it.
@@ -209,6 +197,6 @@ def chain_hits(
         members = [alive]
         for survivors, successor in reversed(steps):
             members.append(successor[np.searchsorted(survivors, members[-1])])
-        chains += zip(*([hits[i] for i in pool[m].tolist()] for m in members))
-    chains.sort(key=lambda c: c[0])
-    return chains
+        parts.append(hits[pool[np.stack(members, axis=1)]])
+    chains = np.concatenate(parts)
+    return chains[np.lexsort(chains[:, 0].T[::-1])]

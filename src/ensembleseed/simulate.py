@@ -23,7 +23,7 @@ import numpy as np
 
 from .decode import StatePath, path_log_joint, path_to_sequence
 from .io import atomic_write, jsonl_records, number_array, tsv_rows
-from .kmers import BASES, kmer_codes, reverse_complement
+from .kmers import BASES, STRANDS, kmer_codes, reverse_complement
 from .pore_model import EventSequence, Hmm, PoreModel, ReadScaling
 from .shifts import edge_table
 
@@ -39,8 +39,6 @@ VAR_JITTER = (0.9, 1.1)
 DEGRADED_FRACTION = 0.15
 DEGRADED_VAR = (1.6, 2.0)
 DEFAULT_CORPUS_SEED = 20260817
-
-STRANDS = ("+", "-")
 
 _MAX_WALK_RETRIES = 200
 

@@ -7,7 +7,7 @@ formulas, no shared code with the package beyond plain dataclass fields.
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 
@@ -197,6 +197,43 @@ def anchor_kmers(row, event_offsets, k, gap="-"):
         if base_prefix[c + 1] > start and start + k <= len(bases):
             out[c] = bases[start : start + k]
     return out
+
+
+Hit = namedtuple("Hit", "query_col ref_pos strand")
+
+
+def as_hits(rows):
+    """``Hit`` tuples of ``(query_col, ref_pos, strand)`` rows, strand 0 read as "+", 1 as "-"."""
+    return [Hit(q, r, "+-"[s]) for q, r, s in np.asarray(rows).reshape(-1, 3).tolist()]
+
+
+def hit_rows(hits):
+    """The int64 rows of ``(query_col, ref_pos, strand)`` tuples, "+" stored as 0, "-" as 1."""
+    return np.array([(q, r, "+-".index(s)) for q, r, s in hits], dtype=np.int64).reshape(-1, 3)
+
+
+def loop_dedup(points, radius):
+    """Greedy dedup by scanning every kept point: the first version.
+
+    Points are scanned in (query_col, ref_pos) order, ties in input order; a
+    point is kept unless an already-kept point is within ``radius`` in both
+    coordinates. Returns the kept points.
+    """
+    kept = []
+    kept_pos = []
+    for point in sorted(points, key=lambda p: tuple(p[:2])):
+        q, r = point[:2]
+        clash = False
+        for sq, sr in reversed(kept_pos):
+            if sq < q - radius:
+                break
+            if abs(sq - q) <= radius and abs(sr - r) <= radius:
+                clash = True
+                break
+        if not clash:
+            kept.append(point)
+            kept_pos.append((q, r))
+    return kept
 
 
 def chain_triples(hits, min_gap, max_gap):

@@ -13,7 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import aggregate_prob, chain_triples, index_entries, normal_pdf, path_index
+from _oracles import (
+    Hit,
+    aggregate_prob,
+    as_hits,
+    chain_triples,
+    hit_rows,
+    index_entries,
+    normal_pdf,
+    path_index,
+)
 from conftest import record_criterion
 from ensembleseed import forward, make_hmm, path_to_sequence, sample_paths, viterbi
 from ensembleseed.cli import main as cli_main
@@ -206,12 +215,12 @@ def test_criterion_06_seeding_oracles():
         scan_ok &= naive == {decode_kmer(code, k): v for code, v in index_entries(index).items()}
 
     rng = np.random.default_rng(2718)
-    from ensembleseed.seeding import SeedHit, chain_hits
+    from ensembleseed.seeding import chain_hits
 
     chain_ok = True
     hits = list(
         {
-            SeedHit(
+            Hit(
                 int(rng.integers(0, 130)),
                 int(rng.integers(0, 320)),
                 "+" if rng.random() < 0.5 else "-",
@@ -220,8 +229,8 @@ def test_criterion_06_seeding_oracles():
         }
     )
     got = {
-        (c[0].query_col, c[0].ref_pos, c[0].strand)
-        for c in chain_hits(hits, length=3, min_gap=10, max_gap=50)
+        (c.query_col, c.ref_pos, c.strand)
+        for c in as_hits(chain_hits(hit_rows(hits), length=3, min_gap=10, max_gap=50)[:, 0])
     }
     want = {
         (t[0].query_col, t[0].ref_pos, t[0].strand)
@@ -229,9 +238,10 @@ def test_criterion_06_seeding_oracles():
     }
     chain_ok &= got == want
 
-    dedup_ok = greedy_dedup([(0, 0), (5, 5), (20, 20)], radius=10) == [(0, 0), (20, 20)]
-    dedup_ok &= len(greedy_dedup([(0, 0), (5, 500)], radius=10)) == 2
-    dedup_ok &= greedy_dedup([], radius=10) == []
+    kept = greedy_dedup(np.array([(0, 0), (5, 5), (20, 20)]), radius=10)
+    dedup_ok = kept.tolist() == [[0, 0], [20, 20]]
+    dedup_ok &= len(greedy_dedup(np.array([(0, 0), (5, 500)]), radius=10)) == 2
+    dedup_ok &= greedy_dedup(np.empty((0, 3), dtype=np.int64), radius=10).tolist() == []
 
     ok = scan_ok and chain_ok and dedup_ok
     record_criterion(
@@ -312,7 +322,7 @@ def test_criterion_09_monotone_and_reproducible(pinned_corpus, tmp_path):
     dedup_ok = True
     for window in pinned_corpus.windows[:60]:
         points = window_points(window, pinned_corpus.index13, SINGLE_13, 1, 8)
-        invalid = [p for p in points if not is_valid_hit(p, window.truth)]
+        invalid = points[~is_valid_hit(points, window.truth)]
         dedup_ok &= len(greedy_dedup(invalid)) <= len(invalid)
 
     reports = []

@@ -159,6 +159,60 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
     assert not (out / "report.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--chain-len", 0], "chain length must be >= 1, got 0"),
+        (["--min-gap", 20, "--max-gap", 10], "need 0 <= min_gap <= max_gap, got [20, 10]"),
+        (["--min-gap", -1], "need 0 <= min_gap <= max_gap, got [-1, 50]"),
+    ],
+)
+def test_eval_checks_strategy_flags_before_loading_calls(
+    pipeline, tmp_path, capsys, monkeypatch, flags, message
+):
+    """Rejected even when the window is longer than every read, so no window is scored."""
+    _, sim, _, calls = pipeline
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eval loaded base calls before checking the strategy flags")
+
+    monkeypatch.setattr(cli, "load_basecalls", unreachable)
+    out = tmp_path / "out"
+    rc = run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 5000, *flags, "--out-dir", out,
+    )
+    assert rc == 2
+    assert f"ensembleseed eval: {message}" in capsys.readouterr().err
+    assert not (out / "report.tsv").exists()
+
+
+def test_eval_rejects_a_negative_dedup_radius_with_no_window_scored(pipeline, tmp_path, capsys):
+    _, sim, _, calls = pipeline
+    out = tmp_path / "out"
+    rc = run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 5000, "--dedup-radius", -1, "--out-dir", out,
+    )
+    assert rc == 2
+    assert "ensembleseed eval: dedup radius must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "report.tsv").exists()
+
+
+def test_simulate_rejects_an_empty_order_probs_list(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("simulate", "--model-k", 3, "--order-probs", ",", "--out-dir", out)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --order-probs: expected at least one number, got ','" in err
+    assert not out.exists()
+
+
 def test_eval_checks_n_against_the_calls_before_any_index(pipeline, tmp_path, capsys, monkeypatch):
     """The pipeline's calls hold 3 samples per read; n=4 fails before windows or indexes."""
     _, sim, _, calls = pipeline

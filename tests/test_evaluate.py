@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from _corpus import alignment_identity, levenshtein
-from _oracles import edit_distance
+from _oracles import Hit, edit_distance, hit_rows, loop_dedup
 import ensembleseed.evaluate as evaluate_module
 from ensembleseed.decode import BaseCall, ReadEnsemble, StatePath, path_to_sequence
 from ensembleseed.evaluate import (
@@ -23,7 +24,7 @@ from ensembleseed.evaluate import (
 )
 from ensembleseed.kmers import reverse_complement
 from ensembleseed.pore_model import make_hmm
-from ensembleseed.seeding import SeedHit, build_index
+from ensembleseed.seeding import build_index
 from ensembleseed.simulate import simulate_corpus, synthetic_pore_model
 
 
@@ -130,38 +131,65 @@ class TestBuildWindows:
 
 def test_is_valid_hit():
     truth = (100, 110, "+")
-    assert is_valid_hit(SeedHit(0, 100, "+"), truth)
-    assert is_valid_hit(SeedHit(0, 109, "+"), truth)
-    assert not is_valid_hit(SeedHit(0, 110, "+"), truth)  # half-open end
-    assert not is_valid_hit(SeedHit(0, 99, "+"), truth)
-    assert not is_valid_hit(SeedHit(0, 105, "-"), truth)  # wrong strand
+    hits = [Hit(0, 100, "+"), Hit(0, 109, "+"), Hit(0, 110, "+"), Hit(0, 99, "+")]
+    valid = is_valid_hit(hit_rows(hits + [Hit(0, 105, "-")]), truth)
+    assert valid[0]
+    assert valid[1]
+    assert not valid[2]  # half-open end
+    assert not valid[3]
+    assert not valid[4]  # wrong strand
+
+
+def dedup(points, radius):
+    """``greedy_dedup`` on the int64 rows of ``points``, the kept rows read back as tuples."""
+    return list(map(tuple, greedy_dedup(np.array(points, dtype=np.int64), radius).tolist()))
 
 
 class TestGreedyDedup:
     def test_collinear_cluster(self):
-        kept = greedy_dedup([(0, 0), (5, 5), (20, 20)], radius=10)
+        kept = dedup([(0, 0), (5, 5), (20, 20)], radius=10)
         assert kept == [(0, 0), (20, 20)]
 
     def test_both_coordinates_must_be_close(self):
         # second coordinate far apart: no suppression
-        assert len(greedy_dedup([(0, 0), (5, 500)], radius=10)) == 2
+        assert len(dedup([(0, 0), (5, 500)], radius=10)) == 2
 
     def test_input_order_does_not_matter(self):
         pts = [(20, 20), (0, 0), (5, 5)]
-        assert greedy_dedup(pts, radius=10) == [(0, 0), (20, 20)]
+        assert dedup(pts, radius=10) == [(0, 0), (20, 20)]
 
     def test_accepts_seed_hits(self):
-        pts = [SeedHit(0, 0, "+"), SeedHit(5, 5, "-"), SeedHit(20, 20, "+")]
+        pts = hit_rows([Hit(0, 0, "+"), Hit(5, 5, "-"), Hit(20, 20, "+")])
         kept = greedy_dedup(pts, radius=10)
         assert len(kept) == 2  # strand plays no role in clustering
 
     def test_zero_radius(self):
         pts = [(1, 1), (1, 1), (2, 1)]
-        assert len(greedy_dedup(pts, radius=0)) == 2
+        assert len(dedup(pts, radius=0)) == 2
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
-            greedy_dedup([], radius=-1)
+            greedy_dedup(np.empty((0, 3), dtype=np.int64), radius=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 40) | st.integers(0, 10**6), st.integers(0, 1)),
+        max_size=300,
+    ),
+    radius=st.integers(0, 12),
+)
+@example(points=[(3, 3, 1), (3, 3, 0), (3, 4, 0), (4, 3, 1)], radius=0)
+def test_grid_dedup_matches_the_loop(points, radius):
+    """Same kept rows as scanning every kept point; duplicates and dense clusters included.
+
+    Points that share (query_col, ref_pos) differ in strand, so the kept row
+    shows that ties are scanned in input order.
+    """
+    kept = greedy_dedup(np.array(points, dtype=np.int64).reshape(-1, 3), radius)
+    assert kept.dtype == np.int64
+    assert kept.tolist() == [list(p) for p in loop_dedup(points, radius)]
 
 
 def test_eval_row_validation():
@@ -209,9 +237,8 @@ def test_window_points_viterbi_mode_ignores_samples(scored_corpus):
     index = build_index(ref, 13)
     win = windows[0]
     pts = window_points(win, index, SINGLE_13_VITERBI, t=1, n=1)
-    assert pts, "true-path viterbi row must hit its own reference"
-    for p in pts:
-        assert isinstance(p, SeedHit)
+    assert len(pts), "true-path viterbi row must hit its own reference"
+    assert pts.dtype == np.int64 and pts.shape == (len(pts), 3)
 
 
 def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):

@@ -169,6 +169,42 @@ def valid_files(tmp_path_factory):
     }
 
 
+@st.composite
+def fasta_records_case(draw):
+    """Names with and without a description, sequences of lengths around the 80-column wrap."""
+    name = st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        header = draw(name)
+        if draw(st.booleans()):
+            header += " " + draw(name)
+        length = draw(st.sampled_from([0, 1, 79, 80, 81, 159, 160, 161]) | st.integers(0, 250))
+        seq = draw(st.text(st.sampled_from("ACGTNacgtn"), min_size=length, max_size=length))
+        records.append((header, seq))
+    return records
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(records=fasta_records_case())
+def test_fasta_round_trip(tmp_path, records):
+    path = tmp_path / "round_trip.fasta"
+    write_fasta(path, records)
+    assert read_fasta(path) == records
+
+
+@pytest.mark.parametrize(
+    "record",
+    [("a\nb", "ACGT"), ("a\rb", "ACGT"), ("r", "AC\nGT"), ("r", "AC\rGT"), ("r", "A>C")],
+)
+def test_write_fasta_rejects_a_record_it_cannot_read_back(tmp_path, record):
+    path = tmp_path / "bad.fasta"
+    with pytest.raises(ValueError, match="cannot be written as FASTA"):
+        write_fasta(path, [("ok", "ACGT"), record])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "name",
     ["pore", "events", "truth", "true_paths", "per_order", "per_transition", "report", "spans"],

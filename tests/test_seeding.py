@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
+    Hit,
     anchor_kmers,
+    as_hits,
     chain_triples,
+    hit_rows,
     index_entries,
     reach_chains,
     scan_kmer_positions,
@@ -16,7 +19,6 @@ from ensembleseed.decode import BaseCall
 from ensembleseed.kmers import decode_kmer, encode_kmer, reverse_complement
 from ensembleseed.seeding import (
     EnsembleKmers,
-    SeedHit,
     build_index,
     chain_hits,
     collect_ensemble_kmers,
@@ -39,6 +41,13 @@ def ensemble(k, per_column):
 def call(*pieces):
     """A base call whose events emitted ``pieces`` in order."""
     return BaseCall("".join(pieces), [len(p) for p in pieces])
+
+
+def chains_of(hits, *args, **kwargs):
+    """``chain_hits`` on the rows of ``Hit`` tuples, each chain read back as a tuple of them."""
+    chains = chain_hits(hit_rows(hits), *args, **kwargs)
+    assert chains.dtype == np.int64 and chains.ndim == 3 and chains.shape[2] == 3
+    return [tuple(as_hits(c)) for c in chains]
 
 
 class TestBuildIndex:
@@ -174,7 +183,7 @@ class TestFindHits:
         hits = find_hits(idx, kmers)
         for col, kmer in ((0, ref[10:15]), (7, ref[100:105])):
             want = {(col, pos, strand) for pos, strand in scan_kmer_positions(ref, kmer)}
-            got = {(h.query_col, h.ref_pos, h.strand) for h in hits if h.query_col == col}
+            got = {(h.query_col, h.ref_pos, h.strand) for h in as_hits(hits) if h.query_col == col}
             assert got == want
 
     def test_k_mismatch(self):
@@ -188,7 +197,8 @@ class TestFindHits:
         acac = encode_kmer("ACAC")
         kmers = ensemble(4, {0: [acac], 3: [acac]})
         hits = find_hits(idx, kmers)
-        keys = [(h.query_col, h.ref_pos, h.strand) for h in hits]
+        assert hits.dtype == np.int64 and hits.shape == (len(hits), 3)
+        keys = [(h.query_col, h.ref_pos, h.strand) for h in as_hits(hits)]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
@@ -228,7 +238,7 @@ def test_index_lookup_matches_reference_scan(case):
         encode_kmer(kmer): scan_kmer_positions(reference, kmer) for kmer in indexed
     }
     hits = find_hits(index, ensemble(k, {col: [encode_kmer(q)] for col, q in enumerate(queries)}))
-    assert hits == [
+    assert as_hits(hits) == [
         (col, pos, strand)
         for col, kmer in enumerate(queries)
         for pos, strand in scan_kmer_positions(reference, kmer)
@@ -237,56 +247,58 @@ def test_index_lookup_matches_reference_scan(case):
 
 class TestChainHits:
     def test_forward_example(self):
-        hits = [SeedHit(0, 100, "+"), SeedHit(15, 118, "+"), SeedHit(32, 140, "+")]
-        chains = chain_hits(hits)
+        hits = [Hit(0, 100, "+"), Hit(15, 118, "+"), Hit(32, 140, "+")]
+        chains = chains_of(hits)
         assert len(chains) == 1
-        assert chains[0][0] == SeedHit(0, 100, "+")
+        assert chains[0][0] == Hit(0, 100, "+")
+        assert chain_hits(hit_rows(hits)).shape == (1, 3, 3)
+        assert chain_hits(hit_rows([]), length=4).shape == (0, 4, 3)
 
     def test_gap_bounds_enforced(self):
-        base = [SeedHit(0, 100, "+"), SeedHit(15, 118, "+")]
-        assert chain_hits(base + [SeedHit(70, 140, "+")]) == []  # query gap 55 > 50
-        assert chain_hits(base + [SeedHit(32, 170, "+")]) == []  # ref gap 52 > 50
-        assert chain_hits(base + [SeedHit(24, 125, "+")]) == []  # ref gap 7 < 10
+        base = [Hit(0, 100, "+"), Hit(15, 118, "+")]
+        assert chains_of(base + [Hit(70, 140, "+")]) == []  # query gap 55 > 50
+        assert chains_of(base + [Hit(32, 170, "+")]) == []  # ref gap 52 > 50
+        assert chains_of(base + [Hit(24, 125, "+")]) == []  # ref gap 7 < 10
 
     def test_reverse_strand_chains_run_backwards_on_reference(self):
         """A minus-strand walk advances leftwards in forward coordinates."""
-        dec = [SeedHit(0, 200, "-"), SeedHit(15, 182, "-"), SeedHit(32, 160, "-")]
-        chains = chain_hits(dec)
+        dec = [Hit(0, 200, "-"), Hit(15, 182, "-"), Hit(32, 160, "-")]
+        chains = chains_of(dec)
         assert len(chains) == 1
-        assert chains[0][0] == SeedHit(0, 200, "-")
+        assert chains[0][0] == Hit(0, 200, "-")
         # the same shape with ascending reference positions cannot chain on "-"
-        inc = [SeedHit(0, 100, "-"), SeedHit(15, 118, "-"), SeedHit(32, 140, "-")]
-        assert chain_hits(inc) == []
+        inc = [Hit(0, 100, "-"), Hit(15, 118, "-"), Hit(32, 140, "-")]
+        assert chains_of(inc) == []
 
     def test_strands_do_not_mix(self):
-        hits = [SeedHit(0, 100, "+"), SeedHit(15, 118, "-"), SeedHit(32, 140, "+")]
-        assert chain_hits(hits) == []
+        hits = [Hit(0, 100, "+"), Hit(15, 118, "-"), Hit(32, 140, "+")]
+        assert chains_of(hits) == []
 
     def test_one_chain_per_leftmost(self):
         hits = [
-            SeedHit(0, 100, "+"),
-            SeedHit(15, 118, "+"),
-            SeedHit(15, 120, "+"),
-            SeedHit(32, 140, "+"),
+            Hit(0, 100, "+"),
+            Hit(15, 118, "+"),
+            Hit(15, 120, "+"),
+            Hit(32, 140, "+"),
         ]
-        chains = chain_hits(hits)
+        chains = chains_of(hits)
         assert len(chains) == 1
         # lexicographically first witness: the (15, 118) middle hit
-        assert chains[0][1] == SeedHit(15, 118, "+")
+        assert chains[0][1] == Hit(15, 118, "+")
 
     def test_duplicate_hits_collapse(self):
-        hits = [SeedHit(0, 100, "+"), SeedHit(0, 100, "+"), SeedHit(15, 118, "+"),
-                SeedHit(32, 140, "+")]
-        assert len(chain_hits(hits)) == 1
+        hits = [Hit(0, 100, "+"), Hit(0, 100, "+"), Hit(15, 118, "+"),
+                Hit(32, 140, "+")]
+        assert len(chains_of(hits)) == 1
 
     def test_length_one_and_validation(self):
-        hits = [SeedHit(4, 9, "+")]
-        chains = chain_hits(hits, length=1)
-        assert chains == [(SeedHit(4, 9, "+"),)]
+        hits = [Hit(4, 9, "+")]
+        chains = chains_of(hits, length=1)
+        assert chains == [(Hit(4, 9, "+"),)]
         with pytest.raises(ValueError):
-            chain_hits(hits, length=0)
+            chains_of(hits, length=0)
         with pytest.raises(ValueError):
-            chain_hits(hits, min_gap=20, max_gap=10)
+            chains_of(hits, min_gap=20, max_gap=10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force_triples(self, seed):
@@ -295,7 +307,7 @@ class TestChainHits:
         count = int(rng.integers(40, 120))
         hits = list(
             {
-                SeedHit(
+                Hit(
                     int(rng.integers(0, 120)),
                     int(rng.integers(0, 300)),
                     "+" if rng.random() < 0.5 else "-",
@@ -303,7 +315,7 @@ class TestChainHits:
                 for _ in range(count)
             }
         )
-        got = chain_hits(hits, length=3, min_gap=10, max_gap=50)
+        got = chains_of(hits, length=3, min_gap=10, max_gap=50)
         triples = chain_triples(hits, 10, 50)
         want_leftmost = {(t[0].query_col, t[0].ref_pos, t[0].strand) for t in triples}
         got_leftmost = {(c[0].query_col, c[0].ref_pos, c[0].strand) for c in got}
@@ -319,10 +331,10 @@ def test_chaining_in_one_column_steps_matches_reach_traceback(monkeypatch):
     """A budget of one (hit, column) pair per step tests each hit's columns one at a time."""
     rng = np.random.default_rng(5)
     cols, refs = rng.integers(0, 200, 600).tolist(), rng.integers(0, 400, 600).tolist()
-    hits = list(map(SeedHit, cols, refs, rng.choice(["+", "-"], 600).tolist()))
+    hits = list(map(Hit, cols, refs, rng.choice(["+", "-"], 600).tolist()))
     monkeypatch.setattr(seeding, "_PAIRS", 1)
     for length in (2, 3, 4):
-        assert chain_hits(hits, length) == reach_chains(hits, length, 10, 50)
+        assert chains_of(hits, length) == reach_chains(hits, length, 10, 50)
 
 
 @st.composite
@@ -339,10 +351,10 @@ def chain_instances(draw):
     hits = []
     for strand, q, r, steps in draw(st.lists(run, max_size=12)):
         sign = 1 if strand == "+" else -1
-        hits.append(SeedHit(q, r, strand))
+        hits.append(Hit(q, r, strand))
         for dq, dr in steps:
             q, r = q + dq, r + sign * dr
-            hits.append(SeedHit(q, r, strand))
+            hits.append(Hit(q, r, strand))
     return hits, length, min_gap, max_gap
 
 
@@ -351,5 +363,5 @@ def chain_instances(draw):
 def test_chain_hits_match_reach_traceback(case):
     """Same chains, same hits in each and same order as longest reach plus traceback."""
     hits, length, min_gap, max_gap = case
-    got = chain_hits(hits, length, min_gap, max_gap)
+    got = chains_of(hits, length, min_gap, max_gap)
     assert got == reach_chains(hits, length, min_gap, max_gap)
