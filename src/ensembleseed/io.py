@@ -117,17 +117,19 @@ def number_array(values: list, kinds: str, name: str, where: str) -> np.ndarray:
 def write_fasta(path, records, width: int = 80) -> None:
     """Write (name, sequence) pairs; names may carry a description after a space.
 
-    A line break in a name, or one or a ">" in a sequence, raises ValueError.
+    A line break in a name, one or a ">" in a sequence, or a character the
+    file's encoding cannot hold (a lone surrogate, say) raises ValueError.
     """
     with atomic_write(path) as fh:
         for name, seq in records:
+            unwritable = f"{path}: record {name!r} cannot be written as FASTA"
             if any(c in name for c in "\r\n") or any(c in seq for c in "\r\n>"):
-                raise ValueError(f"{path}: record {name!r} cannot be written as FASTA")
-            fh.write(f">{name}\n")
-            for start in range(0, len(seq), width):
-                fh.write(seq[start : start + width] + "\n")
-            if not seq:
-                fh.write("\n")
+                raise ValueError(unwritable)
+            lines = [seq[start : start + width] for start in range(0, len(seq), width)]
+            try:
+                fh.write(f">{name}\n" + "\n".join(lines or [""]) + "\n")
+            except UnicodeEncodeError as err:
+                raise ValueError(unwritable) from err
 
 
 def fasta_records(path):

@@ -172,7 +172,9 @@ def valid_files(tmp_path_factory):
 @st.composite
 def fasta_records_case(draw):
     """Names with and without a description, sequences of lengths around the 80-column wrap."""
-    name = st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
+    name = st.text(
+        st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)), max_size=12
+    )
     records = []
     for _ in range(draw(st.integers(0, 4))):
         header = draw(name)
@@ -196,7 +198,15 @@ def test_fasta_round_trip(tmp_path, records):
 
 @pytest.mark.parametrize(
     "record",
-    [("a\nb", "ACGT"), ("a\rb", "ACGT"), ("r", "AC\nGT"), ("r", "AC\rGT"), ("r", "A>C")],
+    [
+        ("a\nb", "ACGT"),
+        ("a\rb", "ACGT"),
+        ("r", "AC\nGT"),
+        ("r", "AC\rGT"),
+        ("r", "A>C"),
+        ("\ud800", "ACGT"),
+        ("r", "AC\udc80GT"),
+    ],
 )
 def test_write_fasta_rejects_a_record_it_cannot_read_back(tmp_path, record):
     path = tmp_path / "bad.fasta"
