@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .decode import (
     ReadEnsemble,
+    emission_log_matrix,
     forward,
     path_to_sequence,
     sample_paths,
@@ -33,6 +34,7 @@ from .evaluate import (
     SINGLE_13,
     StrategyConfig,
     build_windows,
+    check_grid,
     load_report,
     sweep,
     write_points,
@@ -172,10 +174,12 @@ def cmd_basecall(args) -> int:
 
     def call(pair) -> ReadEnsemble:
         ev, stream = pair
-        vit = viterbi(hmm, ev)
+        logpdf = emission_log_matrix(hmm, ev)
+        vit = viterbi(hmm, ev, logpdf)
         samples = []
         if args.n > 0:
-            fwd = forward(hmm, ev)
+            fwd = forward(hmm, ev, logpdf)
+            del logpdf  # frees its room for the traceback's (n, events) arrays
             samples = sample_paths(hmm, ev, fwd, args.n, seed=stream)
         return ReadEnsemble(
             read_id=ev.read_id,
@@ -209,6 +213,7 @@ def _strategies(args) -> list[StrategyConfig]:
 
 def cmd_eval(args) -> int:
     strategies = _strategies(args)
+    check_grid(args.t, args.n, args.dedup_radius)
     _ensure_out_dir(args.out_dir)
     records = read_fasta(args.reference)
     if len(records) != 1:

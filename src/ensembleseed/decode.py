@@ -3,7 +3,8 @@
 The forward pass keeps each column rescaled to sum 1 (log-space would lose the
 within-column ratios that traceback sampling needs); Viterbi runs in log space.
 Both work on the shift structure of the state graph (see ``shifts``), so the
-cost per event is O(m * out_degree) rather than O(m^2).
+cost per event is O(m * out_degree) rather than O(m^2), and about O(m) per
+order under a per-order model, whose order-j edges all share one weight.
 """
 
 from __future__ import annotations
@@ -97,20 +98,34 @@ def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
     return -0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi))[None, :]
 
 
-def forward(hmm: Hmm, events: EventSequence) -> ForwardMatrix:
+def _emission(hmm: Hmm, events: EventSequence, logpdf) -> np.ndarray:
+    """``logpdf`` checked against the read and model, or computed when None."""
+    if logpdf is None:
+        return emission_log_matrix(hmm, events)
+    if logpdf.shape != (len(events), hmm.num_states):
+        raise ValueError(
+            f"read {events.read_id!r}: emission matrix has shape {logpdf.shape}, "
+            f"need ({len(events)}, {hmm.num_states})"
+        )
+    return logpdf
+
+
+def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
     """Scaled forward pass from a uniform start over all states.
 
-    Raises ValueError naming the read and event when a column has no finite,
-    positive mass, as when no state reachable from the previous column can
-    emit the event.
+    ``logpdf`` is the read's ``emission_log_matrix``, computed here when not
+    given. Raises ValueError naming the read and event when a column has no
+    finite, positive mass, as when no state reachable from the previous
+    column can emit the event.
     """
-    logpdf = emission_log_matrix(hmm, events)
+    logpdf = _emission(hmm, events, logpdf)
     n, m = logpdf.shape
     col_max = logpdf.max(axis=1)
     eprob = np.exp(logpdf - col_max[:, None])
 
     trans = hmm.transitions
     tables, k = trans.tables, trans.k
+    per_order = trans.mode == "per-order"
 
     columns = np.empty((n, m))
     log_sf = np.empty(n)
@@ -124,8 +139,16 @@ def forward(hmm: Hmm, events: EventSequence) -> ForwardMatrix:
             prev = columns[i - 1]
             raw = tables[0] * prev
             for j in range(1, trans.max_shift + 1):
-                # Summing out x's dropped bases lands each edge's mass on its target.
-                raw += by_dropped_bases(prev[:, None] * tables[j], k, j).sum(axis=0).reshape(m)
+                if per_order and j < k:
+                    # Every order-j edge weighs w_j, so each x = a*4**(k-j) + s sends
+                    # the same mass to all targets s*4**j + b. Multiplying before
+                    # summing over a keeps the gather's products and their order
+                    # (at j = k the (4**k, 1) view would be summed pairwise).
+                    shared = (prev * tables[j].flat[0]).reshape(4**j, 4 ** (k - j)).sum(axis=0)
+                    raw.reshape(4 ** (k - j), 4**j)[...] += shared[:, None]
+                else:
+                    # Summing out x's dropped bases lands each edge's mass on its target.
+                    raw += by_dropped_bases(prev[:, None] * tables[j], k, j).sum(axis=0).reshape(m)
             raw *= eprob[i]
             total = raw.sum()
             columns[i] = raw / total
@@ -138,32 +161,67 @@ def forward(hmm: Hmm, events: EventSequence) -> ForwardMatrix:
     return ForwardMatrix(columns=columns, log_scale_factors=log_sf)
 
 
-def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
-    """Most probable state path; ties break toward the lowest state id."""
-    logpdf = emission_log_matrix(hmm, events)
+def _best_incoming(scores: np.ndarray, log_w: np.ndarray, k: int) -> np.ndarray:
+    """Best score arriving at every state when every order-j edge weighs w_j.
+
+    Order j's predecessors of y = s*4**j + b are a*4**(k-j) + s for every a,
+    so one max over a serves all 4**j targets sharing s. The best over orders
+    j and up depends on y >> 2j alone, so orders fold in from the highest down.
+    """
+    top = None
+    for j in range(len(log_w) - 1, -1, -1):
+        best = (scores + log_w[j]).reshape(4**j, 4 ** (k - j)).max(axis=0)
+        top = best if top is None else np.maximum(best.reshape(-1, 4), top[:, None]).ravel()
+    return top
+
+
+def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
+    """Most probable state path; ties break toward the lowest state id.
+
+    ``logpdf`` is the read's ``emission_log_matrix``, computed here when not
+    given.
+    """
+    logpdf = _emission(hmm, events, logpdf)
     n, m = logpdf.shape
+    trans = hmm.transitions
 
     # Row y lists every predecessor of y in ascending id order, with the
     # pair's total probability, so argmax's first maximum is the lowest id
     # (a pair linked by several orders repeats with the same total).
     targets = np.arange(m)
-    pool = np.sort(incoming_edges(hmm.transitions.tables, hmm.k)[0], axis=1)
+    pool = np.sort(incoming_edges(trans.tables, hmm.k)[0], axis=1)
+    per_order = trans.mode == "per-order"
     with np.errstate(divide="ignore"):
-        log_t = np.log(pair_probs(hmm.transitions, pool, targets[:, None]))
+        log_t = np.log(pair_probs(trans, pool, targets[:, None]))
+        log_w = np.log([t.flat[0] for t in trans.tables]) if per_order else None
+    # A per-order model scores a target order by order unless a parallel pair
+    # (a repeat in its pool row) makes one edge carry summed weights. Those
+    # targets, and every target of a per-transition model, take the max over
+    # their pool row.
+    gather = targets
+    if per_order:
+        gather = np.flatnonzero((np.diff(pool, axis=1) == 0).any(axis=1))
+    # Held transposed: numpy takes a max across rows far faster than along
+    # many short rows.
+    gather_pool, gather_log_t = (np.ascontiguousarray(a[gather].T) for a in (pool, log_t))
 
-    scores = logpdf[0] - np.log(m)
-    backptr = np.empty((n, m), dtype=np.int32)
+    # scores[i] is the best log joint of events 0..i over paths ending in each
+    # state. Only the scores are kept; the traceback finds each predecessor
+    # from the previous row, so the step needs no argmax.
+    scores = np.empty((n, m))
+    scores[0] = logpdf[0] - np.log(m)
     for i in range(1, n):
-        vals = scores[pool] + log_t
-        best = vals.argmax(axis=1)
-        backptr[i] = pool[targets, best]
-        scores = logpdf[i] + vals[targets, best]
+        prev = scores[i - 1]
+        top = _best_incoming(prev, log_w, hmm.k) if per_order else np.empty(m)
+        top[gather] = (prev[gather_pool] + gather_log_t).max(axis=0)
+        np.add(logpdf[i], top, out=scores[i])
 
     states = np.empty(n, dtype=np.int64)
-    states[-1] = int(np.argmax(scores))
+    states[-1] = int(np.argmax(scores[-1]))
     for i in range(n - 1, 0, -1):
-        states[i - 1] = backptr[i, states[i]]
-    return StatePath(states=states, log_joint=float(scores[states[-1]]))
+        row = pool[states[i]]
+        states[i - 1] = row[np.argmax(scores[i - 1][row] + log_t[states[i]])]
+    return StatePath(states=states, log_joint=float(scores[-1, states[-1]]))
 
 
 def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray):

@@ -206,6 +206,17 @@ def evaluate(
     return sweep(windows, index, config, [t], [n], radius)[0]
 
 
+def check_grid(t_values, n_values, radius: int) -> None:
+    """Reject a grid with some t < 1 or n < 0, or a negative dedup radius."""
+    if min(t_values, default=1) < 1 or min(n_values, default=0) < 0:
+        raise ValueError(
+            f"need every t >= 1 and n >= 0 (scored where 1 <= t <= n), "
+            f"got t={list(t_values)}, n={list(n_values)}"
+        )
+    if radius < 0:
+        raise ValueError(f"dedup radius must be >= 0, got {radius}")
+
+
 def sweep(
     windows: list[Window],
     index: KmerIndex,
@@ -219,16 +230,10 @@ def sweep(
     Each distinct point is scored once. A Viterbi-mode strategy scores its
     single Viterbi row at (1, 1) for every grid point (t and n only label the
     row), so it serves as the fixed baseline. Ensemble points that cannot draw
-    samples (n = 0, or t > n) score zero so the grid stays rectangular; a
-    t < 1 or n < 0 anywhere in the grid, or radius < 0, is rejected before any scoring.
+    samples (n = 0, or t > n) score zero so the grid stays rectangular; the
+    grid and radius pass ``check_grid`` before any scoring.
     """
-    if min(t_values, default=1) < 1 or min(n_values, default=0) < 0:
-        raise ValueError(
-            f"need every t >= 1 and n >= 0 (scored where 1 <= t <= n), "
-            f"got t={list(t_values)}, n={list(n_values)}"
-        )
-    if radius < 0:
-        raise ValueError(f"dedup radius must be >= 0, got {radius}")
+    check_grid(t_values, n_values, radius)
     count = len(windows)
     scored: dict[tuple[int, int], tuple[int, int]] = {}
     rows: list[EvalRow] = []

@@ -106,10 +106,11 @@ class TransitionModel:
     ``tables[j]`` for j >= 1 has shape (m, 4**j); entry [x, b] is the probability
     of leaving state x with a shift of j bases whose j new bases encode to b.
     A per-order model shares one probability per order across all states,
-    divided uniformly among the 4**j shift-j targets.
+    divided uniformly among the 4**j shift-j targets: each of its tables holds
+    a single value, and ``order_probs[j]`` is order j's total.
     """
 
-    def __init__(self, k: int, tables, mode: str, order_probs=None):
+    def __init__(self, k: int, tables, mode: str):
         if mode not in ("per-order", "per-transition"):
             raise ValueError(f"unknown mode {mode!r}")
         m = 4**k
@@ -128,15 +129,23 @@ class TransitionModel:
         self.max_shift = max_shift
         self.mode = mode
         self.tables = tables
-        self.order_probs = None if order_probs is None else np.asarray(order_probs, float)
         for t in self.tables:
             t.flags.writeable = False
+        if any(np.any(t < 0) for t in tables):
+            raise ValueError("transition probabilities must be >= 0")
         rows = self.row_sums()
-        if np.max(np.abs(rows - 1.0)) > 1e-9:
+        if not np.max(np.abs(rows - 1.0)) <= 1e-9:  # NaN fails too
             worst = int(np.argmax(np.abs(rows - 1.0)))
             raise ValueError(
-                f"transition rows must sum to 1; state {worst} sums to {rows[worst]!r}"
+                f"transition rows must sum to 1; state {worst} sums to {float(rows[worst])!r}"
             )
+        self.order_probs = None
+        if mode == "per-order":
+            for j, t in enumerate(tables):
+                if np.any(t != t.flat[0]):
+                    raise ValueError(f"per-order model needs one value per order; order {j} varies")
+            # 4**j is a power of two, so this undoes per_order's division exactly.
+            self.order_probs = np.array([t.flat[0] * 4**j for j, t in enumerate(tables)])
 
     @classmethod
     def per_order(cls, k: int, order_probs=DEFAULT_ORDER_PROBS) -> "TransitionModel":
@@ -144,13 +153,13 @@ class TransitionModel:
         probs = np.asarray(order_probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("order_probs must list stay, move, and any skip orders")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError(f"order probabilities must be >= 0 and sum to 1, got {probs}")
         m = 4**k
         tables = [np.full(m, probs[0])]
         for j in range(1, probs.size):
             tables.append(np.full((m, 4**j), probs[j] / 4**j))
-        return cls(k, tables, mode="per-order", order_probs=probs)
+        return cls(k, tables, mode="per-order")
 
     def row_sums(self) -> np.ndarray:
         total = self.tables[0].copy()

@@ -165,16 +165,20 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
         (["--chain-len", 0], "chain length must be >= 1, got 0"),
         (["--min-gap", 20, "--max-gap", 10], "need 0 <= min_gap <= max_gap, got [20, 10]"),
         (["--min-gap", -1], "need 0 <= min_gap <= max_gap, got [-1, 50]"),
+        (["--t", 0], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[0], n=[1]"),
+        (["--n", -1], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[1], n=[-1]"),
+        (["--dedup-radius", -1], "dedup radius must be >= 0, got -1"),
     ],
 )
 def test_eval_checks_strategy_flags_before_loading_calls(
     pipeline, tmp_path, capsys, monkeypatch, flags, message
 ):
-    """Rejected even when the window is longer than every read, so no window is scored."""
+    """Strategy flags, the (t, n) grid and the dedup radius are all checked up front,
+    even when the window is longer than every read, so no window is scored."""
     _, sim, _, calls = pipeline
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("eval loaded base calls before checking the strategy flags")
+        raise AssertionError("eval loaded base calls before checking its flags")
 
     monkeypatch.setattr(cli, "load_basecalls", unreachable)
     out = tmp_path / "out"
@@ -234,26 +238,37 @@ def test_eval_checks_n_against_the_calls_before_any_index(pipeline, tmp_path, ca
     assert "basecalls.fasta has 3" in err
 
 
-def load_tracer():
-    """``perfbench/tracer.py``, imported by path: the benchmark's outside-in spans and counters."""
+@pytest.fixture
+def tracer(monkeypatch):
+    """``perfbench/tracer.py``, imported by path: the benchmark's outside-in spans
+    and counters. Every function it wraps is restored after the test."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    originals = {id(getattr(sys.modules[mod], attr)) for mod, attr, _, _ in module.LAYERS}
+    for name, loaded in list(sys.modules.items()):
+        if name.split(".")[0] == "ensembleseed":
+            for key, value in list(vars(loaded).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(loaded, key, value)
     return module
 
 
-def test_traced_eval_records_every_seeding_and_evaluate_layer(pipeline, tmp_path, monkeypatch):
+def assert_layers_traced(tracer, traced, layers):
+    """Every layer has a span, and every counter taken at it is positive."""
+    _, calls_per_layer, _ = tracer.summarize({"spans": traced.spans})
+    for _, _, span, counter in layers:
+        assert calls_per_layer.get(span, 0) > 0, span
+        if counter is not None:
+            counts = {k: v for k, v in traced.counts.items() if k.startswith(span + ".")}
+            assert counts and all(v > 0 for v in counts.values()), (span, counts)
+
+
+def test_traced_eval_records_every_seeding_and_evaluate_layer(pipeline, tmp_path, tracer):
     """The benchmark tracer still reads the seeding types: every counter it takes is positive."""
     _, sim, _, calls = pipeline
-    tracer = load_tracer()
     layers = [layer for layer in tracer.LAYERS if layer[2].split(".")[0] in ("seeding", "evaluate")]
-    originals = {id(getattr(sys.modules[module], attr)) for module, attr, _, _ in tracer.LAYERS}
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ensembleseed":
-            for key, value in list(vars(module).items()):
-                if id(value) in originals:  # undone after the test, unwrapping the tracer
-                    monkeypatch.setattr(module, key, value)
 
     def run_eval(out):
         return run_cli(
@@ -267,14 +282,36 @@ def test_traced_eval_records_every_seeding_and_evaluate_layer(pipeline, tmp_path
     traced = tracer.Tracer()
     traced.install()
     assert run_eval(tmp_path / "traced") == 0
-    _, calls_per_layer, _ = tracer.summarize({"spans": traced.spans})
-    for _, _, span, counter in layers:
-        assert calls_per_layer.get(span, 0) > 0, span
-        if counter is not None:
-            counts = {k: v for k, v in traced.counts.items() if k.startswith(span + ".")}
-            assert counts and all(v > 0 for v in counts.values()), (span, counts)
+    assert_layers_traced(tracer, traced, layers)
     report = "report.tsv"
     assert (tmp_path / "traced" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
+
+
+def test_traced_basecall_records_every_decode_layer(pipeline, tmp_path, tracer):
+    """Each read's emission matrix is built once, outside Viterbi and forward."""
+    _, sim, train, _ = pipeline
+    layers = [
+        layer for layer in tracer.LAYERS
+        if layer[2] == "pore_model.load_events"
+        or (layer[2].startswith("decode.") and layer[2] != "decode.load")
+    ]
+
+    def run_basecall(out):
+        return run_cli(
+            "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+            "--pore-model", sim / "pore_model.tsv", "--transitions", train / "transitions.tsv",
+            "--n", 3, "--seed", 7, "--out-dir", out,
+        )
+
+    assert run_basecall(tmp_path / "plain") == 0
+    traced = tracer.Tracer()
+    traced.install()
+    assert run_basecall(tmp_path / "traced") == 0
+    assert_layers_traced(tracer, traced, layers)
+    emission = [span for span in traced.spans if span[0] == "decode.emission"]
+    assert len(emission) == 6 and all(parent == -1 for *_, parent in emission)
+    for name in ("basecalls.fasta", "spans.jsonl"):
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_simulate_threads_do_not_change_outputs(tmp_path):

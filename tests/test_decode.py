@@ -194,6 +194,56 @@ def test_viterbi_log_joint_is_its_path_log_joint(mode, seed):
     assert best.log_joint == pytest.approx(path_log_joint(hmm, events, best.states), rel=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    shift=st.integers(1, 3),
+    quantised=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_order_kernels_match_the_gather_on_the_same_tables(k, shift, quantised, seed):
+    """A per-order model's factored steps agree bitwise with the gather that the
+    same tables take when wrapped as a per-transition model. Quantised levels,
+    events and weights make exact ties; zero split or skip weights make -inf scores."""
+    rng = np.random.default_rng(seed)
+    m, max_shift = 4**k, min(shift, k)
+    if quantised:
+        pore = PoreModel(k, rng.choice([90.0, 100.0, 110.0], m), rng.choice([2.0, 4.0], m))
+        weights = rng.integers(0, 3, max_shift + 1).astype(float)
+        weights[1] += 1.0
+        means = rng.choice([90.0, 95.0, 100.0, 110.0], 8)
+    else:
+        pore = PoreModel(k, rng.normal(100.0, 12.0, m), rng.uniform(1.5, 3.0, m))
+        weights = rng.uniform(0.05, 1.0, max_shift + 1)
+        means = rng.normal(100.0, 14.0, 8)
+    per_order = TransitionModel.per_order(k, weights / weights.sum())
+    gathered = TransitionModel(k, per_order.tables, mode="per-transition")
+    events = EventSequence("twins", means)
+    logpdf = emission_log_matrix(make_hmm(pore, per_order), events)
+    (vit, fwd), (want_vit, want_fwd) = [
+        (viterbi(hmm, events, logpdf), forward(hmm, events, logpdf))
+        for hmm in (make_hmm(pore, per_order), make_hmm(pore, gathered))
+    ]
+    assert vit.states.tolist() == want_vit.states.tolist()
+    assert vit.log_joint == want_vit.log_joint
+    np.testing.assert_array_equal(fwd.columns, want_fwd.columns)
+    np.testing.assert_array_equal(fwd.log_scale_factors, want_fwd.log_scale_factors)
+
+
+def test_kernels_take_the_emission_matrix_of_their_read_only():
+    hmm, events, _, _ = random_instance(5, k=2, n_events=4, with_joints=False)
+    logpdf = emission_log_matrix(hmm, events)
+    given, computed = viterbi(hmm, events, logpdf), viterbi(hmm, events)
+    assert given.states.tolist() == computed.states.tolist()
+    assert given.log_joint == computed.log_joint
+    given, computed = forward(hmm, events, logpdf), forward(hmm, events)
+    np.testing.assert_array_equal(given.columns, computed.columns)
+    for kernel in (viterbi, forward):
+        for bad in (logpdf[:-1], logpdf[:, :-1]):
+            with pytest.raises(ValueError, match=r"read 'inst5': emission matrix has shape"):
+                kernel(hmm, events, bad)
+
+
 def test_forward_rejects_zero_mass_column():
     # A only splits back to itself and is the only state event 0 leaves alive
     # (the others are 100 sd away); event 1 sits 100 sd away from A.

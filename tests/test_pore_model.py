@@ -89,6 +89,20 @@ class TestTransitionModel:
         with pytest.raises(ValueError, match="sum to 1"):
             TransitionModel(1, tables, mode="per-order")
 
+    def test_per_order_rejects_tables_that_vary_by_state(self):
+        tables = [np.full(4, 0.5), np.full((4, 4), 0.125)]
+        tables[0][1], tables[1][1] = 0.3, 0.175
+        with pytest.raises(ValueError, match="order 0 varies"):
+            TransitionModel(1, tables, mode="per-order")
+        assert TransitionModel(1, tables, mode="per-transition").order_probs is None
+
+    @pytest.mark.parametrize(
+        "probs", [(0.2, 0.7, 0.1), (0.1, 0.3, 0.6), (1 / 3, 1 / 3, 1 / 3), (0.25, 0.75, 0.0)]
+    )
+    def test_per_order_order_probs_are_bitwise_its_input(self, probs):
+        tm = TransitionModel.per_order(3, probs)
+        assert tm.order_probs.tolist() == list(probs)
+
     def test_aggregate_matrix_matches_direct_formula(self):
         tm = TransitionModel.per_order(2, (0.15, 0.75, 0.1))
         agg = dense_aggregate(tm)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,29 @@ class TestModelFiles:
         path = tmp_path / "gap.tsv"
         path.write_text("# k=2 max_shift=1 mode=per-order pseudocount=1\norder\tprob\n" + rows)
         with pytest.raises(ValueError, match=message):
+            load_transition_model(path)
+
+    @pytest.mark.parametrize(
+        "mode,rows,message",
+        [
+            ("per-order", "order\tprob\n0\tnan\n1\t1.0\n", "must be >= 0 and sum to 1"),
+            ("per-order", "order\tprob\n0\t-0.5\n1\t1.5\n", "must be >= 0 and sum to 1"),
+            (
+                "per-transition",
+                "source_kmer\ttarget_kmer\tprob\nA\tA\tnan\n",
+                "state 0 sums to nan",
+            ),
+            (
+                "per-transition",
+                "source_kmer\ttarget_kmer\tprob\nA\tA\t1.5\nA\tC\t-0.5\n",
+                "transition probabilities must be >= 0",
+            ),
+        ],
+    )
+    def test_load_rejects_nan_or_negative_probabilities(self, tmp_path, mode, rows, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"# k=1 max_shift=1 mode={mode} pseudocount=1\n" + rows)
+        with pytest.raises(ValueError, match=r"bad\.tsv: .*" + re.escape(message)):
             load_transition_model(path)
 
     def test_load_names_unparsable_per_transition_probability(self, tmp_path):
