@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate -> train -> basecall -> eval -> report.
 
 Each subcommand validates its inputs up front, writes outputs atomically, and
-drops a resolved config JSON next to them. Outputs are deterministic for a
-fixed seed regardless of thread count: every read gets its own RNG stream,
-allocated in read order before any work is dispatched.
+drops a resolved config JSON next to them. Reads run in order, and outputs
+are deterministic for a fixed seed: every read gets its own RNG stream,
+spawned in read order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -103,18 +102,12 @@ def _load_transitions(args, k: int) -> TransitionModel:
     """
     if args.model_k != k:
         raise ValueError(f"pore model has k={k}, but --model-k is {args.model_k}")
-    if getattr(args, "transitions", None):
+    if args.transitions:
         model = load_transition_model(args.transitions)
         if model.k != k:
             raise ValueError(f"transition model has k={model.k}, but --model-k is {k}")
         return model
-    probs = args.order_probs if getattr(args, "order_probs", None) else list(DEFAULT_ORDER_PROBS)
-    if len(probs) != args.max_shift + 1:
-        raise ValueError(
-            f"--order-probs needs {args.max_shift + 1} values for --max-shift "
-            f"{args.max_shift}, got {len(probs)}"
-        )
-    return TransitionModel.per_order(k, order_probs=probs)
+    return TransitionModel.per_order(k, order_probs=args.order_probs or DEFAULT_ORDER_PROBS)
 
 
 def cmd_simulate(args) -> int:
@@ -127,7 +120,6 @@ def cmd_simulate(args) -> int:
         read_count=args.reads,
         events_per_read=args.events_per_read,
         seed=args.seed,
-        threads=args.threads,
     )
     write_fasta(os.path.join(args.out_dir, "reference.fasta"), [("ref", reference)])
     write_pore_model(os.path.join(args.out_dir, "pore_model.tsv"), pore)
@@ -151,8 +143,7 @@ def cmd_train(args) -> int:
         pore = load_pore_model(args.pore_model)
         hmm = make_hmm(pore, _load_transitions(args, pore.k))
         events = load_events(args.events)
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            paths = list(pool.map(lambda ev: viterbi(hmm, ev), events))
+        paths = [viterbi(hmm, ev) for ev in events]
     counts = count_transitions(paths, args.model_k, args.max_shift, args.mode)
     model = estimate_transitions(counts, pseudocount=args.pseudocount)
     save_transition_model(
@@ -172,8 +163,7 @@ def cmd_basecall(args) -> int:
     max_shift = hmm.transitions.max_shift
     streams = np.random.SeedSequence(args.seed).spawn(max(1, len(events)))
 
-    def call(pair) -> ReadEnsemble:
-        ev, stream = pair
+    def call(ev, stream) -> ReadEnsemble:
         logpdf = emission_log_matrix(hmm, ev)
         vit = viterbi(hmm, ev, logpdf)
         samples = []
@@ -187,8 +177,7 @@ def cmd_basecall(args) -> int:
             samples=[path_to_sequence(p, k, max_shift) for p in samples],
         )
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        ensembles = list(pool.map(call, zip(events, streams)))
+    ensembles = [call(ev, stream) for ev, stream in zip(events, streams)]
     write_basecalls(
         os.path.join(args.out_dir, "basecalls.fasta"),
         os.path.join(args.out_dir, "spans.jsonl"),
@@ -267,12 +256,12 @@ def cmd_report(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-k", type=int, default=5, help="HMM k-mer length")
-    p.add_argument("--max-shift", type=int, default=2, help="largest skip order")
-    p.add_argument(
+    model = p.add_mutually_exclusive_group()
+    model.add_argument(
         "--order-probs", type=partial(_list_of, float), default=None,
         help="per-order transition probabilities, comma separated (stay,move,skip...)",
     )
-    p.add_argument("--transitions", default=None, help="trained transition model TSV")
+    model.add_argument("--transitions", default=None, help="trained transition model TSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reads", type=int, default=DEFAULT_READ_COUNT)
     p.add_argument("--events-per-read", type=int, default=DEFAULT_EVENTS_PER_READ)
     p.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pore-model", default=None, help="pore model TSV (for --source viterbi)")
     p.add_argument("--mode", choices=("per-order", "per-transition"), default="per-order")
     p.add_argument("--pseudocount", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--max-shift", type=int, default=2, help="largest skip order to train")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -311,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pore-model", required=True)
     p.add_argument("--n", type=int, default=250, help="posterior samples per read")
     p.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_basecall)
 

@@ -44,6 +44,8 @@ class EventSequence:
     """One read's event stream: per-event mean currents plus read scaling."""
 
     def __init__(self, read_id: str, means, scaling: ReadScaling | None = None):
+        if any(c.isspace() for c in read_id):
+            raise ValueError(f"read id {read_id!r} holds whitespace")  # FASTA headers split there
         means = np.asarray(means, dtype=np.float64)
         if means.ndim != 1 or means.size < 1:
             raise ValueError(f"read {read_id!r}: need at least one event")

@@ -16,8 +16,8 @@ keeps the ground-truth invariant exact instead of approximately true.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +86,17 @@ def synthetic_pore_model(
     return PoreModel(k=k, level_mean=level_mean, level_stdv=level_stdv)
 
 
+@lru_cache(maxsize=2)
+def _walk_codes(reference: str, strand: str, k: int) -> tuple[str, np.ndarray]:
+    """One strand's walk sequence and its read-only k-mer codes, built once per corpus."""
+    walk_seq = reference if strand == "+" else reverse_complement(reference)
+    codes = kmer_codes(walk_seq, k)
+    if np.any(codes < 0):
+        raise ValueError("reference must contain only ACGT for simulation")
+    codes.flags.writeable = False
+    return walk_seq, codes
+
+
 def simulate_read(
     hmm: Hmm,
     reference: str,
@@ -114,10 +125,7 @@ def simulate_read(
     if L < k:
         raise ValueError(f"reference of length {L} cannot hold a {k}-mer")
 
-    walk_seq = reference if strand == "+" else reverse_complement(reference)
-    codes = kmer_codes(walk_seq, k)
-    if np.any(codes < 0):
-        raise ValueError("reference must contain only ACGT for simulation")
+    walk_seq, codes = _walk_codes(reference, strand, k)
 
     rng = np.random.default_rng(seed)
     if scaling is None:
@@ -193,31 +201,23 @@ def simulate_corpus(
     events_per_read: int = DEFAULT_EVENTS_PER_READ,
     seed: int = DEFAULT_CORPUS_SEED,
     contig: str = "ref",
-    threads: int = 1,
 ) -> tuple[str, list[SimulatedRead]]:
     """Reference plus independently simulated reads, random strand each.
 
     Reads get dedicated RNG streams spawned from ``seed`` in read order, so the
-    corpus is reproducible regardless of thread count.
+    corpus is reproducible for a fixed seed.
     """
     streams = np.random.SeedSequence(seed).spawn(read_count + 1)
     reference = generate_reference(reference_length, streams[0])
-
-    def one(i: int) -> SimulatedRead:
+    reads = []
+    for i in range(read_count):
         rng = np.random.default_rng(streams[i + 1])
         strand = STRANDS[int(rng.random() < 0.5)]
-        return simulate_read(
-            hmm,
-            reference,
-            events_per_read,
-            strand,
-            rng,
-            read_id=f"read{i:04d}",
-            contig=contig,
+        reads.append(
+            simulate_read(
+                hmm, reference, events_per_read, strand, rng, read_id=f"read{i:04d}", contig=contig
+            )
         )
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        reads = list(pool.map(one, range(read_count)))
     return reference, reads
 
 

@@ -5,7 +5,6 @@ the pinned regression values are generated by exactly the code the tests run.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,8 +63,7 @@ def build_pinned_corpus() -> SimpleNamespace:
 
     seeds = np.random.SeedSequence(DEFAULT_CORPUS_SEED + 1).spawn(len(reads))
 
-    def basecall(args):
-        read, seed = args
+    def basecall(read, seed):
         fwd = forward(hmm, read.events)
         vit = viterbi(hmm, read.events)
         samples = sample_paths(hmm, read.events, fwd, CORPUS_SAMPLES, seed=seed)
@@ -75,8 +73,7 @@ def build_pinned_corpus() -> SimpleNamespace:
             [path_to_sequence(p, CORPUS_K) for p in samples],
         )
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        ensembles = list(pool.map(basecall, zip(reads, seeds)))
+    ensembles = [basecall(read, seed) for read, seed in zip(reads, seeds)]
 
     identities = np.array(
         [

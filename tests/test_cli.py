@@ -314,18 +314,16 @@ def test_traced_basecall_records_every_decode_layer(pipeline, tmp_path, tracer):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-def test_simulate_threads_do_not_change_outputs(tmp_path):
+def test_simulate_reruns_give_identical_outputs(tmp_path):
+    names = ("reference.fasta", "pore_model.tsv", "events.jsonl", "truth.tsv", "true_paths.jsonl")
     digests = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
+    for run in (1, 2):
+        out = tmp_path / f"run{run}"
         assert run_cli(
             "simulate", "--model-k", 3, "--ref-length", 3000, "--reads", 4,
-            "--events-per-read", 60, "--seed", 5, "--threads", threads,
-            "--out-dir", out,
+            "--events-per-read", 60, "--seed", 5, "--out-dir", out,
         ) == 0
-        digests.append(
-            ((out / "events.jsonl").read_bytes(), (out / "truth.tsv").read_bytes())
-        )
+        digests.append([(out / name).read_bytes() for name in names])
     assert digests[0] == digests[1]
 
 
@@ -366,6 +364,24 @@ def test_basecall_rejects_repeated_read_id(pipeline, tmp_path, capsys):
     assert "events.jsonl:2: duplicate read id 'read0000'" in capsys.readouterr().err
 
 
+def test_basecall_rejects_a_read_id_with_whitespace(pipeline, tmp_path, capsys):
+    """FASTA headers split at the first space, so such an id could not be read back."""
+    _, sim, _, _ = pipeline
+    events = tmp_path / "events.jsonl"
+    first = (sim / "events.jsonl").read_text().splitlines()[0]
+    events.write_text(first.replace('"read0000"', '"read 0000"') + "\n")
+    out = tmp_path / "out"
+    rc = run_cli(
+        "basecall", "--model-k", 3, "--events", events,
+        "--pore-model", sim / "pore_model.tsv", "--n", 1, "--out-dir", out,
+    )
+    assert rc == 2
+    assert "events.jsonl:1: bad event record: read id 'read 0000' holds whitespace" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "basecalls.fasta").exists()
+
+
 def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):
     _, sim, _, _ = pipeline
     bad = tmp_path / "true_paths.jsonl"
@@ -389,13 +405,28 @@ def test_eval_rejects_true_paths_of_another_k(pipeline, tmp_path, capsys, model_
 
 
 def test_invalid_model_configuration_rejected(tmp_path, capsys):
+    """The default stay/move/skip probabilities need k >= 2."""
     rc = run_cli(
-        "simulate", "--model-k", 1, "--max-shift", 2,
+        "simulate", "--model-k", 1,
         "--ref-length", 1000, "--reads", 1, "--events-per-read", 10,
         "--out-dir", tmp_path / "out",
     )
     assert rc == 2
-    assert "ensembleseed simulate" in capsys.readouterr().err
+    assert "ensembleseed simulate: max shift 2 exceeds k=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "basecall"])
+def test_order_probs_and_transitions_are_exclusive(pipeline, tmp_path, capsys, command):
+    _, _, train, _ = pipeline
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(
+            command, "--order-probs", "0.5,0.5", "--transitions", train / "transitions.tsv",
+            "--out-dir", out,
+        )
+    assert exit_info.value.code == 2
+    assert "--transitions: not allowed with argument --order-probs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_viterbi_source(pipeline, tmp_path):

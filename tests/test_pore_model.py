@@ -279,6 +279,7 @@ def event_line(**fields):
         ('["r2", 1.0, 0.0, 1.0, [100.0]]', "not a JSON object"),
         (event_line()[:-1], "not a JSON record"),
         (event_line(read_id="r1"), "duplicate read id 'r1'"),
+        (event_line(read_id="read 2"), "bad event record: read id 'read 2' holds whitespace"),
     ],
 )
 def test_load_events_names_malformed_line(tmp_path, line, message):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ensembleseed import simulate
 from ensembleseed.decode import path_log_joint, path_to_sequence
-from ensembleseed.kmers import reverse_complement
+from ensembleseed.kmers import kmer_codes, reverse_complement
 from ensembleseed.pore_model import TransitionModel, make_hmm
 from ensembleseed.simulate import (
     generate_reference,
@@ -106,14 +107,30 @@ class TestCorpus:
         for r in reads:
             assert len(r.events) == 50
 
-    def test_threading_does_not_change_results(self, small_hmm):
+    def test_same_seed_reruns_give_identical_reads(self, small_hmm):
         kw = dict(reference_length=3000, read_count=6, events_per_read=40, seed=9)
-        ref1, reads1 = simulate_corpus(small_hmm, threads=1, **kw)
-        ref4, reads4 = simulate_corpus(small_hmm, threads=4, **kw)
-        assert ref1 == ref4
-        for a, b in zip(reads1, reads4):
+        ref1, reads1 = simulate_corpus(small_hmm, **kw)
+        ref2, reads2 = simulate_corpus(small_hmm, **kw)
+        assert ref1 == ref2
+        assert len(reads1) == len(reads2) == 6
+        for a, b in zip(reads1, reads2):
             np.testing.assert_array_equal(a.events.means, b.events.means)
+            np.testing.assert_array_equal(a.true_path.states, b.true_path.states)
             assert a.truth == b.truth
+
+    def test_each_strand_is_encoded_once_per_corpus(self, small_hmm, monkeypatch):
+        calls = []
+
+        def counted(seq, k):
+            calls.append(k)
+            return kmer_codes(seq, k)
+
+        monkeypatch.setattr(simulate, "kmer_codes", counted)
+        # a reference length no other test uses, so no cached encoding applies
+        simulate_corpus(
+            small_hmm, reference_length=3100, read_count=6, events_per_read=40, seed=9
+        )
+        assert 1 <= len(calls) <= 2
 
 
 def test_truth_file_round_trip(tmp_path, small_hmm):
