@@ -51,6 +51,7 @@ from .pore_model import (
 )
 from .seeding import build_index
 from .simulate import (
+    CONTIG,
     DEFAULT_CORPUS_SEED,
     DEFAULT_EVENTS_PER_READ,
     DEFAULT_READ_COUNT,
@@ -121,7 +122,7 @@ def cmd_simulate(args) -> int:
         events_per_read=args.events_per_read,
         seed=args.seed,
     )
-    write_fasta(os.path.join(args.out_dir, "reference.fasta"), [("ref", reference)])
+    write_fasta(os.path.join(args.out_dir, "reference.fasta"), [(CONTIG, reference)])
     write_pore_model(os.path.join(args.out_dir, "pore_model.tsv"), pore)
     write_events(os.path.join(args.out_dir, "events.jsonl"), [r.events for r in reads])
     write_truth(os.path.join(args.out_dir, "truth.tsv"), reads)
@@ -131,21 +132,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# The flags each ``train --source`` needs, and the flags it would ignore.
+TRAIN_SOURCE_FLAGS = {
+    "truth": (["--true-paths"], ["--events", "--pore-model", "--transitions", "--order-probs"]),
+    "viterbi": (["--events", "--pore-model"], ["--true-paths"]),
+}
+
+
 def cmd_train(args) -> int:
+    needs, ignores = TRAIN_SOURCE_FLAGS[args.source]
+    given = {"--" + name.replace("_", "-") for name, value in vars(args).items() if value}
+    if not given.issuperset(needs):
+        raise ValueError(f"--source {args.source} requires {' and '.join(needs)}")
+    unused = [flag for flag in ignores if flag in given]
+    if unused:
+        raise ValueError(f"--source {args.source} does not use {', '.join(unused)}")
     _ensure_out_dir(args.out_dir)
     if args.source == "truth":
-        if not args.true_paths:
-            raise ValueError("--source truth requires --true-paths")
         paths = list(load_true_paths(args.true_paths).values())
     else:
-        if not (args.events and args.pore_model):
-            raise ValueError("--source viterbi requires --events and --pore-model")
         pore = load_pore_model(args.pore_model)
         hmm = make_hmm(pore, _load_transitions(args, pore.k))
         events = load_events(args.events)
         paths = [viterbi(hmm, ev) for ev in events]
-    counts = count_transitions(paths, args.model_k, args.max_shift, args.mode)
-    model = estimate_transitions(counts, pseudocount=args.pseudocount)
+    counts = count_transitions(paths, args.model_k, args.max_shift)
+    model = estimate_transitions(counts, args.mode, pseudocount=args.pseudocount)
     save_transition_model(
         os.path.join(args.out_dir, "transitions.tsv"), model, pseudocount=args.pseudocount
     )

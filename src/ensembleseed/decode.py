@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write, fasta_records, jsonl_records
+from .io import atomic_write, fasta_record, fasta_records, jsonl_records
 from .kmers import BASES, decode_kmer
 from .pore_model import Hmm, EventSequence
 from .shifts import by_dropped_bases, incoming_edges, pair_probs, smallest_orders
@@ -339,9 +339,7 @@ def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> No
             calls = [("viterbi", None, ens.viterbi)]
             calls += [("sample", i, call) for i, call in enumerate(ens.samples)]
             for kind, index, call in calls:
-                fa.write(f">{ens.read_id} {_call_label(kind, index)}\n")
-                for start in range(0, len(call.sequence), 80):
-                    fa.write(call.sequence[start : start + 80] + "\n")
+                fa.write(fasta_record(f"{ens.read_id} {_call_label(kind, index)}", call.sequence))
                 spans = (call.lengths + _LENGTH_ZERO).tobytes().decode("ascii")
                 record = {"read_id": ens.read_id, "call": kind, "index": index, "spans": spans}
                 sp.write(json.dumps(record) + "\n")

@@ -21,6 +21,8 @@ import numpy as np
 _UMASK = os.umask(0)
 os.umask(_UMASK)
 
+FASTA_WIDTH = 80
+
 
 def parse_field(parse, text, name: str, where: str):
     """``parse(text)``; a ValueError or KeyError from it becomes one naming ``where``."""
@@ -114,7 +116,13 @@ def number_array(values: list, kinds: str, name: str, where: str) -> np.ndarray:
     return array
 
 
-def write_fasta(path, records, width: int = 80) -> None:
+def fasta_record(name: str, seq: str) -> str:
+    """One FASTA record: a ``>name`` line, then ``seq`` in lines of FASTA_WIDTH bases."""
+    lines = [seq[start : start + FASTA_WIDTH] for start in range(0, len(seq), FASTA_WIDTH)]
+    return f">{name}\n" + "\n".join(lines or [""]) + "\n"
+
+
+def write_fasta(path, records) -> None:
     """Write (name, sequence) pairs; names may carry a description after a space.
 
     A line break in a name, one or a ">" in a sequence, or a character the
@@ -125,9 +133,8 @@ def write_fasta(path, records, width: int = 80) -> None:
             unwritable = f"{path}: record {name!r} cannot be written as FASTA"
             if any(c in name for c in "\r\n") or any(c in seq for c in "\r\n>"):
                 raise ValueError(unwritable)
-            lines = [seq[start : start + width] for start in range(0, len(seq), width)]
             try:
-                fh.write(f">{name}\n" + "\n".join(lines or [""]) + "\n")
+                fh.write(fasta_record(name, seq))
             except UnicodeEncodeError as err:
                 raise ValueError(unwritable) from err
 
@@ -157,7 +164,7 @@ def read_fasta(path) -> list[tuple[str, str]]:
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode: str = "w"):
+def atomic_write(path):
     """Write to a temp file in the target directory, then rename into place.
 
     Guarantees readers never see a partially written file. The result gets
@@ -167,7 +174,7 @@ def atomic_write(path, mode: str = "w"):
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "w") as fh:
             yield fh
         os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)

@@ -39,6 +39,14 @@ VAR_JITTER = (0.9, 1.1)
 DEGRADED_FRACTION = 0.15
 DEGRADED_VAR = (1.6, 2.0)
 DEFAULT_CORPUS_SEED = 20260817
+# Synthetic pore tables: gaussian levels around LEVEL_CENTER, noise widths
+# uniform in STDV_RANGE. They overlap enough that decoding is hard but not
+# hopeless at desk scale.
+LEVEL_CENTER = 100.0
+LEVEL_SPREAD = 16.0
+STDV_RANGE = (2.0, 3.5)
+# The reference's FASTA name, and the contig of every truth row.
+CONTIG = "ref"
 
 _MAX_WALK_RETRIES = 200
 
@@ -67,22 +75,12 @@ def generate_reference(length: int, seed) -> str:
     return lookup[codes].tobytes().decode("ascii")
 
 
-def synthetic_pore_model(
-    k: int,
-    seed,
-    level_center: float = 100.0,
-    level_spread: float = 16.0,
-    stdv_range: tuple[float, float] = (2.0, 3.5),
-) -> PoreModel:
-    """Random pore table: i.i.d. gaussian levels, uniform per-state noise widths.
-
-    The defaults give enough level overlap that decoding is hard but not
-    hopeless at desk scale.
-    """
+def synthetic_pore_model(k: int, seed) -> PoreModel:
+    """Random pore table: i.i.d. gaussian levels, uniform per-state noise widths."""
     rng = np.random.default_rng(seed)
     m = 4**k
-    level_mean = rng.normal(level_center, level_spread, size=m)
-    level_stdv = rng.uniform(stdv_range[0], stdv_range[1], size=m)
+    level_mean = rng.normal(LEVEL_CENTER, LEVEL_SPREAD, size=m)
+    level_stdv = rng.uniform(STDV_RANGE[0], STDV_RANGE[1], size=m)
     return PoreModel(k=k, level_mean=level_mean, level_stdv=level_stdv)
 
 
@@ -105,14 +103,11 @@ def simulate_read(
     seed,
     *,
     read_id: str = "read0",
-    contig: str = "ref",
-    scaling: ReadScaling | None = None,
-    max_retries: int = _MAX_WALK_RETRIES,
 ) -> SimulatedRead:
     """Simulate one read of ``read_len_events`` events from a uniform start.
 
-    ``seed`` may be an int or a numpy Generator. ``scaling`` defaults to a mild
-    per-read jitter drawn from the same stream.
+    ``seed`` may be an int or a numpy Generator. The read's scaling is a mild
+    jitter drawn from the same stream.
     """
     if strand not in STRANDS:
         raise ValueError(f"strand must be one of {STRANDS}, got {strand!r}")
@@ -128,13 +123,12 @@ def simulate_read(
     walk_seq, codes = _walk_codes(reference, strand, k)
 
     rng = np.random.default_rng(seed)
-    if scaling is None:
-        var_range = DEGRADED_VAR if rng.random() < DEGRADED_FRACTION else VAR_JITTER
-        scaling = ReadScaling(
-            scale=rng.uniform(*SCALE_JITTER),
-            shift=rng.uniform(*SHIFT_JITTER),
-            var=rng.uniform(*var_range),
-        )
+    var_range = DEGRADED_VAR if rng.random() < DEGRADED_FRACTION else VAR_JITTER
+    scaling = ReadScaling(
+        scale=rng.uniform(*SCALE_JITTER),
+        shift=rng.uniform(*SHIFT_JITTER),
+        var=rng.uniform(*var_range),
+    )
 
     per_order = trans.mode == "per-order"
     if per_order:
@@ -145,12 +139,14 @@ def simulate_read(
             [edge_table(trans.tables, j).sum(axis=1) for j in range(max_shift + 1)], axis=1
         )
 
-    for _ in range(max_retries):
+    overran = 0
+    for _ in range(_MAX_WALK_RETRIES):
         start = int(rng.integers(0, L - k + 1))
         if per_order:
             orders = rng.choice(max_shift + 1, size=read_len_events - 1, p=order_probs)
             offsets = np.concatenate([[0], np.cumsum(orders)])
             if start + k + int(offsets[-1]) > L:
+                overran += 1
                 continue
             states = codes[start + offsets]
         else:
@@ -165,6 +161,7 @@ def simulate_read(
                     break
                 states[i] = codes[pos]
             if overrun:
+                overran += 1
                 continue
 
         path = StatePath(states=states, log_joint=0.0)
@@ -181,15 +178,15 @@ def simulate_read(
 
         span = len(call.sequence)
         if strand == "+":
-            truth = (contig, start, start + span, "+")
+            truth = (CONTIG, start, start + span, "+")
         else:
-            truth = (contig, L - start - span, L - start, "-")
+            truth = (CONTIG, L - start - span, L - start, "-")
         return SimulatedRead(
             events=events, true_path=path, truth=truth, true_sequence=call.sequence
         )
     raise RuntimeError(
-        f"no accepted walk for {read_id} after {max_retries} tries; "
-        "reference may be too short for the requested event count"
+        f"no accepted walk for {read_id} after {_MAX_WALK_RETRIES} tries: {overran} overran "
+        f"the {L} bp reference, {_MAX_WALK_RETRIES - overran} read back shorter than they walked"
     )
 
 
@@ -200,7 +197,6 @@ def simulate_corpus(
     read_count: int = DEFAULT_READ_COUNT,
     events_per_read: int = DEFAULT_EVENTS_PER_READ,
     seed: int = DEFAULT_CORPUS_SEED,
-    contig: str = "ref",
 ) -> tuple[str, list[SimulatedRead]]:
     """Reference plus independently simulated reads, random strand each.
 
@@ -214,9 +210,7 @@ def simulate_corpus(
         rng = np.random.default_rng(streams[i + 1])
         strand = STRANDS[int(rng.random() < 0.5)]
         reads.append(
-            simulate_read(
-                hmm, reference, events_per_read, strand, rng, read_id=f"read{i:04d}", contig=contig
-            )
+            simulate_read(hmm, reference, events_per_read, strand, rng, read_id=f"read{i:04d}")
         )
     return reference, reads
 

@@ -1,16 +1,16 @@
 """Transition-probability estimation from observed state paths.
 
-Counting tallies consecutive state pairs, inferring each pair's shift order as
-the smallest that links them. Estimation smooths with a pseudocount and
-normalizes per source state; in per-order mode the counts are pooled across
-states by order before the same smoothing applies, so both modes agree on the
-zero-data limit (uniform over a state's out-edges).
+Counting adds each consecutive state pair to per-order count tables laid out
+like ``TransitionModel.tables``, on the smallest order that links the pair.
+Estimation chooses the mode: a per-transition model smooths each edge with a
+pseudocount and normalizes per source state, and a per-order model pools each
+order's table into one count before the same smoothing applies, so both modes
+agree on the zero-data limit (uniform over a state's out-edges).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,54 +23,64 @@ from .shifts import distinct_pairs, edge_table, gained, pair_probs, smallest_ord
 MODES = ("per-order", "per-transition")
 
 
+def _zero_tables(k: int, max_shift: int) -> list[np.ndarray]:
+    """Zeroed tables shaped like ``TransitionModel.tables``, max shift checked before allocating."""
+    if not 1 <= max_shift <= k:
+        raise ValueError(f"max_shift must be in [1, k], got {max_shift}")
+    m = 4**k
+    return [np.zeros(m)] + [np.zeros((m, 4**j)) for j in range(1, max_shift + 1)]
+
+
+def _add_pairs(tables, src, tgt, orders, mass) -> None:
+    """Add each (src, tgt) pair's mass to its order-``orders`` edge in ``tables``."""
+    for j in range(len(tables)):
+        sel = orders == j
+        np.add.at(edge_table(tables, j), (src[sel], gained(tgt[sel], j)), mass[sel])
+
+
 @dataclass
 class TransitionCounts:
-    """Tally of observed transitions.
+    """Observed transitions as one count table per shift order.
 
-    ``counts`` is keyed by (source, target) state codes in per-transition mode
-    and by shift order in per-order mode.
+    ``tables`` is laid out like ``TransitionModel.tables``: ``tables[0]`` has
+    shape (m,) and counts each state's splits, ``tables[j]`` has shape
+    (m, 4**j) and counts the order-j moves [x, b]. Each observed pair counts
+    once, on the smallest order that links it.
     """
 
     k: int
-    max_shift: int
-    mode: str
-    counts: dict = field(default_factory=dict)
+    tables: list
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        self.tables = [np.asarray(t, dtype=np.float64) for t in self.tables]
         if not 1 <= self.max_shift <= self.k:
             raise ValueError(f"max_shift must be in [1, k], got {self.max_shift}")
-        if self.mode == "per-order":
-            base = {j: 0 for j in range(self.max_shift + 1)}
-            base.update(self.counts)
-            self.counts = base
-        if any(c < 0 for c in self.counts.values()):
+        m = 4**self.k
+        for j, table in enumerate(self.tables):
+            shape = (m, 4**j) if j else (m,)
+            if table.shape != shape:
+                raise ValueError(f"order-{j} counts must have shape {shape}")
+        if any(np.any(t < 0) for t in self.tables):
             raise ValueError("counts must be non-negative")
 
     @property
+    def max_shift(self) -> int:
+        return len(self.tables) - 1
+
+    @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(sum(t.sum() for t in self.tables))
 
 
-def _path_states(path) -> np.ndarray:
-    if isinstance(path, StatePath):
-        return path.states
-    return np.asarray(path, dtype=np.int64)
-
-
-def count_transitions(
-    paths, k: int, max_shift: int = 2, mode: str = "per-order"
-) -> TransitionCounts:
-    """Tally every consecutive state pair across ``paths``.
+def count_transitions(paths, k: int, max_shift: int = 2) -> TransitionCounts:
+    """Count every consecutive state pair across ``paths``.
 
     Raises IllegalPathError naming the offending path and event position if a
     pair is not linked by any shift of order <= max_shift.
     """
-    out = TransitionCounts(k, max_shift, mode)
-    tally: Counter = Counter(out.counts)
+    tables = _zero_tables(k, max_shift)
     for pi, path in enumerate(paths):
-        states = _path_states(path)
+        states = np.asarray(path.states if isinstance(path, StatePath) else path, np.int64)
         if states.size < 2:
             continue
         if states.min() < 0 or states.max() >= 4**k:
@@ -84,43 +94,29 @@ def count_transitions(
                 f"{decode_kmer(int(states[pos]), k)} -> {decode_kmer(int(states[pos + 1]), k)} "
                 f"needs a shift beyond {max_shift}"
             )
-        if mode == "per-order":
-            tally.update(dict(enumerate(np.bincount(orders, minlength=max_shift + 1).tolist())))
-        else:
-            tally.update(zip(states[:-1].tolist(), states[1:].tolist()))
-    out.counts = dict(tally)
-    return TransitionCounts(out.k, out.max_shift, out.mode, out.counts)
+        _add_pairs(tables, states[:-1], states[1:], orders, np.ones(orders.size))
+    return TransitionCounts(k, tables)
 
 
-def _num_edges(max_shift: int) -> int:
-    return sum(4**j for j in range(max_shift + 1))
-
-
-def _order_tables(k, max_shift, src, tgt, orders, mass, fill: float) -> list[np.ndarray]:
-    """Per-order tables of ``fill`` plus each pair's mass on its order-``orders`` edge."""
-    m = 4**k
-    tables = [np.full(m, fill)] + [np.full((m, 4**j), fill) for j in range(1, max_shift + 1)]
-    for j in range(max_shift + 1):
-        sel = orders == j
-        np.add.at(edge_table(tables, j), (src[sel], gained(tgt[sel], j)), mass[sel])
-    return tables
-
-
-def estimate_transitions(counts: TransitionCounts, pseudocount: int = 1) -> TransitionModel:
-    """Smoothed maximum-likelihood transition model from a count table.
+def estimate_transitions(
+    counts: TransitionCounts, mode: str, pseudocount: int = 1
+) -> TransitionModel:
+    """Smoothed maximum-likelihood transition model of ``mode`` from count tables.
 
     Each of a state's out-edges gets (count + pseudocount) mass, normalized over
     that state's edges. Per-order counts are pooled, so an order-j edge carries
     a 4**-j share of its order's pool; pseudocount 0 is only legal when every
     row would still be supported.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if pseudocount < 0:
         raise ValueError(f"pseudocount must be >= 0, got {pseudocount}")
     k, max_shift = counts.k, counts.max_shift
-    edges = _num_edges(max_shift)
+    edges = sum(4**j for j in range(max_shift + 1))
 
-    if counts.mode == "per-order":
-        pooled = np.array([counts.counts.get(j, 0) for j in range(max_shift + 1)], float)
+    if mode == "per-order":
+        pooled = np.array([t.sum() for t in counts.tables])
         total = pooled.sum()
         if pseudocount == 0 and total == 0:
             raise ValueError("no observations and pseudocount 0 would leave zero rows")
@@ -128,18 +124,7 @@ def estimate_transitions(counts: TransitionCounts, pseudocount: int = 1) -> Tran
         probs = (pooled + pseudocount * sizes) / (total + pseudocount * edges)
         return TransitionModel.per_order(k, order_probs=probs)
 
-    src, tgt = np.array(list(counts.counts), dtype=np.int64).reshape(-1, 2).T
-    seen = np.array(list(counts.counts.values()), dtype=np.float64)
-    orders = smallest_orders(src, tgt, k, max_shift)
-    bad = np.flatnonzero(orders < 0)
-    if bad.size:
-        i = int(bad[0])
-        raise IllegalPathError(
-            f"count table pairs {decode_kmer(int(src[i]), k)} -> {decode_kmer(int(tgt[i]), k)} "
-            f"with no shift of order <= {max_shift}"
-        )
-    tables = _order_tables(k, max_shift, src, tgt, orders, seen, fill=float(pseudocount))
-    totals = np.bincount(src, weights=seen, minlength=4**k)
+    totals = counts.tables[0] + sum(t.sum(axis=1) for t in counts.tables[1:])
     if pseudocount == 0:
         unsupported = np.flatnonzero(totals == 0)
         if unsupported.size:
@@ -148,9 +133,8 @@ def estimate_transitions(counts: TransitionCounts, pseudocount: int = 1) -> Tran
                 "transitions; pseudocount 0 would give it a zero row"
             )
     denom = totals + float(pseudocount) * edges
-    tables[0] /= denom
-    for j in range(1, max_shift + 1):
-        tables[j] /= denom[:, None]
+    tables = [(counts.tables[0] + pseudocount) / denom]
+    tables += [(t + pseudocount) / denom[:, None] for t in counts.tables[1:]]
     return TransitionModel(k, tables, mode="per-transition")
 
 
@@ -234,7 +218,8 @@ def load_transition_model(path) -> TransitionModel:
                 i = int(np.argmax(bad))
                 pair = f"{decode_kmer(int(src[i]), k)} -> {decode_kmer(int(tgt[i]), k)}"
                 raise ValueError(f"{path}:{linenos[i]}: " + message.format(pair))
-        tables = _order_tables(k, max_shift, src, tgt, orders, mass, fill=0.0)
+        tables = _zero_tables(k, max_shift)
+        _add_pairs(tables, src, tgt, orders, mass)
     try:
         if mode == "per-order":
             return TransitionModel.per_order(k, order_probs=[probs[j] for j in sorted(probs)])

@@ -7,7 +7,7 @@ formulas, no shared code with the package beyond plain dataclass fields.
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 import numpy as np
 
@@ -97,6 +97,98 @@ def order_by_order_traceback(columns, tables, k, count, seed):
         cur = pool[draws, pick]
         paths[:, i] = cur
     return paths
+
+
+def smallest_order(x, y, k, max_shift):
+    """The smallest order j <= max_shift whose shift links x to y, or None."""
+    for j in range(max_shift + 1):
+        if y // 4**j == x % 4 ** (k - j):
+            return j
+    return None
+
+
+def kmer_name(code, k):
+    return "".join("ACGT"[(code >> 2 * (k - 1 - i)) & 3] for i in range(k))
+
+
+def dict_count_transitions(paths, k, max_shift, mode):
+    """The first counting: per-order totals in a dict, or a Counter of (source, target) pairs."""
+    counts = {j: 0 for j in range(max_shift + 1)} if mode == "per-order" else Counter()
+    for pi, states in enumerate(paths):
+        states = [int(s) for s in states]
+        if len(states) < 2:
+            continue
+        if min(states) < 0 or max(states) >= 4**k:
+            raise ValueError(f"path {pi}: state codes out of range for k={k}")
+        for pos, (x, y) in enumerate(zip(states, states[1:])):
+            j = smallest_order(x, y, k, max_shift)
+            if j is None:
+                raise ValueError(
+                    f"path {pi}, events {pos}..{pos + 1}: "
+                    f"{kmer_name(x, k)} -> {kmer_name(y, k)} needs a shift beyond {max_shift}"
+                )
+            counts[j if mode == "per-order" else (x, y)] += 1
+    return counts
+
+
+def dict_estimate(counts, k, max_shift, mode, pseudocount):
+    """(tables, order_probs) from ``dict_count_transitions``' counts, one edge at a time.
+
+    Each out-edge of x gets (count + pseudocount) / (x's count + pseudocount *
+    edges); per-order counts pool every state, and order j's pool splits evenly
+    over its 4**j edges. order_probs is None for a per-transition model.
+    """
+    m = 4**k
+    edges = sum(4**j for j in range(max_shift + 1))
+    if mode == "per-order":
+        total = sum(counts.values())
+        if pseudocount == 0 and total == 0:
+            raise ValueError("no observations and pseudocount 0 would leave zero rows")
+        probs = [
+            (counts[j] + pseudocount * 4**j) / (total + pseudocount * edges)
+            for j in range(max_shift + 1)
+        ]
+        tables = [np.full(m, probs[0])]
+        tables += [np.full((m, 4**j), probs[j] / 4**j) for j in range(1, max_shift + 1)]
+        return tables, probs
+    totals = [0] * m
+    for (x, _), n in counts.items():
+        totals[x] += n
+    if pseudocount == 0 and 0 in totals:
+        raise ValueError(
+            f"state {kmer_name(totals.index(0), k)} has no observed transitions; "
+            "pseudocount 0 would give it a zero row"
+        )
+    tables = [np.empty(m)] + [np.empty((m, 4**j)) for j in range(1, max_shift + 1)]
+    for x in range(m):
+        for table in tables:
+            table[x] = pseudocount / (totals[x] + pseudocount * edges)
+    for (x, y), n in counts.items():
+        j = smallest_order(x, y, k, max_shift)
+        cell = x if j == 0 else (x, y % 4**j)
+        tables[j][cell] = (n + pseudocount) / (totals[x] + pseudocount * edges)
+    return tables, None
+
+
+def order_counts(k, per_order):
+    """Count tables holding per_order[j] order-j transitions, all out of state A...A.
+
+    Order j's count sits on the edge to A...AT...T (j Ts), which no smaller
+    order links.
+    """
+    tables = [np.zeros(4**k)] + [np.zeros((4**k, 4**j)) for j in range(1, len(per_order))]
+    for j, n in enumerate(per_order):
+        tables[j].flat[4**j - 1] = n
+    return tables
+
+
+def pair_counts(k, max_shift, pairs):
+    """Count tables holding n transitions x -> y for each (x, y): n, on their smallest order."""
+    tables = [np.zeros(4**k)] + [np.zeros((4**k, 4**j)) for j in range(1, max_shift + 1)]
+    for (x, y), n in pairs.items():
+        j = smallest_order(x, y, k, max_shift)
+        tables[j][x if j == 0 else (x, y % 4**j)] += n
+    return tables
 
 
 def paths_log_joints(log_emissions, paths, k, tables):

@@ -41,7 +41,7 @@ from ensembleseed.kmers import decode_kmer, encode_kmer, reverse_complement
 from ensembleseed.pore_model import EventSequence, PoreModel, TransitionModel
 from ensembleseed.seeding import build_index, collect_ensemble_kmers, find_hits
 from ensembleseed.simulate import simulate_corpus, synthetic_pore_model
-from ensembleseed.train import TransitionCounts, count_transitions, estimate_transitions
+from ensembleseed.train import count_transitions, estimate_transitions
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -174,15 +174,13 @@ def test_criterion_05_training_round_trip():
     _, reads = simulate_corpus(
         hmm, reference_length=20_000, read_count=70, events_per_read=1500, seed=314
     )
-    counts = count_transitions(
-        [r.true_path for r in reads], 5, max_shift=2, mode="per-order"
-    )
+    counts = count_transitions([r.true_path for r in reads], 5, max_shift=2)
     total = counts.total
-    model = estimate_transitions(counts, pseudocount=1)
+    model = estimate_transitions(counts, "per-order", pseudocount=1)
     err = float(np.abs(np.asarray(model.order_probs) - generating).max())
 
     toy = estimate_transitions(
-        TransitionCounts(1, 1, "per-transition", {(0, 1): 3}), pseudocount=1
+        count_transitions([[0, 1]] * 3, 1, max_shift=1), "per-transition", pseudocount=1
     )
     edge = float(toy.tables[1][0, 1])
     ok = total >= 100_000 and err <= 0.02 and edge == 4 / 8

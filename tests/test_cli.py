@@ -461,7 +461,34 @@ def test_model_k_must_match_the_pore_model(pipeline, tmp_path, capsys, command):
 def test_train_viterbi_source_requires_events(tmp_path, capsys):
     rc = run_cli("train", "--source", "viterbi", "--out-dir", tmp_path / "x")
     assert rc == 2
-    assert "ensembleseed train" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ensembleseed train: --source viterbi requires --events and --pore-model" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "source,flags,message",
+    [
+        ("truth", ["--order-probs", "0.3,0.3"], "--source truth does not use --order-probs"),
+        (
+            "truth",
+            ["--transitions", "/nonexistent.tsv", "--events", "/nonexistent"],
+            "--source truth does not use --events, --transitions",
+        ),
+        ("viterbi", ["--true-paths", "/nonexistent"], "--source viterbi does not use --true-paths"),
+    ],
+)
+def test_train_refuses_flags_its_source_ignores(pipeline, tmp_path, capsys, source, flags, message):
+    _, sim, _, _ = pipeline
+    needed = {
+        "truth": ["--true-paths", sim / "true_paths.jsonl"],
+        "viterbi": ["--events", sim / "events.jsonl", "--pore-model", sim / "pore_model.tsv"],
+    }[source]
+    out = tmp_path / "out"
+    rc = run_cli("train", "--model-k", 3, "--source", source, *needed, *flags, "--out-dir", out)
+    assert rc == 2
+    assert f"ensembleseed train: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_does_not_load_scipy():

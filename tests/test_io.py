@@ -20,7 +20,7 @@ from ensembleseed.pore_model import (
 )
 from ensembleseed.simulate import load_true_paths, load_truth
 from ensembleseed.train import (
-    TransitionCounts,
+    count_transitions,
     estimate_transitions,
     load_transition_model,
     save_transition_model,
@@ -148,8 +148,8 @@ def valid_files(tmp_path_factory):
     paths.write_text('{"read_id": "r1", "states": [0, 1], "log_joint": -1.0}\n')
     per_order, per_transition = root / "per_order.tsv", root / "per_transition.tsv"
     save_transition_model(per_order, TransitionModel.per_order(1, (0.2, 0.8)))
-    counts = TransitionCounts(1, 1, "per-transition", {})
-    save_transition_model(per_transition, estimate_transitions(counts))
+    counts = count_transitions([], 1, max_shift=1)
+    save_transition_model(per_transition, estimate_transitions(counts, "per-transition"))
     report = root / "report.tsv"
     write_report(report, [EvalRow("chain", 10, 1, 1, 1, 2, 0.5, 0)])
     fasta, spans = root / "calls.fasta", root / "spans.jsonl"

@@ -83,6 +83,26 @@ def test_simulate_read_needs_room(small_hmm):
         simulate_read(small_hmm, "AC", 10, "+", seed=1)
 
 
+def test_gave_up_walks_that_overran_are_counted(small_hmm):
+    with pytest.raises(RuntimeError) as info:
+        simulate_read(small_hmm, "ACGTACGTAC", 300, "+", seed=1)
+    assert str(info.value) == (
+        "no accepted walk for read0 after 200 tries: "
+        "200 overran the 10 bp reference, 0 read back shorter than they walked"
+    )
+
+
+def test_gave_up_walks_that_read_back_shorter_are_counted():
+    """Every move between the As of "AAC" reads back as a split, so no walk matches."""
+    hmm = make_hmm(synthetic_pore_model(1, seed=5), TransitionModel.per_order(1, (0.5, 0.5)))
+    with pytest.raises(RuntimeError) as info:
+        simulate_read(hmm, "AAC" * 10_000, 60, "+", seed=0)
+    assert str(info.value) == (
+        "no accepted walk for read0 after 200 tries: "
+        "0 overran the 30000 bp reference, 200 read back shorter than they walked"
+    )
+
+
 def test_per_transition_models_also_simulate(reference):
     pore = synthetic_pore_model(2, seed=13)
     m = 16
@@ -93,6 +113,8 @@ def test_per_transition_models_also_simulate(reference):
     hmm = make_hmm(pore, model)
     read = simulate_read(hmm, reference, 25, "+", seed=2)
     assert path_to_sequence(read.true_path, 2).sequence == read.true_sequence
+    with pytest.raises(RuntimeError, match="200 overran the 10 bp reference, 0 read back"):
+        simulate_read(hmm, "ACGTACGTAC", 300, "-", seed=1)
 
 
 class TestCorpus:

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from _oracles import dict_count_transitions, dict_estimate, order_counts, pair_counts
+from hypothesis import given, settings, strategies as st
 
 from ensembleseed.decode import IllegalPathError, StatePath
 from ensembleseed.kmers import encode_kmer
@@ -39,15 +41,17 @@ class TestCountTransitions:
             kpath("ACG", "ACG", "CGT", "TAC"),
             StatePath(kpath("AAA", "AAC"), 0.0),
         ]
-        counts = count_transitions(paths, 3, max_shift=2, mode="per-order")
-        assert counts.counts == {0: 1, 1: 2, 2: 1}
+        counts = count_transitions(paths, 3, max_shift=2)
+        assert [t.sum() for t in counts.tables] == [1, 2, 1]
         assert counts.total == 4
 
     def test_per_transition(self):
         paths = [kpath("AC", "CT", "CT", "AC", "CT")]
-        counts = count_transitions(paths, 2, max_shift=2, mode="per-transition")
+        counts = count_transitions(paths, 2, max_shift=2)
         ac, ct = encode_kmer("AC"), encode_kmer("CT")
-        assert counts.counts == {(ac, ct): 2, (ct, ct): 1, (ct, ac): 1}
+        want = pair_counts(2, 2, {(ac, ct): 2, (ct, ct): 1, (ct, ac): 1})
+        for got, table in zip(counts.tables, want, strict=True):
+            np.testing.assert_array_equal(got, table)
 
     def test_illegal_pair_is_reported_with_position(self):
         paths = [kpath("AAA", "AAA", "TTT")]
@@ -65,34 +69,35 @@ class TestCountTransitions:
 
 def test_counts_validation():
     with pytest.raises(ValueError, match="non-negative"):
-        TransitionCounts(2, 1, "per-order", {0: -1})
+        TransitionCounts(2, order_counts(2, [-1, 0]))
     with pytest.raises(ValueError, match="unknown mode"):
-        TransitionCounts(2, 1, "sideways")
+        estimate_transitions(TransitionCounts(2, order_counts(2, [0, 0])), "sideways")
     with pytest.raises(ValueError, match="max_shift"):
-        TransitionCounts(2, 3, "per-order")
+        TransitionCounts(2, order_counts(2, [0, 0, 0, 0]))
+    with pytest.raises(ValueError, match=re.escape("order-1 counts must have shape (16, 4)")):
+        TransitionCounts(2, [np.zeros(16), np.zeros((16, 16))])
 
 
 class TestEstimate:
     def test_per_order_formula(self):
-        counts = TransitionCounts(3, 2, "per-order", {0: 2, 1: 6, 2: 0})
-        model = estimate_transitions(counts, pseudocount=1)
+        counts = TransitionCounts(3, order_counts(3, [2, 6, 0]))
+        model = estimate_transitions(counts, "per-order", pseudocount=1)
         # 21 out-edges per state: 1 split + 4 moves + 16 skips
         np.testing.assert_allclose(model.order_probs, [3 / 29, 10 / 29, 16 / 29])
 
     def test_zero_data_gives_uniform_edges(self):
-        model = estimate_transitions(TransitionCounts(2, 2, "per-order"), pseudocount=1)
+        empty = count_transitions([], 2, max_shift=2)
+        model = estimate_transitions(empty, "per-order", pseudocount=1)
         np.testing.assert_allclose(model.order_probs, [1 / 21, 4 / 21, 16 / 21])
-        flat = estimate_transitions(
-            count_transitions([], 2, max_shift=2, mode="per-transition"), pseudocount=1
-        )
+        flat = estimate_transitions(empty, "per-transition", pseudocount=1)
         np.testing.assert_allclose(flat.tables[0], 1 / 21)
         np.testing.assert_allclose(flat.tables[1], 1 / 21)
         np.testing.assert_allclose(flat.tables[2], 1 / 21)
 
     def test_per_transition_rows(self):
         ac, ct = encode_kmer("AC"), encode_kmer("CT")
-        counts = TransitionCounts(2, 1, "per-transition", {(ac, ct): 3, (ac, ac): 1})
-        model = estimate_transitions(counts, pseudocount=1)
+        counts = TransitionCounts(2, pair_counts(2, 1, {(ac, ct): 3, (ac, ac): 1}))
+        model = estimate_transitions(counts, "per-transition", pseudocount=1)
         # AC row: 5 edges (1 split + 4 moves), 4 observations, denominator 9
         assert model.tables[0][ac] == pytest.approx(2 / 9)
         assert model.tables[1][ac, ct & 3] == pytest.approx(4 / 9)
@@ -100,23 +105,71 @@ class TestEstimate:
 
     def test_zero_pseudocount_requires_support_everywhere(self):
         ac, ct = encode_kmer("AC"), encode_kmer("CT")
-        counts = TransitionCounts(2, 1, "per-transition", {(ac, ct): 3})
+        counts = TransitionCounts(2, pair_counts(2, 1, {(ac, ct): 3}))
         with pytest.raises(ValueError, match="zero row"):
-            estimate_transitions(counts, pseudocount=0)
+            estimate_transitions(counts, "per-transition", pseudocount=0)
 
     def test_zero_pseudocount_zero_data_per_order(self):
         with pytest.raises(ValueError, match="pseudocount 0"):
-            estimate_transitions(TransitionCounts(2, 1, "per-order"), pseudocount=0)
+            estimate_transitions(TransitionCounts(2, order_counts(2, [0, 0])), "per-order", 0)
 
     def test_negative_pseudocount(self):
         with pytest.raises(ValueError, match=">= 0"):
-            estimate_transitions(TransitionCounts(2, 1, "per-order"), pseudocount=-1)
+            estimate_transitions(TransitionCounts(2, order_counts(2, [0, 0])), "per-order", -1)
+
+
+@st.composite
+def counting_case(draw):
+    """k, max shift and up to four paths of legal shifts, in some cases with jumps to any state."""
+    k = draw(st.integers(1, 4))
+    max_shift = draw(st.integers(1, min(k, 3)))
+    jumps = draw(st.booleans())
+    paths = []
+    for _ in range(draw(st.integers(0, 4))):
+        states = [draw(st.integers(0, 4**k - 1))]
+        for _ in range(draw(st.integers(0, 30))):
+            if jumps and draw(st.integers(0, 19)) == 0:
+                states.append(draw(st.integers(0, 4**k - 1)))
+                continue
+            j = draw(st.integers(0, max_shift))
+            b = draw(st.integers(0, 4**j - 1))
+            states.append(states[-1] % 4 ** (k - j) * 4**j + b)
+        paths.append(states)
+    return k, max_shift, paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=counting_case(),
+    mode=st.sampled_from(["per-order", "per-transition"]),
+    pseudocount=st.integers(0, 1),
+)
+def test_count_tables_match_the_dict_counting(case, mode, pseudocount):
+    """One set of count tables serves both modes, bitwise as the per-mode dict counts did."""
+    k, max_shift, paths = case
+    try:
+        want = dict_estimate(
+            dict_count_transitions(paths, k, max_shift, mode), k, max_shift, mode, pseudocount
+        )
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            estimate_transitions(count_transitions(paths, k, max_shift), mode, pseudocount)
+        assert str(info.value) == str(exc)
+        return
+    model = estimate_transitions(count_transitions(paths, k, max_shift), mode, pseudocount)
+    want_tables, want_probs = want
+    for got, table in zip(model.tables, want_tables, strict=True):
+        assert got.shape == table.shape and got.tobytes() == table.tobytes()
+    if want_probs is None:
+        assert model.order_probs is None
+    else:
+        assert model.order_probs.tobytes() == np.array(want_probs).tobytes()
 
 
 class TestModelFiles:
     def test_per_order_round_trip(self, tmp_path):
-        counts = TransitionCounts(3, 2, "per-order", {0: 17, 1: 160, 2: 23})
-        model = estimate_transitions(counts, pseudocount=1)
+        counts = TransitionCounts(3, order_counts(3, [17, 160, 23]))
+        model = estimate_transitions(counts, "per-order", pseudocount=1)
         path = tmp_path / "trans.tsv"
         save_transition_model(path, model, pseudocount=1)
         first = path.read_text().splitlines()[0]
@@ -134,7 +187,7 @@ class TestModelFiles:
             tgt = (src % 4 ** (2 - j)) * 4**j + int(rng.integers(0, 4**j))
             pairs[(src, tgt)] = pairs.get((src, tgt), 0) + int(rng.integers(1, 9))
         model = estimate_transitions(
-            TransitionCounts(2, 2, "per-transition", pairs), pseudocount=1
+            TransitionCounts(2, pair_counts(2, 2, pairs)), "per-transition", pseudocount=1
         )
         path = tmp_path / "trans.tsv"
         save_transition_model(path, model, pseudocount=1)
