@@ -6,6 +6,7 @@ from .decode import (
     IllegalPathError,
     ReadEnsemble,
     StatePath,
+    call_read,
     forward,
     path_to_sequence,
     sample_paths,
@@ -40,6 +41,7 @@ __all__ = [
     "ReadScaling",
     "StatePath",
     "TransitionModel",
+    "call_read",
     "decode_kmer",
     "encode_kmer",
     "forward",

@@ -18,18 +18,11 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .decode import (
-    ReadEnsemble,
-    emission_log_matrix,
-    forward,
-    path_to_sequence,
-    sample_paths,
-    viterbi,
-    write_basecalls,
-    load_basecalls,
-)
+from .decode import call_read, load_basecalls, viterbi, write_basecalls
 from .evaluate import (
     CHAIN_10,
+    DEFAULT_DEDUP_RADIUS,
+    DEFAULT_WINDOW_SIZE,
     SINGLE_13,
     StrategyConfig,
     build_windows,
@@ -92,10 +85,6 @@ def _write_config(out_dir: str, name: str, args: argparse.Namespace) -> None:
         fh.write("\n")
 
 
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _load_transitions(args, k: int) -> TransitionModel:
     """The ``--transitions`` model, checked against k, or a per-order model for k.
 
@@ -112,7 +101,6 @@ def _load_transitions(args, k: int) -> TransitionModel:
 
 
 def cmd_simulate(args) -> int:
-    _ensure_out_dir(args.out_dir)
     pore = synthetic_pore_model(args.model_k, seed=args.seed)
     hmm = make_hmm(pore, _load_transitions(args, args.model_k))
     reference, reads = simulate_corpus(
@@ -122,6 +110,7 @@ def cmd_simulate(args) -> int:
         events_per_read=args.events_per_read,
         seed=args.seed,
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     write_fasta(os.path.join(args.out_dir, "reference.fasta"), [(CONTIG, reference)])
     write_pore_model(os.path.join(args.out_dir, "pore_model.tsv"), pore)
     write_events(os.path.join(args.out_dir, "events.jsonl"), [r.events for r in reads])
@@ -147,7 +136,6 @@ def cmd_train(args) -> int:
     unused = [flag for flag in ignores if flag in given]
     if unused:
         raise ValueError(f"--source {args.source} does not use {', '.join(unused)}")
-    _ensure_out_dir(args.out_dir)
     if args.source == "truth":
         paths = list(load_true_paths(args.true_paths).values())
     else:
@@ -157,6 +145,7 @@ def cmd_train(args) -> int:
         paths = [viterbi(hmm, ev) for ev in events]
     counts = count_transitions(paths, args.model_k, args.max_shift)
     model = estimate_transitions(counts, args.mode, pseudocount=args.pseudocount)
+    os.makedirs(args.out_dir, exist_ok=True)
     save_transition_model(
         os.path.join(args.out_dir, "transitions.tsv"), model, pseudocount=args.pseudocount
     )
@@ -166,29 +155,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_basecall(args) -> int:
-    _ensure_out_dir(args.out_dir)
     pore = load_pore_model(args.pore_model)
     hmm = make_hmm(pore, _load_transitions(args, pore.k))
     events = load_events(args.events)
-    k = pore.k
-    max_shift = hmm.transitions.max_shift
     streams = np.random.SeedSequence(args.seed).spawn(max(1, len(events)))
-
-    def call(ev, stream) -> ReadEnsemble:
-        logpdf = emission_log_matrix(hmm, ev)
-        vit = viterbi(hmm, ev, logpdf)
-        samples = []
-        if args.n > 0:
-            fwd = forward(hmm, ev, logpdf)
-            del logpdf  # frees its room for the traceback's (n, events) arrays
-            samples = sample_paths(hmm, ev, fwd, args.n, seed=stream)
-        return ReadEnsemble(
-            read_id=ev.read_id,
-            viterbi=path_to_sequence(vit, k, max_shift),
-            samples=[path_to_sequence(p, k, max_shift) for p in samples],
-        )
-
-    ensembles = [call(ev, stream) for ev, stream in zip(events, streams)]
+    ensembles = [call_read(hmm, ev, args.n, stream) for ev, stream in zip(events, streams)]
+    os.makedirs(args.out_dir, exist_ok=True)
     write_basecalls(
         os.path.join(args.out_dir, "basecalls.fasta"),
         os.path.join(args.out_dir, "spans.jsonl"),
@@ -214,7 +186,6 @@ def _strategies(args) -> list[StrategyConfig]:
 def cmd_eval(args) -> int:
     strategies = _strategies(args)
     check_grid(args.t, args.n, args.dedup_radius)
-    _ensure_out_dir(args.out_dir)
     records = read_fasta(args.reference)
     if len(records) != 1:
         raise ValueError(f"{args.reference}: expected exactly one reference sequence")
@@ -247,17 +218,18 @@ def cmd_eval(args) -> int:
     for config in strategies:
         index = indexes[config.seed_k]
         rows += sweep(windows, index, config, args.t, args.n, radius=args.dedup_radius)
+    os.makedirs(args.out_dir, exist_ok=True)
     write_report(os.path.join(args.out_dir, "report.tsv"), rows)
     _write_config(args.out_dir, "eval", args)
     return 0
 
 
 def cmd_report(args) -> int:
-    _ensure_out_dir(args.out_dir)
     rows = load_report(args.report)
     groups: dict[tuple[str, int], list] = {}
     for row in rows:
         groups.setdefault((row.strategy, row.t), []).append(row)
+    os.makedirs(args.out_dir, exist_ok=True)
     for (strategy, t), group in sorted(groups.items()):
         write_points(os.path.join(args.out_dir, f"points_{strategy}_t{t}.tsv"), group)
     _write_config(args.out_dir, "report", args)
@@ -320,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--true-paths", required=True)
     p.add_argument("--model-k", type=int, default=5)
-    p.add_argument("--window", type=int, default=500)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW_SIZE)
     p.add_argument("--seed-k", type=int, default=None,
                    help="seed length override (default: 13 single, 10 chain)")
-    p.add_argument("--chain-len", type=int, default=3)
-    p.add_argument("--min-gap", type=int, default=10)
-    p.add_argument("--max-gap", type=int, default=50)
-    p.add_argument("--dedup-radius", type=int, default=10)
+    p.add_argument("--chain-len", type=int, default=CHAIN_10.chain_len)
+    p.add_argument("--min-gap", type=int, default=CHAIN_10.min_gap)
+    p.add_argument("--max-gap", type=int, default=CHAIN_10.max_gap)
+    p.add_argument("--dedup-radius", type=int, default=DEFAULT_DEDUP_RADIUS)
     integers = partial(_list_of, int)
     p.add_argument("--t", type=integers, default=[1], help="support thresholds, comma separated")
     p.add_argument("--n", type=integers, default=[1], help="sample counts, comma separated")

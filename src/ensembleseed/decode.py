@@ -34,9 +34,6 @@ class StatePath:
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return self.states.size
-
 
 @dataclass
 class ForwardMatrix:
@@ -245,23 +242,24 @@ def sample_paths(
     fwd: ForwardMatrix,
     count: int,
     seed,
-) -> list[StatePath]:
+) -> np.ndarray:
     """Draw independent exact posterior path samples by stochastic traceback.
 
     The forward matrix is computed once and shared across draws: the final
     state is drawn proportionally to the last column, then each earlier state
     proportionally to its forward value times the transition probability into
-    the already-fixed successor. ``seed`` may be an int or a numpy Generator;
-    a given seed yields a reproducible list.
+    the already-fixed successor. Returns an int64 (count, n_events) array, one
+    path per row; ``path_log_joint`` scores its rows. ``seed`` may be an int
+    or a numpy Generator; a given seed yields reproducible paths.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return []
     F = fwd.columns
     n, m = F.shape
     if n != len(events) or m != hmm.num_states:
         raise ValueError("forward matrix does not match this model and read")
+    if count == 0:
+        return np.empty((0, n), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     trans = hmm.transitions
@@ -285,38 +283,68 @@ def sample_paths(
         pick = np.minimum((cw <= u[:, None]).sum(axis=1), last)
         cur = pool[draws, pick]
         paths[:, i] = cur
-
-    joints = path_log_joint(hmm, events, paths)
-    return [StatePath(states=paths[d], log_joint=float(joints[d])) for d in range(count)]
+    return paths
 
 
-def path_to_sequence(path: StatePath, k: int, max_shift: int | None = None) -> BaseCall:
-    """Translate a state path to DNA using the shortest consistent interpretation.
+def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
+    """Translate state paths to DNA using the shortest consistent interpretation.
 
-    The first event contributes its whole k-mer; every later event contributes
-    the last j bases of its k-mer, where j is the smallest shift linking it to
-    its predecessor (0 for splits). The call's lengths are k followed by those
-    orders.
+    ``states`` is one path, giving a BaseCall, or a (rows, events) array whose
+    rows are translated together, giving a list of BaseCalls. Each event
+    contributes the last j bases of its k-mer: j is k for the first event, so
+    it contributes its whole k-mer, and for every later event the smallest
+    shift linking it to its predecessor (0 for splits). The call's lengths are
+    those orders.
     """
-    states = path.states
+    states = np.asarray(states, dtype=np.int64)
+    paths = states.reshape(-1, states.shape[-1])
     limit = k if max_shift is None else max_shift
-    orders = smallest_orders(states[:-1], states[1:], k, limit)
-    bad = np.flatnonzero(orders < 0)
+    orders = np.empty(paths.shape, dtype=np.int64)
+    orders[:, 0] = k
+    orders[:, 1:] = smallest_orders(paths[:, :-1], paths[:, 1:], k, limit)
+    bad = np.argwhere(orders < 0)
     if bad.size:
-        i = int(bad[0])
+        row, i = (int(v) for v in bad[0])
+        where = f"row {row}, " if states.ndim == 2 else ""
         raise IllegalPathError(
-            f"events {i}..{i + 1}: {decode_kmer(int(states[i]), k)} -> "
-            f"{decode_kmer(int(states[i + 1]), k)} needs a shift beyond {limit}"
+            f"{where}events {i - 1}..{i}: {decode_kmer(int(paths[row, i - 1]), k)} -> "
+            f"{decode_kmer(int(paths[row, i]), k)} needs a shift beyond {limit}"
         )
-    # Output base p comes from the event whose bases end at ends[e]; it is
-    # digit ends[e] - 1 - p of that event's k-mer code, counting from the last.
-    ends = k + np.cumsum(orders)
-    event = np.repeat(np.arange(orders.size), orders)
-    digit = ends[event] - k - 1 - np.arange(event.size)
-    codes = (states[1:][event] >> (2 * digit)) & 3
+    # Row e of letters spells event e's k-mer, and the event contributes the
+    # last orders[e] of them; the rows' bases come out one after another.
     lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
-    sequence = decode_kmer(int(states[0]), k) + lookup[codes].tobytes().decode("ascii")
-    return BaseCall(sequence=sequence, lengths=np.concatenate([[k], orders]))
+    flat = paths.ravel()
+    letters = np.empty((flat.size, k), dtype=np.uint8)
+    for d in range(k):
+        letters[:, d] = lookup[(flat >> (2 * (k - 1 - d))) & 3]
+    text = letters[np.arange(k) >= k - orders.reshape(-1, 1)].tobytes().decode("ascii")
+    bounds = [0, *np.cumsum(orders.sum(axis=1)).tolist()]
+    calls = [
+        BaseCall(sequence=text[start:stop], lengths=lengths)
+        for start, stop, lengths in zip(bounds, bounds[1:], orders.astype(np.uint8))
+    ]
+    return calls[0] if states.ndim == 1 else calls
+
+
+def call_read(hmm: Hmm, events: EventSequence, n: int, seed) -> ReadEnsemble:
+    """Viterbi call plus ``n`` posterior sample calls for one read.
+
+    The emission matrix is built once for both kernels and dropped before the
+    traceback; the samples are translated after the forward matrix is dropped,
+    so the translation's temporaries never add to the kernels' peak memory.
+    ``seed`` seeds the traceback, as in ``sample_paths``.
+    """
+    k, max_shift = hmm.k, hmm.transitions.max_shift
+    logpdf = emission_log_matrix(hmm, events)
+    best = viterbi(hmm, events, logpdf)
+    samples = []
+    if n > 0:
+        fwd = forward(hmm, events, logpdf)
+        del logpdf
+        paths = sample_paths(hmm, events, fwd, n, seed)
+        del fwd
+        samples = path_to_sequence(paths, k, max_shift)
+    return ReadEnsemble(events.read_id, path_to_sequence(best.states, k, max_shift), samples)
 
 
 # ---------------------------------------------------------------------------

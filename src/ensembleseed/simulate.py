@@ -164,8 +164,7 @@ def simulate_read(
                 overran += 1
                 continue
 
-        path = StatePath(states=states, log_joint=0.0)
-        call = path_to_sequence(path, k, max_shift)
+        call = path_to_sequence(states, k, max_shift)
         consumed = walk_seq[start : start + len(call.sequence)]
         if call.sequence != consumed:
             continue
@@ -174,7 +173,7 @@ def simulate_read(
         sd = hmm.pore.level_stdv[states] * scaling.var
         means = rng.normal(mu, sd)
         events = EventSequence(read_id=read_id, means=means, scaling=scaling)
-        path.log_joint = path_log_joint(hmm, events, states)
+        path = StatePath(states=states, log_joint=path_log_joint(hmm, events, states))
 
         span = len(call.sequence)
         if strand == "+":

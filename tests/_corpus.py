@@ -4,13 +4,13 @@ Shared between the session fixture in conftest.py and tools/freeze_pins.py so
 the pinned regression values are generated by exactly the code the tests run.
 """
 
+import hashlib
 import time
 from types import SimpleNamespace
 
 import numpy as np
 
-from ensembleseed import forward, make_hmm, path_to_sequence, sample_paths, viterbi
-from ensembleseed.decode import ReadEnsemble
+from ensembleseed import call_read, make_hmm
 from ensembleseed.evaluate import build_windows
 from ensembleseed.seeding import build_index
 from ensembleseed.simulate import (
@@ -48,6 +48,16 @@ def alignment_identity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longer
 
 
+def calls_digest(ensembles) -> str:
+    """sha256 over every call's read id, sequence and per-event lengths, in file order."""
+    digest = hashlib.sha256()
+    for ens in ensembles:
+        for call in [ens.viterbi, *ens.samples]:
+            digest.update(f"{ens.read_id}\t{call.sequence}\t".encode("ascii"))
+            digest.update(call.lengths.tobytes() + b"\n")
+    return digest.hexdigest()
+
+
 def build_pinned_corpus() -> SimpleNamespace:
     """Simulate the default corpus and base-call every read.
 
@@ -62,18 +72,9 @@ def build_pinned_corpus() -> SimpleNamespace:
     reference, reads = simulate_corpus(hmm)
 
     seeds = np.random.SeedSequence(DEFAULT_CORPUS_SEED + 1).spawn(len(reads))
-
-    def basecall(read, seed):
-        fwd = forward(hmm, read.events)
-        vit = viterbi(hmm, read.events)
-        samples = sample_paths(hmm, read.events, fwd, CORPUS_SAMPLES, seed=seed)
-        return ReadEnsemble(
-            read.read_id,
-            path_to_sequence(vit, CORPUS_K),
-            [path_to_sequence(p, CORPUS_K) for p in samples],
-        )
-
-    ensembles = [basecall(read, seed) for read, seed in zip(reads, seeds)]
+    ensembles = [
+        call_read(hmm, read.events, CORPUS_SAMPLES, seed) for read, seed in zip(reads, seeds)
+    ]
 
     identities = np.array(
         [

@@ -111,6 +111,21 @@ def kmer_name(code, k):
     return "".join("ACGT"[(code >> 2 * (k - 1 - i)) & 3] for i in range(k))
 
 
+def translate_path(states, k, max_shift):
+    """(sequence, per-event lengths) of one legal path, one event at a time.
+
+    The first event reads its whole k-mer; each later one the last j bases of
+    its k-mer, j being the smallest order linking it to its predecessor.
+    """
+    states = [int(s) for s in states]
+    sequence, lengths = kmer_name(states[0], k), [k]
+    for x, y in zip(states, states[1:]):
+        j = smallest_order(x, y, k, max_shift)
+        sequence += kmer_name(y, k)[k - j :]
+        lengths.append(j)
+    return sequence, lengths
+
+
 def dict_count_transitions(paths, k, max_shift, mode):
     """The first counting: per-order totals in a dict, or a Counter of (source, target) pairs."""
     counts = {j: 0 for j in range(max_shift + 1)} if mode == "per-order" else Counter()

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _corpus import calls_digest
 from _oracles import (
     Hit,
     aggregate_prob,
@@ -26,7 +27,6 @@ from _oracles import (
 from conftest import record_criterion
 from ensembleseed import forward, make_hmm, path_to_sequence, sample_paths, viterbi
 from ensembleseed.cli import main as cli_main
-from ensembleseed.decode import StatePath
 from ensembleseed.evaluate import (
     CHAIN_10,
     SINGLE_13,
@@ -96,8 +96,8 @@ def test_criterion_01_sampler_exactness(oracle_instances):
         fwd = forward(hmm, events)
         posterior = joints / joints.sum()
         samples = sample_paths(hmm, events, fwd, N_DRAWS, seed=2000 + idx)
-        drawn = np.array([p.states for p in samples]) @ powers
-        assert int(drawn[0]) == path_index(samples[0].states, 4)
+        drawn = samples @ powers
+        assert int(drawn[0]) == path_index(samples[0], 4)
         counts = np.bincount(drawn, minlength=posterior.size)
         tv = 0.5 * np.abs(counts / N_DRAWS - posterior).sum()
         worst = max(worst, tv)
@@ -153,9 +153,7 @@ def test_criterion_03_forward_exactness(oracle_instances):
 
 
 def test_criterion_04_sequence_translation():
-    path = StatePath(
-        np.array([encode_kmer("ACTCTC"), encode_kmer("CTCTCA")]), 0.0
-    )
+    path = np.array([encode_kmer("ACTCTC"), encode_kmer("CTCTCA")])
     got = path_to_sequence(path, 6).sequence
     ok = got == "ACTCTCA"
     record_criterion(
@@ -375,6 +373,16 @@ def test_identity_corridor(pinned_corpus):
     assert 0.65 <= band["lo"] < band["hi"] <= 0.95
     mean = float(pinned_corpus.identities.mean())
     assert band["lo"] <= mean <= band["hi"]
+
+
+def test_pinned_calls_digest(pinned_corpus):
+    """Every Viterbi and sample call of the pinned corpus, bases and lengths, is frozen."""
+    pin = json.loads((DATA_DIR / "pinned_calls_digest.json").read_text())
+    got = {
+        "calls": sum(1 + len(ens.samples) for ens in pinned_corpus.ensembles),
+        "sha256": calls_digest(pinned_corpus.ensembles),
+    }
+    assert got == pin
 
 
 def test_criterion_10_regression_pin(pinned_corpus):

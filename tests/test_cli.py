@@ -310,6 +310,8 @@ def test_traced_basecall_records_every_decode_layer(pipeline, tmp_path, tracer):
     assert_layers_traced(tracer, traced, layers)
     emission = [span for span in traced.spans if span[0] == "decode.emission"]
     assert len(emission) == 6 and all(parent == -1 for *_, parent in emission)
+    translate = [span for span in traced.spans if span[0] == "decode.translate"]
+    assert len(translate) == 2 * 6  # the Viterbi path, then every sample at once
     for name in ("basecalls.fasta", "spans.jsonl"):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
@@ -488,6 +490,23 @@ def test_train_refuses_flags_its_source_ignores(pipeline, tmp_path, capsys, sour
     rc = run_cli("train", "--model-k", 3, "--source", source, *needed, *flags, "--out-dir", out)
     assert rc == 2
     assert f"ensembleseed train: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "basecall", "report"])
+def test_a_failed_run_leaves_no_output_directory(pipeline, tmp_path, capsys, command):
+    _, sim, _, _ = pipeline
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not\ta\theader\n")
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--model-k", 3, "--ref-length", 5000, "--reads", 6,
+                     "--events-per-read", 300, "--seed", 99],
+        "basecall": ["--model-k", 3, "--events", bad, "--pore-model", sim / "pore_model.tsv"],
+        "report": ["--report", bad],
+    }[command]
+    assert run_cli(command, *argv, "--out-dir", out) == 2
+    assert f"ensembleseed {command}: " in capsys.readouterr().err
     assert not out.exists()
 
 

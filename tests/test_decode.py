@@ -15,12 +15,12 @@ from _oracles import (
     path_joint,
     paths_log_joints,
     table_prob,
+    translate_path,
 )
 from ensembleseed.decode import (
     BaseCall,
     IllegalPathError,
     ReadEnsemble,
-    StatePath,
     emission_log_matrix,
     forward,
     load_basecalls,
@@ -160,8 +160,8 @@ def test_sample_paths_matches_order_by_order_traceback(mode, count):
         want = order_by_order_traceback(fwd.columns, tables, hmm.k, count, seed)
         want_joints = paths_log_joints(emission_log_matrix(hmm, events), want, hmm.k, tables)
         got = sample_paths(hmm, events, fwd, count, seed=seed)
-        np.testing.assert_array_equal(np.stack([p.states for p in got]), want, f"seed {seed}")
-        assert [p.log_joint for p in got] == want_joints.tolist(), f"seed {seed}"
+        np.testing.assert_array_equal(got, want, f"seed {seed}")
+        assert path_log_joint(hmm, events, got).tolist() == want_joints.tolist(), f"seed {seed}"
 
 
 MODES = ["per-order", "per-transition"]
@@ -180,8 +180,7 @@ def test_forward_columns_sum_to_one(mode, seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sampled_paths_take_only_linked_pairs(mode, seed):
     hmm, events = quantised_instance(seed, mode, max_k=4)
-    paths = sample_paths(hmm, events, forward(hmm, events), 16, seed=seed)
-    states = np.stack([p.states for p in paths])
+    states = sample_paths(hmm, events, forward(hmm, events), 16, seed=seed)
     assert np.all(pair_probs(hmm.transitions, states[:, :-1], states[:, 1:]) > 0)
 
 
@@ -293,15 +292,15 @@ class TestSamplePaths:
         fwd = forward(hmm, events)
         a = sample_paths(hmm, events, fwd, 8, seed=42)
         b = sample_paths(hmm, events, fwd, 8, seed=42)
-        assert len(a) == len(b) == 8
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.states, pb.states)
-            assert pa.log_joint == pb.log_joint
+        assert a.dtype == np.int64 and a.shape == b.shape == (8, 5)
+        np.testing.assert_array_equal(a, b)
 
     def test_zero_draws(self):
         hmm, events, _, _ = random_instance(12)
         fwd = forward(hmm, events)
-        assert sample_paths(hmm, events, fwd, 0, seed=1) == []
+        paths = sample_paths(hmm, events, fwd, 0, seed=1)
+        assert paths.dtype == np.int64 and paths.shape == (0, 3)
+        assert path_to_sequence(paths, 1) == []
 
     def test_rejects_negative_count(self):
         hmm, events, _, _ = random_instance(13)
@@ -316,12 +315,6 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(hmm, events, fwd, 1, seed=1)
 
-    def test_log_joint_matches_recompute(self):
-        hmm, events, _, _ = random_instance(16, k=1, n_events=5, scaled=True)
-        fwd = forward(hmm, events)
-        for p in sample_paths(hmm, events, fwd, 20, seed=7):
-            assert p.log_joint == pytest.approx(path_log_joint(hmm, events, p.states), rel=1e-12)
-
     def test_empirical_distribution_tracks_posterior(self):
         """Coarse screen; the tight tolerance lives in the acceptance suite."""
         hmm, events, _, joints = random_instance(17, k=1, n_events=3)
@@ -330,7 +323,7 @@ class TestSamplePaths:
         draws = sample_paths(hmm, events, fwd, 20_000, seed=5)
         counts = np.zeros_like(posterior)
         for p in draws:
-            counts[path_index(p.states, 4)] += 1
+            counts[path_index(p, 4)] += 1
         tv = 0.5 * np.abs(counts / len(draws) - posterior).sum()
         assert tv < 0.05
 
@@ -340,7 +333,7 @@ class TestPathToSequence:
         states = np.array(
             [encode_kmer("ACG"), encode_kmer("CGT"), encode_kmer("CGT"), encode_kmer("TAC")]
         )
-        call = path_to_sequence(StatePath(states, 0.0), 3)
+        call = path_to_sequence(states, 3)
         assert call.sequence == "ACGTAC"
         assert call.lengths.dtype == np.uint8
         assert call.lengths.tolist() == [3, 1, 0, 2]
@@ -348,14 +341,55 @@ class TestPathToSequence:
         assert len(call) == 6
 
     def test_single_event(self):
-        call = path_to_sequence(StatePath(np.array([encode_kmer("GT")]), 0.0), 2)
+        call = path_to_sequence(np.array([encode_kmer("GT")]), 2)
         assert call.sequence == "GT"
         assert call.event_spans.tolist() == [[0, 2]]
 
     def test_illegal_pair_reports_position(self):
         states = np.array([encode_kmer("A"), encode_kmer("C")])
         with pytest.raises(IllegalPathError, match="events 0..1"):
-            path_to_sequence(StatePath(states, 0.0), 1, max_shift=0)
+            path_to_sequence(states, 1, max_shift=0)
+
+    def test_illegal_pair_in_a_later_row_reports_row_and_events(self):
+        ok = [encode_kmer("AC"), encode_kmer("CG"), encode_kmer("GT")]
+        bad = [encode_kmer("AC"), encode_kmer("CG"), encode_kmer("AA")]
+        message = r"row 1, events 1\.\.2: CG -> AA needs a shift beyond 1"
+        with pytest.raises(IllegalPathError, match=message):
+            path_to_sequence(np.array([ok, bad, bad]), 2, max_shift=1)
+
+
+def legal_paths(draw, k, max_shift):
+    """A (rows, events) array of linked paths, with splits and homopolymer runs."""
+    rows, events = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    paths = np.empty((rows, events), dtype=np.int64)
+    for r in range(rows):
+        state = draw(st.integers(0, 4**k - 1))
+        paths[r, 0] = state
+        for i in range(1, events):
+            j = draw(st.integers(0, max_shift))
+            # Gaining copies of the last base runs into homopolymers, where a
+            # move can read as a split.
+            repeat = sum((state & 3) << (2 * d) for d in range(j))
+            b = repeat if draw(st.booleans()) else draw(st.integers(0, 4**j - 1))
+            state = state % 4 ** (k - j) * 4**j + b
+            paths[r, i] = state
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), shift=st.integers(1, 3))
+def test_translating_rows_together_matches_each_path(data, k, shift):
+    max_shift = min(k, shift)
+    paths = legal_paths(data.draw, k, max_shift)
+    calls = path_to_sequence(paths, k, max_shift)
+    assert len(calls) == len(paths)
+    for row, call in zip(paths, calls):
+        sequence, lengths = translate_path(row, k, max_shift)
+        alone = path_to_sequence(row, k, max_shift)
+        for got in (call, alone):
+            assert got.sequence == sequence
+            assert got.lengths.dtype == np.uint8
+            assert got.lengths.tobytes() == np.array(lengths, dtype=np.uint8).tobytes()
 
 
 def write_call_files(tmp_path, records):

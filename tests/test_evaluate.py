@@ -98,7 +98,7 @@ class TestBuildWindows:
         _, (read,) = simulate_corpus(
             hmm, reference_length=5000, read_count=1, events_per_read=90, seed=61
         )
-        ens = ReadEnsemble(read.read_id, path_to_sequence(read.true_path, 3), [])
+        ens = ReadEnsemble(read.read_id, path_to_sequence(read.true_path.states, 3), [])
         assert len(build_windows(ens, read.truth, read.true_path, 3, window_size=30)) == 3
         with pytest.raises(ValueError, match=rf"read {read.read_id}: {message}"):
             build_windows(ens, read.truth, read.true_path, k, window_size=30)
@@ -113,7 +113,7 @@ class TestBuildWindows:
         reads = [r for r in reads if r.truth[3] == strand]
         assert reads, "corpus should carry both strands"
         for read in reads:
-            call = path_to_sequence(read.true_path, 3)
+            call = path_to_sequence(read.true_path.states, 3)
             # An event's 3-mer ends where its contribution ends (splits
             # contribute nothing and re-read the 3-mer already in place).
             ends = call.event_spans.sum(axis=1)
@@ -217,7 +217,7 @@ def scored_corpus():
     )
     windows = []
     for read in reads:
-        call = path_to_sequence(read.true_path, 3)
+        call = path_to_sequence(read.true_path.states, 3)
         ens = ReadEnsemble(read.read_id, call, [call, call])
         windows += build_windows(ens, read.truth, read.true_path, 3, window_size=40)
     return ref, windows

@@ -53,7 +53,7 @@ def test_simulated_read_ground_truth_invariant(small_hmm, reference, strand):
     span = reference[start:end]
     want = span if strand == "+" else reverse_complement(span)
     assert read.true_sequence == want
-    call = path_to_sequence(read.true_path, 3)
+    call = path_to_sequence(read.true_path.states, 3)
     assert call.sequence == read.true_sequence
     assert len(read.events) == 60
 
@@ -112,7 +112,7 @@ def test_per_transition_models_also_simulate(reference):
     model = TransitionModel(2, tables, mode="per-transition")
     hmm = make_hmm(pore, model)
     read = simulate_read(hmm, reference, 25, "+", seed=2)
-    assert path_to_sequence(read.true_path, 2).sequence == read.true_sequence
+    assert path_to_sequence(read.true_path.states, 2).sequence == read.true_sequence
     with pytest.raises(RuntimeError, match="200 overran the 10 bp reference, 0 read back"):
         simulate_read(hmm, "ACGTACGTAC", 300, "-", seed=1)
 

@@ -6,7 +6,8 @@ defaults or the decoding kernels:
     python3 tools/freeze_pins.py
 
 It rebuilds the fixed-seed evaluation corpus with the same code the test
-suite uses and rewrites pinned_viterbi_row.json and identity_band.json.
+suite uses and rewrites pinned_viterbi_row.json, identity_band.json and
+pinned_calls_digest.json (one sha256 over every Viterbi and sample call).
 Commit the result together with the change that moved the numbers.
 """
 
@@ -15,9 +16,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from _corpus import build_pinned_corpus  # noqa: E402
+from _corpus import build_pinned_corpus, calls_digest  # noqa: E402
 
 from ensembleseed.evaluate import SINGLE_13_VITERBI, evaluate  # noqa: E402
 
@@ -50,6 +51,13 @@ def main() -> int:
     }
     (data_dir / "identity_band.json").write_text(json.dumps(band, indent=2) + "\n")
     print(f"identity band: {band}")
+
+    calls = {
+        "calls": sum(1 + len(ens.samples) for ens in corpus.ensembles),
+        "sha256": calls_digest(corpus.ensembles),
+    }
+    (data_dir / "pinned_calls_digest.json").write_text(json.dumps(calls, indent=2) + "\n")
+    print(f"calls digest: {calls}")
     return 0
 
 
