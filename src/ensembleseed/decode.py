@@ -415,10 +415,17 @@ def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
         if read_id not in by_read:
             by_read[read_id] = ReadEnsemble(read_id=read_id, viterbi=None, samples=[])
             ensembles.append(by_read[read_id])
+        samples = by_read[read_id].samples
+        due = _call_label("sample", len(samples))
         if label == "viterbi":
             by_read[read_id].viterbi = call
+        elif label != due:
+            raise ValueError(
+                f"{fasta_path}:{lineno}: {label} call of read {read_id!r} where {due} is due: "
+                f"sample indexes must run 0, 1, 2, ... in file order"
+            )
         else:
-            by_read[read_id].samples.append(call)
+            samples.append(call)
     for ens in ensembles:
         if ens.viterbi is None:
             raise ValueError(f"{fasta_path}: read {ens.read_id} has no viterbi call")

@@ -6,11 +6,14 @@ Seeds carry an event-column query coordinate, the event's index in the
 window, which is comparable across samples. A window scores a true positive
 when any seed (or chain) lands inside its true reference interval on the right
 strand; everything else is clustered greedily and counted as false positives.
+A sweep scores each window's whole (t, n) grid in one pass: one k-mer
+collection, one lookup and, for chains, one chaining call per window and
+strategy, then validity and dedup per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +37,6 @@ class Window:
     viterbi: BaseCall
     samples: list[BaseCall]
     truth: tuple[int, int, str]
-    cache: dict = field(default_factory=dict, repr=False)
 
 
 def build_windows(
@@ -184,14 +186,37 @@ class EvalRow:
             raise ValueError(f"FP must be >= 0, got {self.fp}")
 
 
-def window_points(window: Window, index: KmerIndex, config: StrategyConfig, t: int, n: int):
-    """The window's candidate left endpoints under a strategy: hit rows or chain heads."""
+def window_points(window: Window, index: KmerIndex, config: StrategyConfig, points) -> np.ndarray:
+    """Every grid point's candidate left endpoints under a strategy, in one pass.
+
+    ``points`` lists (t, n) pairs with 1 <= t <= n. Returns ``(query_col,
+    ref_pos, strand, p)`` rows, p indexing ``points``, grouped by p: point
+    p's hit rows, or its chains' head rows, in ``find_hits`` order. The
+    k-mers of the first max n rows are collected and looked up once, each
+    labelled by its rank so that each hit names its k-mer, and each point
+    masks the hits down to its own k-mers. Chains at a subset of hits are no
+    filter of the superset's chains, so each point is chained on its own
+    hits: one ``chain_hits`` call takes every point's, with each point's
+    columns shifted past the reach of the point before.
+    """
     rows = [window.viterbi] if config.use_viterbi else None
-    kmers = collect_ensemble_kmers(window, config.seed_k, n, t, rows=rows)
-    hits = find_hits(index, kmers)
+    k = config.seed_k
+    kmers = collect_ensemble_kmers(window, k, max(n for _, n in points), 1, rows=rows)
+    cols, codes = np.divmod(kmers.keys, 4**k)
+    hits = find_hits(index, replace(kmers, keys=np.arange(cols.size) * 4**k + codes))
+    owner = hits[:, 0].copy()
+    hits[:, 0] = cols[owner]
+    order = np.lexsort(hits.T[::-1])
+    kept = np.stack([kmers.kept(t, n) for t, n in points])[:, owner[order]]
+    point, at = np.nonzero(kept)  # point-major, each point's hits in find_hits order
+    hits = hits[order[at]]
     if config.kind == "single":
-        return hits
-    return chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]
+        return np.column_stack([hits, point])
+    stride = window.event_range[1] - window.event_range[0] + config.max_gap + 1
+    hits[:, 0] += point * stride
+    heads = chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]
+    point, col = np.divmod(heads[:, 0], stride)
+    return np.column_stack([col, heads[:, 1:], point])
 
 
 def evaluate(
@@ -227,35 +252,39 @@ def sweep(
 ) -> list[EvalRow]:
     """Full cartesian (t, n) grid for one strategy, t-major order.
 
-    Each distinct point is scored once. A Viterbi-mode strategy scores its
-    single Viterbi row at (1, 1) for every grid point (t and n only label the
-    row), so it serves as the fixed baseline. Ensemble points that cannot draw
-    samples (n = 0, or t > n) score zero so the grid stays rectangular; the
-    grid and radius pass ``check_grid`` before any scoring.
+    Each window is scored in one ``window_points`` pass that carries every
+    distinct scorable point; validity and dedup then run per point. A
+    Viterbi-mode strategy scores its single Viterbi row at (1, 1) for every
+    grid point (t and n only label the row), so it serves as the fixed
+    baseline. Ensemble points that cannot draw samples (n = 0, or t > n) score
+    zero so the grid stays rectangular; the grid and radius pass
+    ``check_grid`` before any scoring.
     """
     check_grid(t_values, n_values, radius)
+    grid = [(t, n) for t in t_values for n in n_values]
+    if config.use_viterbi:
+        points = [(1, 1)]
+    else:
+        points = list(dict.fromkeys((t, n) for t, n in grid if t <= n))
+    tps, fps = [0] * len(points), [0] * len(points)
+    for window in windows if points else ():
+        found = window_points(window, index, config, points)
+        bounds = np.searchsorted(found[:, 3], np.arange(len(points) + 1))
+        for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            valid = is_valid_hit(found[lo:hi], window.truth)
+            tps[p] += bool(valid.any())
+            fps[p] += len(greedy_dedup(found[lo:hi][~valid], radius))
+    scored = dict(zip(points, zip(tps, fps)))
     count = len(windows)
-    scored: dict[tuple[int, int], tuple[int, int]] = {}
     rows: list[EvalRow] = []
-    for t in t_values:
-        for n in n_values:
-            key = (1, 1) if config.use_viterbi else (t, n)
-            if key not in scored:
-                tp = fp = 0
-                if config.use_viterbi or not (n == 0 or t > n):
-                    for window in windows:
-                        points = window_points(window, index, config, *key)
-                        valid = is_valid_hit(points, window.truth)
-                        tp += bool(valid.any())
-                        fp += len(greedy_dedup(points[~valid], radius))
-                scored[key] = tp, fp
-            tp, fp = scored[key]
-            rows.append(
-                EvalRow(
-                    strategy=config.label, k=config.seed_k, t=t, n=n,
-                    tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
-                )
+    for t, n in grid:
+        tp, fp = scored.get((1, 1) if config.use_viterbi else (t, n), (0, 0))
+        rows.append(
+            EvalRow(
+                strategy=config.label, k=config.seed_k, t=t, n=n,
+                tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
             )
+        )
     return rows
 
 

@@ -13,6 +13,8 @@ import numpy as np
 BASES = "ACGT"
 STRANDS = ("+", "-")  # hit rows hold the index; a tuple, as "" in "+-" is True
 _BASE_TO_CODE = {b: i for i, b in enumerate(BASES)}
+_BYTE_TO_CODE = np.full(256, -1, dtype=np.int8)  # -1 for every byte but A, C, G, T
+_BYTE_TO_CODE[[ord(b) for b in BASES]] = range(len(BASES))
 _COMPLEMENT = str.maketrans("ACGTacgt", "TGCAtgca")
 
 
@@ -39,11 +41,7 @@ def decode_kmer(code: int, k: int) -> str:
 
 def encode_sequence(seq: str) -> np.ndarray:
     """Encode a DNA string as an int8 array of base codes."""
-    arr = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
-    codes = np.full(arr.shape, -1, dtype=np.int8)
-    for base, value in _BASE_TO_CODE.items():
-        codes[arr == ord(base)] = value
-    return codes
+    return _BYTE_TO_CODE[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
 
 
 def kmer_codes(seq: str, k: int) -> np.ndarray:
@@ -55,13 +53,13 @@ def kmer_codes(seq: str, k: int) -> np.ndarray:
     n = len(seq) - k + 1
     if n <= 0:
         return np.empty(0, dtype=np.int64)
+    bases = np.maximum(codes, 0).astype(np.int64)
     out = np.zeros(n, dtype=np.int64)
-    bad = np.zeros(n, dtype=bool)
     for j in range(k):
-        window = codes[j : j + n].astype(np.int64)
-        out = (out << 2) | np.where(window < 0, 0, window)
-        bad |= window < 0
-    out[bad] = -1
+        out <<= 2
+        out |= bases[j : j + n]
+    bad = np.concatenate([[0], np.cumsum(codes < 0)])  # non-ACGT characters before each position
+    out[bad[k:] > bad[:n]] = -1
     return out
 
 

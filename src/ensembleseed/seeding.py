@@ -4,7 +4,10 @@ Ensemble k-mers are anchored at event columns: column c is the c-th event of
 the window, and a sample contributes the k-mer starting at its first base for
 that event, when the event emitted at least one base. Anchoring at event
 columns makes positions comparable across samples, which is what lets a
-support threshold t and a dedup radius make sense at all.
+support threshold t and a dedup radius make sense at all. Each k-mer keeps
+the rows (sample calls) it occurs in, so one collection over the first n calls
+answers every smaller grid point: a k-mer is kept at (t, n) iff its t-th
+occurrence lies in a row below n.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import BaseCall
 from .kmers import STRANDS, kmer_codes, reverse_complement
 
 _LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
-_PAIRS = 1 << 18  # (hit, column) pairs a chaining step tests: bounds memory on dense hits
+_PAIRS = 1 << 15  # (hit, column) pairs a chaining step tests: bounds memory on dense hits
 
 
 @dataclass
@@ -57,11 +59,17 @@ def build_index(reference: str, k: int) -> KmerIndex:
 
 @dataclass
 class EnsembleKmers:
-    """Thresholded ensemble k-mers as sorted ``col * 4**k + code`` keys, with their support."""
+    """Thresholded ensemble k-mers as sorted ``col * 4**k + code`` keys, with their support.
+
+    ``occurrences`` holds the rows (sample calls) each key occurs in,
+    ascending, key after key: key i occurs in rows ``occurrences[s : s +
+    support[i]]``, s being the support of the keys before it.
+    """
 
     k: int
     keys: np.ndarray
     support: np.ndarray
+    occurrences: np.ndarray
 
     @property
     def per_column(self) -> dict[int, dict[int, int]]:
@@ -71,27 +79,27 @@ class EnsembleKmers:
             columns.setdefault(key // 4**self.k, {})[key % 4**self.k] = count
         return columns
 
+    def kept(self, t: int, n: int) -> np.ndarray:
+        """Mask over keys: the key occurs in at least t of the rows below n.
 
-def _row_anchor_kmers(call: BaseCall, k: int) -> np.ndarray:
-    """``col * 4**k + code`` for each event column that anchors a k-mer in the call.
-
-    The code is that of the k-mer starting at the call's first base for the
-    column's event.
-    """
-    codes = kmer_codes(call.sequence, k)
-    start, length = call.event_spans.T
-    cols = np.flatnonzero((length > 0) & (start < codes.size))
-    picked = codes[start[cols]]
-    keep = picked >= 0
-    return cols[keep] * 4**k + picked[keep]
+        That holds iff its t-th occurrence lies in a row below n, so the kept
+        sets nest: they shrink as t grows and grow with n.
+        """
+        tth = np.cumsum(self.support) - self.support + t - 1
+        mask = self.support >= t
+        mask[mask] = self.occurrences[tth[mask]] < n
+        return mask
 
 
 def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> EnsembleKmers:
     """k-mers supported by at least t of the first n sample calls, per event column.
 
     ``rows`` overrides the sample calls, letting a lone Viterbi call stand in
-    as a single sample. Anchors are cached per call object: two calls with the
-    same bases but different event lengths anchor differently.
+    as a single sample. Column c of a call anchors the k-mer starting at its
+    first base for event c, when that event emitted a base; so two calls with
+    the same bases but other event lengths anchor apart. One ``kmer_codes``
+    pass reads the n calls joined by a non-ACGT separator: a k-mer running past
+    its call's end reads -1 and is dropped.
     """
     if rows is None:
         rows = window.samples
@@ -99,15 +107,22 @@ def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> Ensembl
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     if n > len(rows):
         raise ValueError(f"window has {len(rows)} sample rows, need n={n}")
-    anchors = []
-    for call in rows[:n]:
-        keys = window.cache.get((k, call))
-        if keys is None:
-            keys = window.cache[(k, call)] = _row_anchor_kmers(call, k)
-        anchors.append(keys)
-    keys, support = np.unique(np.concatenate(anchors), return_counts=True)
+    calls = rows[:n]
+    codes = kmer_codes("N".join(call.sequence for call in calls), k)
+    sizes = [call.lengths.size for call in calls]
+    row = np.repeat(np.arange(n), sizes)
+    col = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    length = np.concatenate([call.lengths for call in calls]).astype(np.int64)
+    start = np.cumsum(length) - length + row  # one separator before each later call
+    anchored = np.flatnonzero((length > 0) & (start < codes.size))
+    picked = codes[start[anchored]]
+    anchored, picked = anchored[picked >= 0], picked[picked >= 0]
+    keys = col[anchored] * 4**k + picked
+    order = np.argsort(keys, kind="stable")  # rows ascend within each key
+    keys, support = np.unique(keys[order], return_counts=True)
     kept = support >= t
-    return EnsembleKmers(k=k, keys=keys[kept], support=support[kept])
+    occurrences = row[anchored[order]][np.repeat(kept, support)]
+    return EnsembleKmers(k=k, keys=keys[kept], support=support[kept], occurrences=occurrences)
 
 
 def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

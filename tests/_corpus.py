@@ -5,13 +5,23 @@ the pinned regression values are generated by exactly the code the tests run.
 """
 
 import hashlib
+import tempfile
 import time
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from ensembleseed import call_read, make_hmm
-from ensembleseed.evaluate import build_windows
+from ensembleseed.evaluate import (
+    CHAIN_10,
+    SINGLE_13,
+    SINGLE_13_VITERBI,
+    build_windows,
+    sweep,
+    write_report,
+)
 from ensembleseed.seeding import build_index
 from ensembleseed.simulate import (
     DEFAULT_CORPUS_SEED,
@@ -21,6 +31,8 @@ from ensembleseed.simulate import (
 
 CORPUS_K = 5
 CORPUS_SAMPLES = 16
+REPORT_STRATEGIES = (SINGLE_13, CHAIN_10, SINGLE_13_VITERBI, replace(CHAIN_10, use_viterbi=True))
+REPORT_GRID = ([1, 2], [1, 2, 4, 8, 12, 16])
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -56,6 +68,18 @@ def calls_digest(ensembles) -> str:
             digest.update(f"{ens.read_id}\t{call.sequence}\t".encode("ascii"))
             digest.update(call.lengths.tobytes() + b"\n")
     return digest.hexdigest()
+
+
+def report_digest(corpus) -> str:
+    """sha256 of the ``write_report`` bytes of every strategy swept over REPORT_GRID."""
+    rows = []
+    for config in REPORT_STRATEGIES:
+        index = corpus.index13 if config.seed_k == 13 else corpus.index10
+        rows += sweep(corpus.windows, index, config, *REPORT_GRID)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.tsv"
+        write_report(path, rows)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def build_pinned_corpus() -> SimpleNamespace:

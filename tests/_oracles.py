@@ -2,6 +2,8 @@
 
 Everything here trades speed for obviousness: explicit loops, explicit
 formulas, no shared code with the package beyond plain dataclass fields.
+The one exception is ``per_point_rows``, which composes the package's own
+seeding steps one grid point at a time.
 """
 
 import itertools
@@ -425,3 +427,19 @@ def edit_distance(a, b):
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[len(b)]
+
+
+def per_point_rows(window, index, config, t, n):
+    """One grid point's candidate rows scored on their own: hit rows or chain heads.
+
+    Collects the point's k-mers, looks them up and chains them with one call
+    each, the path that ``evaluate.window_points`` serves for a whole grid in
+    one pass.
+    """
+    from ensembleseed.seeding import chain_hits, collect_ensemble_kmers, find_hits
+
+    rows = [window.viterbi] if config.use_viterbi else None
+    hits = find_hits(index, collect_ensemble_kmers(window, config.seed_k, n, t, rows=rows))
+    if config.kind == "single":
+        return hits
+    return chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _corpus import calls_digest
+from _corpus import REPORT_GRID, calls_digest, report_digest
 from _oracles import (
     Hit,
     aggregate_prob,
@@ -317,7 +317,7 @@ def test_criterion_09_monotone_and_reproducible(pinned_corpus, tmp_path):
 
     dedup_ok = True
     for window in pinned_corpus.windows[:60]:
-        points = window_points(window, pinned_corpus.index13, SINGLE_13, 1, 8)
+        points = window_points(window, pinned_corpus.index13, SINGLE_13, [(1, 8)])
         invalid = points[~is_valid_hit(points, window.truth)]
         dedup_ok &= len(greedy_dedup(invalid)) <= len(invalid)
 
@@ -382,6 +382,13 @@ def test_pinned_calls_digest(pinned_corpus):
         "calls": sum(1 + len(ens.samples) for ens in pinned_corpus.ensembles),
         "sha256": calls_digest(pinned_corpus.ensembles),
     }
+    assert got == pin
+
+
+def test_pinned_report_digest(pinned_corpus):
+    """Every strategy's report over the pinned grid is frozen byte for byte."""
+    pin = json.loads((DATA_DIR / "pinned_report_digest.json").read_text())
+    got = {"t": REPORT_GRID[0], "n": REPORT_GRID[1], "sha256": report_digest(pinned_corpus)}
     assert got == pin
 
 

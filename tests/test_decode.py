@@ -429,6 +429,23 @@ def test_load_basecalls_rejects_repeated_fasta_record(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "order,line,label,due",
+    [
+        ((2, 0), 3, "sample2", "sample0"),
+        ((0, 2), 5, "sample2", "sample1"),
+        ((1, 0), 3, "sample1", "sample0"),
+    ],
+)
+def test_load_basecalls_rejects_samples_out_of_file_order(tmp_path, order, line, label, due):
+    """Samples are rows of the ensemble, so a gap or a swap would silently renumber them."""
+    records = [("r1", "viterbi", None, "ACG")] + [("r1", "sample", i, "ACG") for i in order]
+    fasta, spans = write_call_files(tmp_path, records)
+    message = rf"calls\.fasta:{line}: {label} call of read 'r1' where {due} is due"
+    with pytest.raises(ValueError, match=message):
+        load_basecalls(fasta, spans)
+
+
+@pytest.mark.parametrize(
     "line,message",
     [
         ('{"read_id": "r1", "call": "sample", "index": 0, "spans": "3"', "not a JSON record"),

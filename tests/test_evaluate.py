@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _corpus import alignment_identity, levenshtein
-from _oracles import Hit, edit_distance, hit_rows, loop_dedup
+from _oracles import Hit, edit_distance, hit_rows, loop_dedup, per_point_rows
 import ensembleseed.evaluate as evaluate_module
 from ensembleseed.decode import BaseCall, ReadEnsemble, StatePath, path_to_sequence
 from ensembleseed.evaluate import (
@@ -12,6 +12,7 @@ from ensembleseed.evaluate import (
     SINGLE_13_VITERBI,
     EvalRow,
     StrategyConfig,
+    Window,
     build_windows,
     evaluate,
     greedy_dedup,
@@ -24,7 +25,7 @@ from ensembleseed.evaluate import (
 )
 from ensembleseed.kmers import reverse_complement
 from ensembleseed.pore_model import make_hmm
-from ensembleseed.seeding import build_index
+from ensembleseed.seeding import build_index, collect_ensemble_kmers
 from ensembleseed.simulate import simulate_corpus, synthetic_pore_model
 
 
@@ -236,9 +237,66 @@ def test_window_points_viterbi_mode_ignores_samples(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
     win = windows[0]
-    pts = window_points(win, index, SINGLE_13_VITERBI, t=1, n=1)
+    pts = window_points(win, index, SINGLE_13_VITERBI, [(1, 1)])
     assert len(pts), "true-path viterbi row must hit its own reference"
-    assert pts.dtype == np.int64 and pts.shape == (len(pts), 3)
+    assert pts.dtype == np.int64 and pts.shape == (len(pts), 4)
+    assert not pts[:, 3].any(), "every row belongs to the one point"
+
+
+def mutated_call(rng, reference, events, error):
+    """A call of ``events`` events, 0-3 bases each, copied from the reference with errors."""
+    lengths = rng.integers(0, 4, events)
+    start = rng.integers(0, len(reference) - lengths.sum() + 1)
+    bases = np.array(list(reference[start : start + lengths.sum()]))
+    wrong = rng.random(bases.size) < error
+    bases[wrong] = rng.choice(list("ACGT"), wrong.sum())
+    return BaseCall("".join(bases), lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 6),
+    events=st.integers(1, 60),
+    samples=st.integers(1, 6),
+    error=st.sampled_from([0.0, 0.1, 0.4]),
+    chain=st.sampled_from([None, (1, 0, 0), (2, 1, 6), (3, 2, 9), (3, 0, 30)]),
+    use_viterbi=st.booleans(),
+    data=st.data(),
+)
+def test_one_pass_matches_scoring_each_point_alone(
+    seed, k, events, samples, error, chain, use_viterbi, data
+):
+    """Masked hits and split chain heads equal a collection, lookup and chaining per point."""
+    rng = np.random.default_rng(seed)
+    reference = "".join(rng.choice(list("ACGT"), 400))
+    calls = [mutated_call(rng, reference, events, error) for _ in range(samples + 1)]
+    window = Window("w", "r", (0, events), calls[0], calls[1:], (0, 0, "+"))
+    if chain is None:
+        config = StrategyConfig(kind="single", seed_k=k, use_viterbi=use_viterbi)
+    else:
+        length, least, most = chain
+        config = StrategyConfig(
+            kind="chain", seed_k=k, chain_len=length, min_gap=least, max_gap=most,
+            use_viterbi=use_viterbi,
+        )
+    if use_viterbi:
+        points = [(1, 1)]
+    else:
+        pair = st.tuples(st.integers(1, samples), st.integers(1, samples)).filter(
+            lambda tn: tn[0] <= tn[1]
+        )
+        points = data.draw(st.lists(pair, min_size=1, max_size=8, unique=True))
+    index = build_index(reference, k)
+    found = window_points(window, index, config, points)
+    assert found.dtype == np.int64 and found.shape[1] == 4
+    assert np.all(np.diff(found[:, 3]) >= 0)
+    widest = collect_ensemble_kmers(window, k, samples, 1)
+    for p, (t, n) in enumerate(points):
+        expected = per_point_rows(window, index, config, t, n)
+        assert np.array_equal(found[found[:, 3] == p, :3], expected), (t, n)
+        alone = collect_ensemble_kmers(window, k, n, t)
+        assert np.array_equal(widest.keys[widest.kept(t, n)], alone.keys)
 
 
 def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):
@@ -270,19 +328,20 @@ def test_sweep_scores_each_distinct_point_once(scored_corpus, monkeypatch):
     index = build_index(ref, 13)
     calls = []
 
-    def counting_window_points(window, index, config, t, n):
-        calls.append((window.window_id, t, n))
-        return window_points(window, index, config, t, n)
+    def counting_window_points(window, index, config, points):
+        calls.append((window.window_id, list(points)))
+        return window_points(window, index, config, points)
 
     monkeypatch.setattr(evaluate_module, "window_points", counting_window_points)
     rows = sweep(windows, index, SINGLE_13_VITERBI, [1, 2], [1, 4])
     assert len(rows) == 4
-    assert calls == [(w.window_id, 1, 1) for w in windows]
+    assert calls == [(w.window_id, [(1, 1)]) for w in windows]
     calls.clear()
     rows = sweep(windows, index, SINGLE_13, [1, 2, 3], [0, 2, 2])
     assert len(rows) == 9
-    # (1, 2) and (2, 2) once each; n = 0 and t > n score zero without running
-    assert calls == [(w.window_id, t, 2) for t in (1, 2) for w in windows]
+    # one call per window carries (1, 2) and (2, 2) once each; n = 0 and t > n score
+    # zero without running
+    assert calls == [(w.window_id, [(1, 2), (2, 2)]) for w in windows]
 
 
 def test_sweep_rejects_threshold_below_one(scored_corpus):

@@ -28,14 +28,15 @@ from ensembleseed.simulate import generate_reference
 
 
 def window_stub(samples, viterbi=None):
-    return SimpleNamespace(samples=samples, viterbi=viterbi, cache={})
+    return SimpleNamespace(samples=samples, viterbi=viterbi)
 
 
 def ensemble(k, per_column):
-    """``EnsembleKmers`` holding ``{col: [code, ...]}``, each code with support 1."""
+    """``EnsembleKmers`` holding ``{col: [code, ...]}``, each code with support 1, in row 0."""
     keys = sorted(col * 4**k + code for col, codes in per_column.items() for code in codes)
     keys = np.array(keys, dtype=np.int64)
-    return EnsembleKmers(k=k, keys=keys, support=np.ones(keys.size, dtype=np.int64))
+    ones = np.ones(keys.size, dtype=np.int64)
+    return EnsembleKmers(k=k, keys=keys, support=ones, occurrences=np.zeros_like(ones))
 
 
 def call(*pieces):
@@ -133,7 +134,7 @@ class TestCollectEnsembleKmers:
         assert got.per_column[0] == {encode_kmer("CCCC"): 1}
 
     def test_same_bases_with_other_lengths_anchor_apart(self):
-        """Anchors are cached per call, not per sequence text."""
+        """Anchors follow each call's event lengths, not only its sequence text."""
         even, skewed = call("AC", "GT", "AC"), call("A", "C", "GTAC")
         win = window_stub([even, skewed])
         assert collect_ensemble_kmers(win, 3, n=1, t=1).per_column == {

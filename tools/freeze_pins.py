@@ -6,8 +6,10 @@ defaults or the decoding kernels:
     python3 tools/freeze_pins.py
 
 It rebuilds the fixed-seed evaluation corpus with the same code the test
-suite uses and rewrites pinned_viterbi_row.json, identity_band.json and
-pinned_calls_digest.json (one sha256 over every Viterbi and sample call).
+suite uses and rewrites pinned_viterbi_row.json, identity_band.json,
+pinned_calls_digest.json (one sha256 over every Viterbi and sample call) and
+pinned_report_digest.json (one sha256 over the report of every strategy's
+sweep over the t x n grid in tests/_corpus.py).
 Commit the result together with the change that moved the numbers.
 """
 
@@ -18,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from _corpus import build_pinned_corpus, calls_digest  # noqa: E402
+from _corpus import REPORT_GRID, build_pinned_corpus, calls_digest, report_digest  # noqa: E402
 
 from ensembleseed.evaluate import SINGLE_13_VITERBI, evaluate  # noqa: E402
 
@@ -58,6 +60,10 @@ def main() -> int:
     }
     (data_dir / "pinned_calls_digest.json").write_text(json.dumps(calls, indent=2) + "\n")
     print(f"calls digest: {calls}")
+
+    report = {"t": REPORT_GRID[0], "n": REPORT_GRID[1], "sha256": report_digest(corpus)}
+    (data_dir / "pinned_report_digest.json").write_text(json.dumps(report, indent=2) + "\n")
+    print(f"report digest: {report}")
     return 0
 
 
