@@ -155,6 +155,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_basecall(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     pore = load_pore_model(args.pore_model)
     hmm = make_hmm(pore, _load_transitions(args, pore.k))
     events = load_events(args.events)
@@ -172,8 +174,8 @@ def cmd_basecall(args) -> int:
 
 
 def _strategies(args) -> list[StrategyConfig]:
-    single_k = args.seed_k if args.seed_k else SINGLE_13.seed_k
-    chain_k = args.seed_k if args.seed_k else CHAIN_10.seed_k
+    single_k = SINGLE_13.seed_k if args.seed_k is None else args.seed_k
+    chain_k = CHAIN_10.seed_k if args.seed_k is None else args.seed_k
     common = dict(chain_len=args.chain_len, min_gap=args.min_gap, max_gap=args.max_gap)
     return [
         StrategyConfig(kind="single", seed_k=single_k),

@@ -2,9 +2,10 @@
 
 The forward pass keeps each column rescaled to sum 1 (log-space would lose the
 within-column ratios that traceback sampling needs); Viterbi runs in log space.
-Both work on the shift structure of the state graph (see ``shifts``), so the
-cost per event is O(m * out_degree) rather than O(m^2), and about O(m) per
-order under a per-order model, whose order-j edges all share one weight.
+Both take one step per event over the shift structure of the state graph (see
+``shifts``): forward sums products, Viterbi maxes sums. The cost per event is
+O(m * out_degree) rather than O(m^2), and about O(m) per order under a
+per-order model, whose order-j edges all share one weight.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ class ReadEnsemble:
     samples: list[BaseCall]
 
 
+def _normal_logpdf(x, loc, sd):
+    z = (x - loc) / sd
+    return -0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi))
+
+
 def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
     """(n_events, n_states) log densities of each event under each state."""
-    scaling = events.scaling
-    loc = scaling.scale * hmm.pore.level_mean + scaling.shift
-    sd = hmm.pore.level_stdv * scaling.var
-    z = (events.means[:, None] - loc[None, :]) / sd[None, :]
-    return -0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi))[None, :]
+    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling))
 
 
 def _emission(hmm: Hmm, events: EventSequence, logpdf) -> np.ndarray:
@@ -107,6 +109,33 @@ def _emission(hmm: Hmm, events: EventSequence, logpdf) -> np.ndarray:
     return logpdf
 
 
+def _incoming(prev: np.ndarray, trans, tables, combine, reduce) -> np.ndarray:
+    """Reduce ``combine(prev[x], w)`` over the edges x -> y into every target y.
+
+    ``tables`` holds one weight w per edge, laid out as ``trans.tables``:
+    forward passes the probabilities with (multiply, add), Viterbi their logs
+    with (add, maximum). Orders fold in one at a time, so a pair linked by
+    several orders reduces its edges one by one.
+    """
+    k = trans.k
+    out = combine(prev, tables[0])
+    for j in range(1, trans.max_shift + 1):
+        if trans.mode == "per-order" and j < k:
+            # Every order-j edge weighs w_j, so each x = a*4**(k-j) + s sends
+            # the same value to all targets s*4**j + b. Combining before
+            # reducing over a keeps the per-edge values and their order; at
+            # j = k the (4**k, 1) view would be summed pairwise, so order k
+            # takes the other branch.
+            shared = reduce.reduce(combine(prev, tables[j].flat[0]).reshape(4**j, 4 ** (k - j)))
+            view = out.reshape(4 ** (k - j), 4**j)
+            reduce(view, shared[:, None], out=view)
+        else:
+            # Reducing out x's dropped bases lands each edge's value on its target.
+            edges = by_dropped_bases(combine(prev[:, None], tables[j]), k, j)
+            reduce(out, reduce.reduce(edges).ravel(), out=out)
+    return out
+
+
 def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
     """Scaled forward pass from a uniform start over all states.
 
@@ -119,34 +148,17 @@ def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
     n, m = logpdf.shape
     col_max = logpdf.max(axis=1)
     eprob = np.exp(logpdf - col_max[:, None])
-
     trans = hmm.transitions
-    tables, k = trans.tables, trans.k
-    per_order = trans.mode == "per-order"
 
     columns = np.empty((n, m))
     log_sf = np.empty(n)
 
     raw = eprob[0] / m
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = raw.sum()
-        columns[0] = raw / total
-        log_sf[0] = np.log(total) + col_max[0]
-        for i in range(1, n):
-            prev = columns[i - 1]
-            raw = tables[0] * prev
-            for j in range(1, trans.max_shift + 1):
-                if per_order and j < k:
-                    # Every order-j edge weighs w_j, so each x = a*4**(k-j) + s sends
-                    # the same mass to all targets s*4**j + b. Multiplying before
-                    # summing over a keeps the gather's products and their order
-                    # (at j = k the (4**k, 1) view would be summed pairwise).
-                    shared = (prev * tables[j].flat[0]).reshape(4**j, 4 ** (k - j)).sum(axis=0)
-                    raw.reshape(4 ** (k - j), 4**j)[...] += shared[:, None]
-                else:
-                    # Summing out x's dropped bases lands each edge's mass on its target.
-                    raw += by_dropped_bases(prev[:, None] * tables[j], k, j).sum(axis=0).reshape(m)
-            raw *= eprob[i]
+        for i in range(n):
+            if i:
+                raw = _incoming(columns[i - 1], trans, trans.tables, np.multiply, np.add)
+                raw *= eprob[i]
             total = raw.sum()
             columns[i] = raw / total
             log_sf[i] = np.log(total) + col_max[i]
@@ -156,20 +168,6 @@ def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
             f"read {events.read_id!r}: forward mass is zero or not finite at event {bad[0]}"
         )
     return ForwardMatrix(columns=columns, log_scale_factors=log_sf)
-
-
-def _best_incoming(scores: np.ndarray, log_w: np.ndarray, k: int) -> np.ndarray:
-    """Best score arriving at every state when every order-j edge weighs w_j.
-
-    Order j's predecessors of y = s*4**j + b are a*4**(k-j) + s for every a,
-    so one max over a serves all 4**j targets sharing s. The best over orders
-    j and up depends on y >> 2j alone, so orders fold in from the highest down.
-    """
-    top = None
-    for j in range(len(log_w) - 1, -1, -1):
-        best = (scores + log_w[j]).reshape(4**j, 4 ** (k - j)).max(axis=0)
-        top = best if top is None else np.maximum(best.reshape(-1, 4), top[:, None]).ravel()
-    return top
 
 
 def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
@@ -185,22 +183,17 @@ def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
     # Row y lists every predecessor of y in ascending id order, with the
     # pair's total probability, so argmax's first maximum is the lowest id
     # (a pair linked by several orders repeats with the same total).
-    targets = np.arange(m)
     pool = np.sort(incoming_edges(trans.tables, hmm.k)[0], axis=1)
-    per_order = trans.mode == "per-order"
     with np.errstate(divide="ignore"):
-        log_t = np.log(pair_probs(trans, pool, targets[:, None]))
-        log_w = np.log([t.flat[0] for t in trans.tables]) if per_order else None
-    # A per-order model scores a target order by order unless a parallel pair
-    # (a repeat in its pool row) makes one edge carry summed weights. Those
-    # targets, and every target of a per-transition model, take the max over
-    # their pool row.
-    gather = targets
-    if per_order:
-        gather = np.flatnonzero((np.diff(pool, axis=1) == 0).any(axis=1))
-    # Held transposed: numpy takes a max across rows far faster than along
-    # many short rows.
-    gather_pool, gather_log_t = (np.ascontiguousarray(a[gather].T) for a in (pool, log_t))
+        log_t = np.log(pair_probs(trans, pool, np.arange(m)[:, None]))
+        log_tables = [np.log(t) for t in trans.tables]
+    # A parallel pair (a repeat in its target's pool row) carries the sum of
+    # its edges' weights, which the step's edge-by-edge max misses, so those
+    # few targets (28 of 1,024 at k=5, max shift 2) take the max over their
+    # pool row, held transposed: numpy takes a max across rows far faster
+    # than along many short rows.
+    parallel = np.flatnonzero((np.diff(pool, axis=1) == 0).any(axis=1))
+    parallel_pool, parallel_log_t = (np.ascontiguousarray(a[parallel].T) for a in (pool, log_t))
 
     # scores[i] is the best log joint of events 0..i over paths ending in each
     # state. Only the scores are kept; the traceback finds each predecessor
@@ -209,8 +202,8 @@ def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
     scores[0] = logpdf[0] - np.log(m)
     for i in range(1, n):
         prev = scores[i - 1]
-        top = _best_incoming(prev, log_w, hmm.k) if per_order else np.empty(m)
-        top[gather] = (prev[gather_pool] + gather_log_t).max(axis=0)
+        top = _incoming(prev, trans, log_tables, np.add, np.maximum)
+        top[parallel] = (prev[parallel_pool] + parallel_log_t).max(axis=0)
         np.add(logpdf[i], top, out=scores[i])
 
     states = np.empty(n, dtype=np.int64)
@@ -224,11 +217,7 @@ def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
 def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray):
     """Log P(path, events) for an explicit state path, or for each row of a path array."""
     states = np.asarray(states, dtype=np.int64)
-    scaling = events.scaling
-    loc = scaling.scale * hmm.pore.level_mean[states] + scaling.shift
-    sd = hmm.pore.level_stdv[states] * scaling.var
-    z = (events.means - loc) / sd
-    emit = np.sum(-0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi)), axis=-1)
+    emit = _normal_logpdf(events.means, *hmm.levels(events.scaling, states)).sum(axis=-1)
     trans = pair_probs(hmm.transitions, states[..., :-1], states[..., 1:])
     if np.any(trans <= 0):
         raise IllegalPathError("path contains a zero-probability transition")

@@ -152,6 +152,8 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in ("single", "chain"):
             raise ValueError(f"kind must be 'single' or 'chain', got {self.kind!r}")
+        if not 1 <= self.seed_k <= 16:
+            raise ValueError(f"seed length must be in [1, 16], got {self.seed_k}")
         if self.chain_len < 1:
             raise ValueError(f"chain length must be >= 1, got {self.chain_len}")
         if not 0 <= self.min_gap <= self.max_gap:

@@ -191,6 +191,11 @@ class Hmm:
     def num_states(self) -> int:
         return 4**self.k
 
+    def levels(self, scaling: ReadScaling, states=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Emission mean and sd of ``states`` (by default every state) under a read's scaling."""
+        loc = scaling.scale * self.pore.level_mean[states] + scaling.shift
+        return loc, self.pore.level_stdv[states] * scaling.var
+
 
 def make_hmm(pore: PoreModel, transitions: TransitionModel | None = None) -> Hmm:
     if transitions is None:

@@ -169,9 +169,7 @@ def simulate_read(
         if call.sequence != consumed:
             continue
 
-        mu = scaling.scale * hmm.pore.level_mean[states] + scaling.shift
-        sd = hmm.pore.level_stdv[states] * scaling.var
-        means = rng.normal(mu, sd)
+        means = rng.normal(*hmm.levels(scaling, states))
         events = EventSequence(read_id=read_id, means=means, scaling=scaling)
         path = StatePath(states=states, log_joint=path_log_joint(hmm, events, states))
 
@@ -202,6 +200,8 @@ def simulate_corpus(
     Reads get dedicated RNG streams spawned from ``seed`` in read order, so the
     corpus is reproducible for a fixed seed.
     """
+    if read_count < 0:
+        raise ValueError(f"read count must be >= 0, got {read_count}")
     streams = np.random.SeedSequence(seed).spawn(read_count + 1)
     reference = generate_reference(reference_length, streams[0])
     reads = []

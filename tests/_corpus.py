@@ -28,11 +28,13 @@ from ensembleseed.simulate import (
     simulate_corpus,
     synthetic_pore_model,
 )
+from ensembleseed.train import count_transitions, estimate_transitions
 
 CORPUS_K = 5
 CORPUS_SAMPLES = 16
 REPORT_STRATEGIES = (SINGLE_13, CHAIN_10, SINGLE_13_VITERBI, replace(CHAIN_10, use_viterbi=True))
 REPORT_GRID = ([1, 2], [1, 2, 4, 8, 12, 16])
+PER_TRANSITION_READS = 8
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -80,6 +82,22 @@ def report_digest(corpus) -> str:
         path = Path(tmp) / "report.tsv"
         write_report(path, rows)
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def per_transition_calls_digest(corpus) -> str:
+    """``calls_digest`` of the first PER_TRANSITION_READS reads called at CORPUS_SAMPLES
+    under a per-transition model trained from the corpus's true paths.
+
+    The reads' samples come from per-read children of the corpus seed plus 2.
+    """
+    counts = count_transitions([read.true_path for read in corpus.reads], CORPUS_K)
+    hmm = make_hmm(corpus.hmm.pore, estimate_transitions(counts, "per-transition"))
+    reads = corpus.reads[:PER_TRANSITION_READS]
+    seeds = np.random.SeedSequence(DEFAULT_CORPUS_SEED + 2).spawn(len(reads))
+    ensembles = [
+        call_read(hmm, read.events, CORPUS_SAMPLES, seed) for read, seed in zip(reads, seeds)
+    ]
+    return calls_digest(ensembles)
 
 
 def build_pinned_corpus() -> SimpleNamespace:

@@ -66,6 +66,32 @@ def dense_viterbi(log_emissions, agg):
     return path[::-1], log_joint
 
 
+def gather_viterbi(log_emissions, tables, k):
+    """Viterbi that scores every state by a max over its whole predecessor pool.
+
+    Row y of the pool lists every predecessor of y, of every order, in
+    ascending id order (a pair linked by several orders repeats), beside the
+    log of the pair's total probability, orders summed in order. Each event
+    takes, for every state, the max of the previous scores plus those logs;
+    the traceback takes the first maximum of each row, so ties go to the
+    lowest predecessor and the lowest final state. Returns (path, log joint).
+    """
+    n, m = log_emissions.shape
+    edges = [(j, a) for j in range(len(tables)) for a in range(4**j)]
+    pool = np.array([sorted(a * 4 ** (k - j) + (y >> (2 * j)) for j, a in edges) for y in range(m)])
+    with np.errstate(divide="ignore"):
+        log_t = np.log([[table_prob(int(x), y, k, tables) for x in pool[y]] for y in range(m)])
+    scores = np.empty((n, m))
+    scores[0] = log_emissions[0] - np.log(m)
+    for i in range(1, n):
+        scores[i] = log_emissions[i] + (scores[i - 1][pool] + log_t).max(axis=1)
+    path = [int(np.argmax(scores[-1]))]
+    for i in range(n - 1, 0, -1):
+        row = pool[path[-1]]
+        path.append(int(row[np.argmax(scores[i - 1][row] + log_t[path[-1]])]))
+    return path[::-1], float(scores[-1, path[0]])
+
+
 def order_by_order_traceback(columns, tables, k, count, seed):
     """Stochastic traceback that gathers each event's candidates order by order.
 

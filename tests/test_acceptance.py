@@ -13,7 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _corpus import REPORT_GRID, calls_digest, report_digest
+from _corpus import (
+    CORPUS_SAMPLES,
+    PER_TRANSITION_READS,
+    REPORT_GRID,
+    calls_digest,
+    per_transition_calls_digest,
+    report_digest,
+)
 from _oracles import (
     Hit,
     aggregate_prob,
@@ -381,6 +388,18 @@ def test_pinned_calls_digest(pinned_corpus):
     got = {
         "calls": sum(1 + len(ens.samples) for ens in pinned_corpus.ensembles),
         "sha256": calls_digest(pinned_corpus.ensembles),
+    }
+    assert got == pin
+
+
+def test_pinned_per_transition_calls_digest(pinned_corpus):
+    """The first reads' calls under a per-transition model trained from the true
+    paths, which takes the kernels' per-transition steps, are frozen."""
+    pin = json.loads((DATA_DIR / "pinned_per_transition_digest.json").read_text())
+    got = {
+        "reads": PER_TRANSITION_READS,
+        "n": CORPUS_SAMPLES,
+        "sha256": per_transition_calls_digest(pinned_corpus),
     }
     assert got == pin
 

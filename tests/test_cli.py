@@ -168,6 +168,8 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
         (["--t", 0], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[0], n=[1]"),
         (["--n", -1], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[1], n=[-1]"),
         (["--dedup-radius", -1], "dedup radius must be >= 0, got -1"),
+        (["--seed-k", 0], "seed length must be in [1, 16], got 0"),
+        (["--seed-k", 17], "seed length must be in [1, 16], got 17"),
     ],
 )
 def test_eval_checks_strategy_flags_before_loading_calls(
@@ -364,6 +366,33 @@ def test_basecall_rejects_repeated_read_id(pipeline, tmp_path, capsys):
     )
     assert rc == 2
     assert "events.jsonl:2: duplicate read id 'read0000'" in capsys.readouterr().err
+
+
+def test_basecall_rejects_a_negative_n_before_loading_events(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    _, sim, _, _ = pipeline
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("basecall loaded events before checking --n")
+
+    monkeypatch.setattr(cli, "load_events", unreachable)
+    out = tmp_path / "out"
+    rc = run_cli(
+        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "--pore-model", sim / "pore_model.tsv", "--n", -1, "--out-dir", out,
+    )
+    assert rc == 2
+    assert "ensembleseed basecall: --n must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_negative_read_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("simulate", "--model-k", 3, "--ref-length", 3000, "--reads", -1, "--out-dir", out)
+    assert rc == 2
+    assert "ensembleseed simulate: read count must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_basecall_rejects_a_read_id_with_whitespace(pipeline, tmp_path, capsys):

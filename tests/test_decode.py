@@ -10,6 +10,7 @@ from _oracles import (
     best_path,
     dense_viterbi,
     enumerate_joints,
+    gather_viterbi,
     order_by_order_traceback,
     path_index,
     path_joint,
@@ -201,9 +202,11 @@ def test_viterbi_log_joint_is_its_path_log_joint(mode, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_per_order_kernels_match_the_gather_on_the_same_tables(k, shift, quantised, seed):
-    """A per-order model's factored steps agree bitwise with the gather that the
-    same tables take when wrapped as a per-transition model. Quantised levels,
-    events and weights make exact ties; zero split or skip weights make -inf scores."""
+    """A per-order model's factored steps agree bitwise with the by-dropped-bases
+    steps that the same tables take when wrapped as a per-transition model (the
+    name is older: the per-transition step was once a gather over every target's
+    predecessors). Quantised levels, events and weights make exact ties; zero
+    split or skip weights make -inf scores."""
     rng = np.random.default_rng(seed)
     m, max_shift = 4**k, min(shift, k)
     if quantised:
@@ -227,6 +230,43 @@ def test_per_order_kernels_match_the_gather_on_the_same_tables(k, shift, quantis
     assert vit.log_joint == want_vit.log_joint
     np.testing.assert_array_equal(fwd.columns, want_fwd.columns)
     np.testing.assert_array_equal(fwd.log_scale_factors, want_fwd.log_scale_factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    shift=st.integers(1, 4),
+    quantised=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_transition_viterbi_matches_the_full_pool_gather(k, shift, quantised, seed):
+    """Viterbi under random per-transition tables agrees bitwise with the gather over
+    every state's whole predecessor pool. About a third of the edges weigh zero,
+    so some scores are -inf; quantised levels, events and weights make exact ties."""
+    rng = np.random.default_rng(seed)
+    m, max_shift = 4**k, min(shift, k)
+    if quantised:
+        pore = PoreModel(k, rng.choice([90.0, 100.0, 110.0], m), rng.choice([2.0, 4.0], m))
+        means = rng.choice([90.0, 95.0, 100.0, 110.0], 8)
+    else:
+        pore = PoreModel(k, rng.normal(100.0, 12.0, m), rng.uniform(1.5, 3.0, m))
+        means = rng.normal(100.0, 14.0, 8)
+
+    def draw(shape):
+        if quantised:
+            return rng.integers(0, 3, shape).astype(float)
+        return rng.uniform(0.0, 1.0, shape) * (rng.random(shape) > 0.3)
+
+    raw = [draw(m)] + [draw((m, 4**j)) for j in range(1, max_shift + 1)]
+    raw[1][:, 0] += 1.0  # every state keeps an out-edge
+    rows = raw[0] + sum(t.sum(axis=1) for t in raw[1:])
+    tables = [raw[0] / rows] + [t / rows[:, None] for t in raw[1:]]
+    hmm = make_hmm(pore, TransitionModel(k, tables, mode="per-transition"))
+    events = EventSequence("zeros", means)
+    want_states, want_joint = gather_viterbi(emission_log_matrix(hmm, events), tables, k)
+    got = viterbi(hmm, events)
+    assert got.states.tolist() == want_states
+    assert got.log_joint == want_joint
 
 
 def test_kernels_take_the_emission_matrix_of_their_read_only():

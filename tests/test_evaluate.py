@@ -207,6 +207,9 @@ def test_strategy_labels():
     assert StrategyConfig(kind="chain", seed_k=10, use_viterbi=True).label == "chain-viterbi"
     with pytest.raises(ValueError):
         StrategyConfig(kind="top", seed_k=5)
+    for k in (0, 17):
+        with pytest.raises(ValueError, match=rf"seed length must be in \[1, 16\], got {k}"):
+            StrategyConfig(kind="single", seed_k=k)
 
 
 @pytest.fixture(scope="module")

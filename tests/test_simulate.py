@@ -129,6 +129,10 @@ class TestCorpus:
         for r in reads:
             assert len(r.events) == 50
 
+    def test_rejects_a_negative_read_count(self, small_hmm):
+        with pytest.raises(ValueError, match=r"read count must be >= 0, got -1"):
+            simulate_corpus(small_hmm, reference_length=3000, read_count=-1)
+
     def test_same_seed_reruns_give_identical_reads(self, small_hmm):
         kw = dict(reference_length=3000, read_count=6, events_per_read=40, seed=9)
         ref1, reads1 = simulate_corpus(small_hmm, **kw)

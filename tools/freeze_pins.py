@@ -7,7 +7,9 @@ defaults or the decoding kernels:
 
 It rebuilds the fixed-seed evaluation corpus with the same code the test
 suite uses and rewrites pinned_viterbi_row.json, identity_band.json,
-pinned_calls_digest.json (one sha256 over every Viterbi and sample call) and
+pinned_calls_digest.json (one sha256 over every Viterbi and sample call),
+pinned_per_transition_digest.json (the same over the first reads called under
+a per-transition model trained from the true paths) and
 pinned_report_digest.json (one sha256 over the report of every strategy's
 sweep over the t x n grid in tests/_corpus.py).
 Commit the result together with the change that moved the numbers.
@@ -20,7 +22,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from _corpus import REPORT_GRID, build_pinned_corpus, calls_digest, report_digest  # noqa: E402
+from _corpus import (  # noqa: E402
+    CORPUS_SAMPLES,
+    PER_TRANSITION_READS,
+    REPORT_GRID,
+    build_pinned_corpus,
+    calls_digest,
+    per_transition_calls_digest,
+    report_digest,
+)
 
 from ensembleseed.evaluate import SINGLE_13_VITERBI, evaluate  # noqa: E402
 
@@ -60,6 +70,16 @@ def main() -> int:
     }
     (data_dir / "pinned_calls_digest.json").write_text(json.dumps(calls, indent=2) + "\n")
     print(f"calls digest: {calls}")
+
+    per_transition = {
+        "reads": PER_TRANSITION_READS,
+        "n": CORPUS_SAMPLES,
+        "sha256": per_transition_calls_digest(corpus),
+    }
+    (data_dir / "pinned_per_transition_digest.json").write_text(
+        json.dumps(per_transition, indent=2) + "\n"
+    )
+    print(f"per-transition calls digest: {per_transition}")
 
     report = {"t": REPORT_GRID[0], "n": REPORT_GRID[1], "sha256": report_digest(corpus)}
     (data_dir / "pinned_report_digest.json").write_text(json.dumps(report, indent=2) + "\n")
