@@ -88,8 +88,17 @@ class ReadEnsemble:
 
 
 def _normal_logpdf(x, loc, sd):
-    z = (x - loc) / sd
-    return -0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi))
+    """``-0.5 * z * z - log(sd * sqrt(2 pi))``, z = (x - loc) / sd, built in the one output array.
+
+    Only ``-0.5 * z`` needs a temporary, made 16 rows at a time. Overflow quietly gives -inf.
+    """
+    with np.errstate(over="ignore"):
+        z = np.subtract(x, loc)
+        z /= sd
+        for rows in np.split(z, range(16, len(z), 16)):
+            rows *= -0.5 * rows
+        z -= np.log(sd * np.sqrt(2.0 * np.pi))
+    return z
 
 
 def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
@@ -147,20 +156,21 @@ def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
     logpdf = _emission(hmm, events, logpdf)
     n, m = logpdf.shape
     col_max = logpdf.max(axis=1)
-    eprob = np.exp(logpdf - col_max[:, None])
     trans = hmm.transitions
-
-    columns = np.empty((n, m))
     log_sf = np.empty(n)
 
-    raw = eprob[0] / m
     with np.errstate(divide="ignore", invalid="ignore"):
+        # Row i holds event i's emission probabilities until step i, their
+        # only reader, overwrites it with column i.
+        columns = np.subtract(logpdf, col_max[:, None])
+        np.exp(columns, out=columns)
+        raw = columns[0] / m
         for i in range(n):
             if i:
                 raw = _incoming(columns[i - 1], trans, trans.tables, np.multiply, np.add)
-                raw *= eprob[i]
+                raw *= columns[i]
             total = raw.sum()
-            columns[i] = raw / total
+            np.divide(raw, total, out=columns[i])
             log_sf[i] = np.log(total) + col_max[i]
     bad = np.flatnonzero(~np.isfinite(log_sf))
     if bad.size:
@@ -174,7 +184,8 @@ def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
     """Most probable state path; ties break toward the lowest state id.
 
     ``logpdf`` is the read's ``emission_log_matrix``, computed here when not
-    given.
+    given. Raises ValueError naming the read and event when no path has a
+    finite score, as when no state can emit an event.
     """
     logpdf = _emission(hmm, events, logpdf)
     n, m = logpdf.shape
@@ -205,6 +216,10 @@ def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
         top = _incoming(prev, trans, log_tables, np.add, np.maximum)
         top[parallel] = (prev[parallel_pool] + parallel_log_t).max(axis=0)
         np.add(logpdf[i], top, out=scores[i])
+    # A row with no finite score leaves every later row without one too.
+    if not np.isfinite(scores[-1]).any():
+        bad = np.flatnonzero(~np.isfinite(scores).any(axis=1))[0]
+        raise ValueError(f"read {events.read_id!r}: no finite Viterbi score at event {bad}")
 
     states = np.empty(n, dtype=np.int64)
     states[-1] = int(np.argmax(scores[-1]))

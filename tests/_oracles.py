@@ -19,6 +19,16 @@ def normal_pdf(x, mean, sd):
     return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
+def normal_logpdf_matrix(means, loc, sd):
+    """(events, states) Gaussian log densities as one plain numpy expression.
+
+    A z whose square overflows gives -inf.
+    """
+    with np.errstate(over="ignore"):
+        z = (np.asarray(means, dtype=np.float64)[:, None] - loc) / sd
+        return -0.5 * z * z - np.log(sd * np.sqrt(2.0 * np.pi))
+
+
 def aggregate_prob(prev, cur, k, order_probs):
     """Total state-to-state probability summed over every shift order."""
     p = 0.0

@@ -413,6 +413,32 @@ def test_basecall_rejects_a_read_id_with_whitespace(pipeline, tmp_path, capsys):
     assert not (out / "basecalls.fasta").exists()
 
 
+def _events_with_a_far_event(sim, path):
+    """The corpus's first read with its event 5 so far out that no state can emit it."""
+    record = json.loads((sim / "events.jsonl").read_text().splitlines()[0])
+    record["events"][5] = 1e200
+    path.write_text(json.dumps(record) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["basecall", "train"])
+def test_a_read_no_path_can_emit_fails_with_one_line(pipeline, tmp_path, capsys, command):
+    """Viterbi raises instead of returning a -inf path that train would count."""
+    _, sim, _, _ = pipeline
+    events = _events_with_a_far_event(sim, tmp_path / "events.jsonl")
+    out = tmp_path / "out"
+    extra = ["--n", 0] if command == "basecall" else ["--source", "viterbi"]
+    rc = run_cli(
+        command, "--model-k", 3, "--events", events,
+        "--pore-model", sim / "pore_model.tsv", *extra, "--out-dir", out,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"ensembleseed {command}: read 'read0000': no finite Viterbi score at event 5\n"
+    assert not out.exists()
+
+
 def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):
     _, sim, _, _ = pipeline
     bad = tmp_path / "true_paths.jsonl"

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from _oracles import (
     dense_viterbi,
     enumerate_joints,
     gather_viterbi,
+    normal_logpdf_matrix,
     order_by_order_traceback,
     path_index,
     path_joint,
@@ -22,6 +25,7 @@ from ensembleseed.decode import (
     BaseCall,
     IllegalPathError,
     ReadEnsemble,
+    call_read,
     emission_log_matrix,
     forward,
     load_basecalls,
@@ -40,6 +44,7 @@ from ensembleseed.pore_model import (
     make_hmm,
 )
 from ensembleseed.shifts import pair_probs
+from ensembleseed.simulate import synthetic_pore_model
 
 
 def random_instance(seed, k=1, n_events=3, scaled=False, with_joints=True):
@@ -292,6 +297,81 @@ def test_forward_rejects_zero_mass_column():
     hmm = make_hmm(pore, TransitionModel(1, tables, mode="per-transition"))
     with pytest.raises(ValueError, match=r"read 'dead': .* at event 1"):
         forward(hmm, EventSequence("dead", [0.0, 100.0]))
+
+
+def test_viterbi_rejects_a_read_no_path_can_emit():
+    """Event 1 is so far out that every state's log density is -inf."""
+    hmm = make_hmm(synthetic_pore_model(3, seed=1))
+    events = EventSequence("far", [100.0, 1e200, 100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"read 'far': no finite Viterbi score at event 1$"):
+            viterbi(hmm, events)
+
+
+@pytest.mark.parametrize("mode", ["per-order", "per-transition"])
+def test_kernels_leave_the_given_emission_matrix_unchanged(mode):
+    hmm, events = quantised_instance(5, mode)
+    logpdf = emission_log_matrix(hmm, events)
+    before = logpdf.copy()
+    viterbi(hmm, events, logpdf)
+    forward(hmm, events, logpdf)
+    assert logpdf.tobytes() == before.tobytes()
+
+
+def test_call_read_peaks_at_about_two_emission_matrices():
+    """Viterbi and forward each hold the emission matrix and one array of its size."""
+    pore = synthetic_pore_model(5, seed=1)
+    hmm = make_hmm(pore)
+    rng = np.random.default_rng(0)
+    means = rng.choice(pore.level_mean, 300) + rng.normal(0.0, 1.0, 300)
+    events = EventSequence("r", means)
+    call_read(hmm, events, 1, 0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call_read(hmm, events, 16, 0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    matrix = len(events) * hmm.num_states * 8
+    assert peak <= 2.25 * matrix, f"peak is {peak / matrix:.3f} emission matrices"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    scale=st.floats(0.5, 2.0),
+    shift=st.floats(-20.0, 20.0),
+    var=st.floats(0.5, 2.0),
+    kind=st.sampled_from(["random", "at a level", "far out"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emission_matches_the_numpy_expression_oracle(k, scale, shift, var, kind, seed):
+    """Bitwise, with z = 0 at a state's own scaled level and z * z overflowing far out."""
+    hmm = make_hmm(synthetic_pore_model(k, seed))
+    scaling = ReadScaling(scale=scale, shift=shift, var=var)
+    loc, sd = hmm.levels(scaling)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 50))
+    states = rng.integers(0, hmm.num_states, n)
+    if kind == "random":
+        means = rng.normal(100.0, 20.0, n)
+    elif kind == "at a level":
+        means = loc[states]
+    else:
+        # z * z overflows past |z| = 1.3e154, and -0.5 * z * z past 1.9e154.
+        means = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(153.5, 155.5, n)
+    want = normal_logpdf_matrix(means, loc, sd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = emission_log_matrix(hmm, EventSequence("r", means, scaling))
+    assert got.tobytes() == want.tobytes()
+    if kind == "at a level":
+        peaks = -np.log(sd * np.sqrt(2.0 * np.pi))
+        np.testing.assert_array_equal(got[np.arange(n), states], peaks[states])
+    if kind == "far out":
+        assert np.isneginf(got).any()
 
 
 def test_path_log_joint_matches_oracle():

@@ -1,9 +1,12 @@
 """Regenerate the pinned regression values under tests/data/.
 
-Run from the repository root after any deliberate change to the simulator
-defaults or the decoding kernels:
+Run from the repository root only with a change meant to move the pinned
+values, such as new simulator defaults or decoding that calls differently:
 
     python3 tools/freeze_pins.py
+
+A kernel change meant to be byte-identical (a faster or smaller Viterbi,
+forward or emission) must pass the five pins as they stand, unfrozen.
 
 It rebuilds the fixed-seed evaluation corpus with the same code the test
 suite uses and rewrites pinned_viterbi_row.json, identity_band.json,
