@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .io import atomic_write, fasta_record, fasta_records, jsonl_records
 from .kmers import BASES, decode_kmer
-from .pore_model import Hmm, EventSequence
+from .pore_model import Hmm, EventSequence, TransitionModel
 from .shifts import by_dropped_bases, incoming_edges, pair_probs, smallest_orders
 
 
@@ -87,13 +88,14 @@ class ReadEnsemble:
     samples: list[BaseCall]
 
 
-def _normal_logpdf(x, loc, sd):
+def _normal_logpdf(x, loc, sd, out=None):
     """``-0.5 * z * z - log(sd * sqrt(2 pi))``, z = (x - loc) / sd, built in the one output array.
 
-    Only ``-0.5 * z`` needs a temporary, made 16 rows at a time. Overflow quietly gives -inf.
+    The output is ``out`` when given, else a new array. Only ``-0.5 * z``
+    needs a temporary, made 16 rows at a time. Overflow quietly gives -inf.
     """
     with np.errstate(over="ignore"):
-        z = np.subtract(x, loc)
+        z = np.subtract(x, loc, out=out)
         z /= sd
         for rows in np.split(z, range(16, len(z), 16)):
             rows *= -0.5 * rows
@@ -101,21 +103,22 @@ def _normal_logpdf(x, loc, sd):
     return z
 
 
-def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
-    """(n_events, n_states) log densities of each event under each state."""
-    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling))
+def emission_log_matrix(hmm: Hmm, events: EventSequence, out=None) -> np.ndarray:
+    """(n_events, n_states) log densities of each event under each state.
+
+    They are written into ``out``, an (n_events, n_states) float64 array,
+    when given, else into a new array.
+    """
+    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling), out)
 
 
-def _emission(hmm: Hmm, events: EventSequence, logpdf) -> np.ndarray:
-    """``logpdf`` checked against the read and model, or computed when None."""
-    if logpdf is None:
-        return emission_log_matrix(hmm, events)
-    if logpdf.shape != (len(events), hmm.num_states):
-        raise ValueError(
-            f"read {events.read_id!r}: emission matrix has shape {logpdf.shape}, "
-            f"need ({len(events)}, {hmm.num_states})"
-        )
-    return logpdf
+def decode_buffer(hmm: Hmm, reads: list[EventSequence]) -> np.ndarray:
+    """One (longest read, states) float64 array to decode every read in.
+
+    Pass ``buffer[:len(events)]`` as each read's ``out``, so every read's
+    kernels reuse the same memory.
+    """
+    return np.empty((max(map(len, reads), default=0), hmm.num_states))
 
 
 def _incoming(prev: np.ndarray, trans, tables, combine, reduce) -> np.ndarray:
@@ -145,24 +148,24 @@ def _incoming(prev: np.ndarray, trans, tables, combine, reduce) -> np.ndarray:
     return out
 
 
-def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
+def forward(hmm: Hmm, events: EventSequence, out=None) -> ForwardMatrix:
     """Scaled forward pass from a uniform start over all states.
 
-    ``logpdf`` is the read's ``emission_log_matrix``, computed here when not
-    given. Raises ValueError naming the read and event when a column has no
-    finite, positive mass, as when no state reachable from the previous
-    column can emit the event.
+    The columns are built in ``out`` (see ``emission_log_matrix``), which the
+    returned matrix then holds. Raises ValueError naming the read and event
+    when a column has no finite, positive mass, as when no state reachable
+    from the previous column can emit the event.
     """
-    logpdf = _emission(hmm, events, logpdf)
-    n, m = logpdf.shape
-    col_max = logpdf.max(axis=1)
+    columns = emission_log_matrix(hmm, events, out)
+    n, m = columns.shape
+    col_max = columns.max(axis=1)
     trans = hmm.transitions
     log_sf = np.empty(n)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Row i holds event i's emission probabilities until step i, their
         # only reader, overwrites it with column i.
-        columns = np.subtract(logpdf, col_max[:, None])
+        columns -= col_max[:, None]
         np.exp(columns, out=columns)
         raw = columns[0] / m
         for i in range(n):
@@ -180,24 +183,28 @@ def forward(hmm: Hmm, events: EventSequence, logpdf=None) -> ForwardMatrix:
     return ForwardMatrix(columns=columns, log_scale_factors=log_sf)
 
 
-def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
-    """Most probable state path; ties break toward the lowest state id.
+@lru_cache(maxsize=4)
+def _incoming_edges(trans: TransitionModel) -> tuple[np.ndarray, np.ndarray]:
+    """``incoming_edges`` of a model's tables, built once per model, read-only."""
+    tables = incoming_edges(trans.tables, trans.k)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    ``logpdf`` is the read's ``emission_log_matrix``, computed here when not
-    given. Raises ValueError naming the read and event when no path has a
-    finite score, as when no state can emit an event.
+
+@lru_cache(maxsize=4)
+def _viterbi_tables(trans: TransitionModel) -> tuple:
+    """Viterbi's model tables, built once per model, read-only.
+
+    Returns (pool, log_t, log_tables, parallel, parallel_pool, parallel_log_t).
     """
-    logpdf = _emission(hmm, events, logpdf)
-    n, m = logpdf.shape
-    trans = hmm.transitions
-
     # Row y lists every predecessor of y in ascending id order, with the
     # pair's total probability, so argmax's first maximum is the lowest id
     # (a pair linked by several orders repeats with the same total).
-    pool = np.sort(incoming_edges(trans.tables, hmm.k)[0], axis=1)
+    pool = np.sort(_incoming_edges(trans)[0], axis=1)
     with np.errstate(divide="ignore"):
-        log_t = np.log(pair_probs(trans, pool, np.arange(m)[:, None]))
-        log_tables = [np.log(t) for t in trans.tables]
+        log_t = np.log(pair_probs(trans, pool, np.arange(len(pool))[:, None]))
+        log_tables = tuple(np.log(t) for t in trans.tables)
     # A parallel pair (a repeat in its target's pool row) carries the sum of
     # its edges' weights, which the step's edge-by-edge max misses, so those
     # few targets (28 of 1,024 at k=5, max shift 2) take the max over their
@@ -205,17 +212,33 @@ def viterbi(hmm: Hmm, events: EventSequence, logpdf=None) -> StatePath:
     # than along many short rows.
     parallel = np.flatnonzero((np.diff(pool, axis=1) == 0).any(axis=1))
     parallel_pool, parallel_log_t = (np.ascontiguousarray(a[parallel].T) for a in (pool, log_t))
+    for array in (pool, log_t, *log_tables, parallel, parallel_pool, parallel_log_t):
+        array.flags.writeable = False
+    return pool, log_t, log_tables, parallel, parallel_pool, parallel_log_t
+
+
+def viterbi(hmm: Hmm, events: EventSequence, out=None) -> StatePath:
+    """Most probable state path; ties break toward the lowest state id.
+
+    The scores are built in ``out`` (see ``emission_log_matrix``). Raises
+    ValueError naming the read and event when no path has a finite score, as
+    when no state can emit an event.
+    """
+    trans = hmm.transitions
+    pool, log_t, log_tables, parallel, parallel_pool, parallel_log_t = _viterbi_tables(trans)
 
     # scores[i] is the best log joint of events 0..i over paths ending in each
-    # state. Only the scores are kept; the traceback finds each predecessor
-    # from the previous row, so the step needs no argmax.
-    scores = np.empty((n, m))
-    scores[0] = logpdf[0] - np.log(m)
+    # state, added at step i to event i's emission row, its only reader. Only
+    # the scores are kept; the traceback finds each predecessor from the
+    # previous row, so the step needs no argmax.
+    scores = emission_log_matrix(hmm, events, out)
+    n, m = scores.shape
+    scores[0] -= np.log(m)
     for i in range(1, n):
         prev = scores[i - 1]
         top = _incoming(prev, trans, log_tables, np.add, np.maximum)
         top[parallel] = (prev[parallel_pool] + parallel_log_t).max(axis=0)
-        np.add(logpdf[i], top, out=scores[i])
+        scores[i] += top
     # A row with no finite score leaves every later row without one too.
     if not np.isfinite(scores[-1]).any():
         bad = np.flatnonzero(~np.isfinite(scores).any(axis=1))[0]
@@ -270,7 +293,7 @@ def sample_paths(
     # Candidates per state: itself (a split), then its order-1, order-2, ...
     # predecessors in code order; the draw picks the first candidate whose
     # cumulative weight exceeds u.
-    pred, pred_w = incoming_edges(trans.tables, trans.k)
+    pred, pred_w = _incoming_edges(trans)
     last = pred.shape[1] - 1
     draws = np.arange(count)
 
@@ -294,7 +317,7 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
     """Translate state paths to DNA using the shortest consistent interpretation.
 
     ``states`` is one path, giving a BaseCall, or a (rows, events) array whose
-    rows are translated together, giving a list of BaseCalls. Each event
+    rows are translated in one call, giving a list of BaseCalls. Each event
     contributes the last j bases of its k-mer: j is k for the first event, so
     it contributes its whole k-mer, and for every later event the smallest
     shift linking it to its predecessor (0 for splits). The call's lengths are
@@ -303,50 +326,50 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
     states = np.asarray(states, dtype=np.int64)
     paths = states.reshape(-1, states.shape[-1])
     limit = k if max_shift is None else max_shift
-    orders = np.empty(paths.shape, dtype=np.int64)
-    orders[:, 0] = k
-    orders[:, 1:] = smallest_orders(paths[:, :-1], paths[:, 1:], k, limit)
-    bad = np.argwhere(orders < 0)
-    if bad.size:
-        row, i = (int(v) for v in bad[0])
-        where = f"row {row}, " if states.ndim == 2 else ""
-        raise IllegalPathError(
-            f"{where}events {i - 1}..{i}: {decode_kmer(int(paths[row, i - 1]), k)} -> "
-            f"{decode_kmer(int(paths[row, i]), k)} needs a shift beyond {limit}"
-        )
-    # Row e of letters spells event e's k-mer, and the event contributes the
-    # last orders[e] of them; the rows' bases come out one after another.
     lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
-    flat = paths.ravel()
-    letters = np.empty((flat.size, k), dtype=np.uint8)
-    for d in range(k):
-        letters[:, d] = lookup[(flat >> (2 * (k - 1 - d))) & 3]
-    text = letters[np.arange(k) >= k - orders.reshape(-1, 1)].tobytes().decode("ascii")
-    bounds = [0, *np.cumsum(orders.sum(axis=1)).tolist()]
-    calls = [
-        BaseCall(sequence=text[start:stop], lengths=lengths)
-        for start, stop, lengths in zip(bounds, bounds[1:], orders.astype(np.uint8))
-    ]
+    calls = []
+    # Blocks of 16 rows keep the temporaries a small fraction of the paths.
+    for first in range(0, len(paths), 16):
+        block = paths[first : first + 16]
+        orders = np.empty(block.shape, dtype=np.int64)
+        orders[:, 0] = k
+        orders[:, 1:] = smallest_orders(block[:, :-1], block[:, 1:], k, limit)
+        bad = np.argwhere(orders < 0)
+        if bad.size:
+            row, i = (int(v) for v in bad[0])
+            where = f"row {first + row}, " if states.ndim == 2 else ""
+            raise IllegalPathError(
+                f"{where}events {i - 1}..{i}: {decode_kmer(int(block[row, i - 1]), k)} -> "
+                f"{decode_kmer(int(block[row, i]), k)} needs a shift beyond {limit}"
+            )
+        # Row e of letters spells event e's k-mer, and the event contributes
+        # the last orders[e] of them; the rows' bases come out one after another.
+        flat = block.ravel()
+        letters = np.empty((flat.size, k), dtype=np.uint8)
+        for d in range(k):
+            letters[:, d] = lookup[(flat >> (2 * (k - 1 - d))) & 3]
+        text = letters[np.arange(k) >= k - orders.reshape(-1, 1)].tobytes().decode("ascii")
+        bounds = [0, *np.cumsum(orders.sum(axis=1)).tolist()]
+        calls += [
+            BaseCall(sequence=text[start:stop], lengths=lengths)
+            for start, stop, lengths in zip(bounds, bounds[1:], orders.astype(np.uint8))
+        ]
     return calls[0] if states.ndim == 1 else calls
 
 
-def call_read(hmm: Hmm, events: EventSequence, n: int, seed) -> ReadEnsemble:
+def call_read(hmm: Hmm, events: EventSequence, n: int, seed, out=None) -> ReadEnsemble:
     """Viterbi call plus ``n`` posterior sample calls for one read.
 
-    The emission matrix is built once for both kernels and dropped before the
-    traceback; the samples are translated after the forward matrix is dropped,
-    so the translation's temporaries never add to the kernels' peak memory.
-    ``seed`` seeds the traceback, as in ``sample_paths``.
+    Viterbi and then forward build their matrix in ``out`` (see
+    ``emission_log_matrix``), or each in a new array when it is None, so a
+    read's decode holds one (events x states) matrix at a time. ``seed``
+    seeds the traceback, as in ``sample_paths``.
     """
     k, max_shift = hmm.k, hmm.transitions.max_shift
-    logpdf = emission_log_matrix(hmm, events)
-    best = viterbi(hmm, events, logpdf)
+    best = viterbi(hmm, events, out)
     samples = []
     if n > 0:
-        fwd = forward(hmm, events, logpdf)
-        del logpdf
-        paths = sample_paths(hmm, events, fwd, n, seed)
-        del fwd
+        paths = sample_paths(hmm, events, forward(hmm, events, out), n, seed)
         samples = path_to_sequence(paths, k, max_shift)
     return ReadEnsemble(events.read_id, path_to_sequence(best.states, k, max_shift), samples)
 

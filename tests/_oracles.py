@@ -2,8 +2,9 @@
 
 Everything here trades speed for obviousness: explicit loops, explicit
 formulas, no shared code with the package beyond plain dataclass fields.
-The one exception is ``per_point_rows``, which composes the package's own
-seeding steps one grid point at a time.
+The exceptions are ``per_point_rows``, which composes the package's own
+seeding steps one grid point at a time, and the ``two_matrix_*`` kernels,
+which keep the package's per-event step and shift tables.
 """
 
 import itertools
@@ -100,6 +101,88 @@ def gather_viterbi(log_emissions, tables, k):
         row = pool[path[-1]]
         path.append(int(row[np.argmax(scores[i - 1][row] + log_t[path[-1]])]))
     return path[::-1], float(scores[-1, path[0]])
+
+
+def two_matrix_viterbi(hmm, events, logpdf):
+    """Viterbi that keeps its scores in a matrix beside the emission matrix ``logpdf``.
+
+    ``logpdf`` is left unchanged. Returns (path, log joint), or raises the
+    package's ValueError when no path has a finite score.
+    """
+    from ensembleseed.decode import _incoming
+    from ensembleseed.shifts import incoming_edges, pair_probs
+
+    n, m = logpdf.shape
+    trans = hmm.transitions
+    pool = np.sort(incoming_edges(trans.tables, hmm.k)[0], axis=1)
+    with np.errstate(divide="ignore"):
+        log_t = np.log(pair_probs(trans, pool, np.arange(m)[:, None]))
+        log_tables = [np.log(t) for t in trans.tables]
+    parallel = np.flatnonzero((np.diff(pool, axis=1) == 0).any(axis=1))
+    parallel_pool, parallel_log_t = (np.ascontiguousarray(a[parallel].T) for a in (pool, log_t))
+    scores = np.empty((n, m))
+    scores[0] = logpdf[0] - np.log(m)
+    for i in range(1, n):
+        prev = scores[i - 1]
+        top = _incoming(prev, trans, log_tables, np.add, np.maximum)
+        top[parallel] = (prev[parallel_pool] + parallel_log_t).max(axis=0)
+        np.add(logpdf[i], top, out=scores[i])
+    if not np.isfinite(scores[-1]).any():
+        bad = np.flatnonzero(~np.isfinite(scores).any(axis=1))[0]
+        raise ValueError(f"read {events.read_id!r}: no finite Viterbi score at event {bad}")
+    states = np.empty(n, dtype=np.int64)
+    states[-1] = int(np.argmax(scores[-1]))
+    for i in range(n - 1, 0, -1):
+        row = pool[states[i]]
+        states[i - 1] = row[np.argmax(scores[i - 1][row] + log_t[states[i]])]
+    return states.tolist(), float(scores[-1, states[-1]])
+
+
+def two_matrix_forward(hmm, events, logpdf):
+    """Scaled forward pass into a new matrix beside ``logpdf``, which it leaves unchanged.
+
+    Returns (columns, log scale factors), or raises the package's ValueError
+    when a column has no finite, positive mass.
+    """
+    from ensembleseed.decode import _incoming
+
+    n, m = logpdf.shape
+    col_max = logpdf.max(axis=1)
+    trans = hmm.transitions
+    log_sf = np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = np.exp(logpdf - col_max[:, None])
+        raw = columns[0] / m
+        for i in range(n):
+            if i:
+                raw = _incoming(columns[i - 1], trans, trans.tables, np.multiply, np.add)
+                raw *= columns[i]
+            total = raw.sum()
+            np.divide(raw, total, out=columns[i])
+            log_sf[i] = np.log(total) + col_max[i]
+    bad = np.flatnonzero(~np.isfinite(log_sf))
+    if bad.size:
+        raise ValueError(
+            f"read {events.read_id!r}: forward mass is zero or not finite at event {bad[0]}"
+        )
+    return columns, log_sf
+
+
+def two_matrix_call_read(hmm, events, n, seed):
+    """(sequence, lengths) of the Viterbi call and then of ``n`` sample calls of one read.
+
+    The emission matrix is built once, as one numpy expression, for both
+    two-matrix kernels; the samples come from ``order_by_order_traceback``
+    and every call from ``translate_path``.
+    """
+    k, max_shift = hmm.k, hmm.transitions.max_shift
+    logpdf = normal_logpdf_matrix(events.means, *hmm.levels(events.scaling))
+    states, _ = two_matrix_viterbi(hmm, events, logpdf)
+    paths = [states]
+    if n > 0:
+        columns, _ = two_matrix_forward(hmm, events, logpdf)
+        paths += order_by_order_traceback(columns, hmm.transitions.tables, k, n, seed).tolist()
+    return [translate_path(path, k, max_shift) for path in paths]
 
 
 def order_by_order_traceback(columns, tables, k, count, seed):

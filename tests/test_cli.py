@@ -290,7 +290,7 @@ def test_traced_eval_records_every_seeding_and_evaluate_layer(pipeline, tmp_path
 
 
 def test_traced_basecall_records_every_decode_layer(pipeline, tmp_path, tracer):
-    """Each read's emission matrix is built once, outside Viterbi and forward."""
+    """Viterbi and forward each build their read's emission matrix, in place."""
     _, sim, train, _ = pipeline
     layers = [
         layer for layer in tracer.LAYERS
@@ -311,7 +311,8 @@ def test_traced_basecall_records_every_decode_layer(pipeline, tmp_path, tracer):
     assert run_basecall(tmp_path / "traced") == 0
     assert_layers_traced(tracer, traced, layers)
     emission = [span for span in traced.spans if span[0] == "decode.emission"]
-    assert len(emission) == 6 and all(parent == -1 for *_, parent in emission)
+    parents = sorted(traced.spans[parent][0] for *_, parent in emission)
+    assert parents == ["decode.forward"] * 6 + ["decode.viterbi"] * 6
     translate = [span for span in traced.spans if span[0] == "decode.translate"]
     assert len(translate) == 2 * 6  # the Viterbi path, then every sample at once
     for name in ("basecalls.fasta", "spans.jsonl"):

@@ -20,12 +20,17 @@ from _oracles import (
     paths_log_joints,
     table_prob,
     translate_path,
+    two_matrix_call_read,
+    two_matrix_forward,
+    two_matrix_viterbi,
 )
+from ensembleseed import decode
 from ensembleseed.decode import (
     BaseCall,
     IllegalPathError,
     ReadEnsemble,
     call_read,
+    decode_buffer,
     emission_log_matrix,
     forward,
     load_basecalls,
@@ -226,9 +231,8 @@ def test_per_order_kernels_match_the_gather_on_the_same_tables(k, shift, quantis
     per_order = TransitionModel.per_order(k, weights / weights.sum())
     gathered = TransitionModel(k, per_order.tables, mode="per-transition")
     events = EventSequence("twins", means)
-    logpdf = emission_log_matrix(make_hmm(pore, per_order), events)
     (vit, fwd), (want_vit, want_fwd) = [
-        (viterbi(hmm, events, logpdf), forward(hmm, events, logpdf))
+        (viterbi(hmm, events), forward(hmm, events))
         for hmm in (make_hmm(pore, per_order), make_hmm(pore, gathered))
     ]
     assert vit.states.tolist() == want_vit.states.tolist()
@@ -274,20 +278,6 @@ def test_per_transition_viterbi_matches_the_full_pool_gather(k, shift, quantised
     assert got.log_joint == want_joint
 
 
-def test_kernels_take_the_emission_matrix_of_their_read_only():
-    hmm, events, _, _ = random_instance(5, k=2, n_events=4, with_joints=False)
-    logpdf = emission_log_matrix(hmm, events)
-    given, computed = viterbi(hmm, events, logpdf), viterbi(hmm, events)
-    assert given.states.tolist() == computed.states.tolist()
-    assert given.log_joint == computed.log_joint
-    given, computed = forward(hmm, events, logpdf), forward(hmm, events)
-    np.testing.assert_array_equal(given.columns, computed.columns)
-    for kernel in (viterbi, forward):
-        for bad in (logpdf[:-1], logpdf[:, :-1]):
-            with pytest.raises(ValueError, match=r"read 'inst5': emission matrix has shape"):
-                kernel(hmm, events, bad)
-
-
 def test_forward_rejects_zero_mass_column():
     # A only splits back to itself and is the only state event 0 leaves alive
     # (the others are 100 sd away); event 1 sits 100 sd away from A.
@@ -309,33 +299,120 @@ def test_viterbi_rejects_a_read_no_path_can_emit():
             viterbi(hmm, events)
 
 
-@pytest.mark.parametrize("mode", ["per-order", "per-transition"])
-def test_kernels_leave_the_given_emission_matrix_unchanged(mode):
-    hmm, events = quantised_instance(5, mode)
-    logpdf = emission_log_matrix(hmm, events)
-    before = logpdf.copy()
-    viterbi(hmm, events, logpdf)
-    forward(hmm, events, logpdf)
-    assert logpdf.tobytes() == before.tobytes()
+def decode_outcome(decode):
+    """What ``decode()`` returns, or the message of the ValueError it raises."""
+    try:
+        return decode()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
-def test_call_read_peaks_at_about_two_emission_matrices():
-    """Viterbi and forward each hold the emission matrix and one array of its size."""
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    shift=st.integers(1, 4),
+    mode=st.sampled_from(["per-order", "per-transition"]),
+    quantised=st.booleans(),
+    far=st.sampled_from([None, 4e154, 1e155]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_buffer_decodes_match_the_two_matrix_kernels(k, shift, mode, quantised, far, seed):
+    """Viterbi, forward and call_read, decoding in one buffer that holds the stale
+    rows of a longer read, agree bitwise with kernels that keep the emission matrix
+    beside a matrix of their own. Quantised levels, events and weights make exact
+    ties, and zero weights -inf scores. A far-out event's emission row is -inf under
+    every state of sd below about 2.1 (at 4e154) or under every state (at 1e155),
+    where the kernels must raise the same error."""
+    rng = np.random.default_rng(seed)
+    m, max_shift = 4**k, min(shift, k)
+    if quantised:
+        pore = PoreModel(k, rng.choice([90.0, 100.0, 110.0], m), rng.choice([2.0, 4.0], m))
+        means = rng.choice([90.0, 95.0, 100.0, 110.0], 8)
+    else:
+        pore = PoreModel(k, rng.normal(100.0, 12.0, m), rng.uniform(1.5, 3.0, m))
+        means = rng.normal(100.0, 14.0, 8)
+
+    def draw(shape):
+        if quantised:
+            return rng.integers(0, 3, shape).astype(float)
+        return rng.uniform(0.0, 1.0, shape) * (rng.random(shape) > 0.3)
+
+    if mode == "per-order":
+        weights = draw(max_shift + 1)
+        weights[1] += 1.0
+        trans = TransitionModel.per_order(k, weights / weights.sum())
+    else:
+        raw = [draw(m)] + [draw((m, 4**j)) for j in range(1, max_shift + 1)]
+        raw[1][:, 0] += 1.0  # every state keeps an out-edge
+        rows = raw[0] + sum(t.sum(axis=1) for t in raw[1:])
+        trans = TransitionModel(k, [raw[0] / rows] + [t / rows[:, None] for t in raw[1:]], mode)
+    hmm = make_hmm(pore, trans)
+    if far is not None:
+        means[rng.integers(len(means))] = far
+    scaling = ReadScaling(scale=rng.uniform(0.9, 1.1), shift=rng.uniform(-2, 2))
+    events = EventSequence("short", means, scaling)
+    longer = EventSequence("long", rng.normal(100.0, 14.0, 12), scaling)
+    count = int(rng.integers(0, 5))
+
+    buffer = decode_buffer(hmm, [events, longer])
+    assert buffer.shape == (len(longer), m)
+    call_read(hmm, longer, 3, seed, buffer)
+    out = buffer[: len(events)]
+    logpdf = normal_logpdf_matrix(means, *hmm.levels(scaling))
+
+    got = decode_outcome(lambda: viterbi(hmm, events, out))
+    want = decode_outcome(lambda: two_matrix_viterbi(hmm, events, logpdf))
+    if not isinstance(want, str):
+        got = (got.states.tolist(), got.log_joint)
+    assert got == want
+
+    got = decode_outcome(lambda: forward(hmm, events, out))
+    want = decode_outcome(lambda: two_matrix_forward(hmm, events, logpdf))
+    if not isinstance(want, str):
+        assert np.shares_memory(got.columns, buffer)
+        got = (got.columns.tobytes(), got.log_scale_factors.tobytes())
+        want = tuple(array.tobytes() for array in want)
+    assert got == want
+
+    got = decode_outcome(lambda: call_read(hmm, events, count, seed, out))
+    want = decode_outcome(lambda: two_matrix_call_read(hmm, events, count, seed))
+    if not isinstance(want, str):
+        got = [(call.sequence, call.lengths.tolist()) for call in [got.viterbi, *got.samples]]
+    assert got == want
+
+
+def test_model_tables_are_built_once_per_model(monkeypatch):
+    """A second read under the same model builds none of Viterbi's or the traceback's tables."""
+    hmm, events = quantised_instance(7, "per-transition")
+    first = call_read(hmm, events, 4, 0)
+    built = []
+    for name in ("incoming_edges", "pair_probs"):
+        monkeypatch.setattr(decode, name, lambda *args, name=name: built.append(name))
+    second = call_read(hmm, events, 4, 0)
+    assert built == []
+    for a, b in zip([first.viterbi, *first.samples], [second.viterbi, *second.samples]):
+        assert (a.sequence, a.lengths.tobytes()) == (b.sequence, b.lengths.tobytes())
+
+
+@pytest.mark.parametrize("n_events,n,bound", [(300, 16, 1.35), (1500, 250, 1.5)])
+def test_call_read_peaks_at_about_one_emission_matrix(n_events, n, bound):
+    """Viterbi and then forward build their matrix in the buffer the read decodes in,
+    and neither the traceback nor the translation adds a sizeable array beside it."""
     pore = synthetic_pore_model(5, seed=1)
     hmm = make_hmm(pore)
     rng = np.random.default_rng(0)
-    means = rng.choice(pore.level_mean, 300) + rng.normal(0.0, 1.0, 300)
+    means = rng.choice(pore.level_mean, n_events) + rng.normal(0.0, 1.0, n_events)
     events = EventSequence("r", means)
     call_read(hmm, events, 1, 0)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        call_read(hmm, events, 16, 0)
+        call_read(hmm, events, n, 0, decode_buffer(hmm, [events]))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     matrix = len(events) * hmm.num_states * 8
-    assert peak <= 2.25 * matrix, f"peak is {peak / matrix:.3f} emission matrices"
+    assert peak <= bound * matrix, f"peak is {peak / matrix:.3f} emission matrices"
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,6 +553,35 @@ class TestPathToSequence:
         message = r"row 1, events 1\.\.2: CG -> AA needs a shift beyond 1"
         with pytest.raises(IllegalPathError, match=message):
             path_to_sequence(np.array([ok, bad, bad]), 2, max_shift=1)
+
+
+    def test_illegal_pair_past_the_first_block_names_its_row(self):
+        paths = np.tile([encode_kmer("AC"), encode_kmer("CG"), encode_kmer("GT")], (40, 1))
+        paths[33, 2] = encode_kmer("AA")
+        message = r"row 33, events 1\.\.2: CG -> AA needs a shift beyond 1"
+        with pytest.raises(IllegalPathError, match=message):
+            path_to_sequence(paths, 2, max_shift=1)
+
+    def test_translating_many_rows_peaks_well_under_the_path_array(self):
+        """250 x 1,500 k=5 paths (3 MB of int64) translate with under 3 MB of traced
+        peak memory, the calls included, and each row as it translates alone."""
+        k, n = 5, 1500
+        rng = np.random.default_rng(4)
+        bases = rng.integers(0, 4, (250, n + k - 1))
+        paths = sum(bases[:, d : d + n] << (2 * (k - 1 - d)) for d in range(k))
+        path_to_sequence(paths[:2], k, 2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            calls = path_to_sequence(paths, k, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"peak is {peak / 1e6:.2f} MB"
+        for row in (0, 15, 16, 17, 249):
+            alone = path_to_sequence(paths[row], k, 2)
+            assert calls[row].sequence == alone.sequence
+            assert calls[row].lengths.tobytes() == alone.lengths.tobytes()
 
 
 def legal_paths(draw, k, max_shift):
