@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .decode import call_read, decode_buffer, load_basecalls, viterbi, write_basecalls
+from .decode import call_read, load_basecalls, viterbi, write_basecalls
 from .evaluate import (
     CHAIN_10,
     DEFAULT_DEDUP_RADIUS,
@@ -142,8 +142,7 @@ def cmd_train(args) -> int:
         pore = load_pore_model(args.pore_model)
         hmm = make_hmm(pore, _load_transitions(args, pore.k))
         events = load_events(args.events)
-        out = decode_buffer(hmm, events)
-        paths = [viterbi(hmm, ev, out[: len(ev)]) for ev in events]
+        paths = [viterbi(hmm, ev) for ev in events]
     counts = count_transitions(paths, args.model_k, args.max_shift)
     model = estimate_transitions(counts, args.mode, pseudocount=args.pseudocount)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -162,10 +161,7 @@ def cmd_basecall(args) -> int:
     hmm = make_hmm(pore, _load_transitions(args, pore.k))
     events = load_events(args.events)
     streams = np.random.SeedSequence(args.seed).spawn(max(1, len(events)))
-    out = decode_buffer(hmm, events)
-    ensembles = [
-        call_read(hmm, ev, args.n, stream, out[: len(ev)]) for ev, stream in zip(events, streams)
-    ]
+    ensembles = [call_read(hmm, ev, args.n, stream) for ev, stream in zip(events, streams)]
     os.makedirs(args.out_dir, exist_ok=True)
     write_basecalls(
         os.path.join(args.out_dir, "basecalls.fasta"),
@@ -192,6 +188,8 @@ def _strategies(args) -> list[StrategyConfig]:
 def cmd_eval(args) -> int:
     strategies = _strategies(args)
     check_grid(args.t, args.n, args.dedup_radius)
+    if args.window < 1:
+        raise ValueError(f"window size must be >= 1, got {args.window}")
     records = read_fasta(args.reference)
     if len(records) != 1:
         raise ValueError(f"{args.reference}: expected exactly one reference sequence")

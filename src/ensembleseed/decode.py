@@ -88,14 +88,14 @@ class ReadEnsemble:
     samples: list[BaseCall]
 
 
-def _normal_logpdf(x, loc, sd, out=None):
-    """``-0.5 * z * z - log(sd * sqrt(2 pi))``, z = (x - loc) / sd, built in the one output array.
+def _normal_logpdf(x, loc, sd):
+    """``-0.5 * z * z - log(sd * sqrt(2 pi))``, z = (x - loc) / sd, built in one new array.
 
-    The output is ``out`` when given, else a new array. Only ``-0.5 * z``
-    needs a temporary, made 16 rows at a time. Overflow quietly gives -inf.
+    Only ``-0.5 * z`` needs a temporary, made 16 rows at a time. Overflow
+    quietly gives -inf.
     """
     with np.errstate(over="ignore"):
-        z = np.subtract(x, loc, out=out)
+        z = np.subtract(x, loc)
         z /= sd
         for rows in np.split(z, range(16, len(z), 16)):
             rows *= -0.5 * rows
@@ -103,22 +103,9 @@ def _normal_logpdf(x, loc, sd, out=None):
     return z
 
 
-def emission_log_matrix(hmm: Hmm, events: EventSequence, out=None) -> np.ndarray:
-    """(n_events, n_states) log densities of each event under each state.
-
-    They are written into ``out``, an (n_events, n_states) float64 array,
-    when given, else into a new array.
-    """
-    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling), out)
-
-
-def decode_buffer(hmm: Hmm, reads: list[EventSequence]) -> np.ndarray:
-    """One (longest read, states) float64 array to decode every read in.
-
-    Pass ``buffer[:len(events)]`` as each read's ``out``, so every read's
-    kernels reuse the same memory.
-    """
-    return np.empty((max(map(len, reads), default=0), hmm.num_states))
+def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
+    """New (n_events, n_states) array of the log density of each event under each state."""
+    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling))
 
 
 def _incoming(prev: np.ndarray, trans, tables, combine, reduce) -> np.ndarray:
@@ -148,15 +135,15 @@ def _incoming(prev: np.ndarray, trans, tables, combine, reduce) -> np.ndarray:
     return out
 
 
-def forward(hmm: Hmm, events: EventSequence, out=None) -> ForwardMatrix:
+def forward(hmm: Hmm, events: EventSequence) -> ForwardMatrix:
     """Scaled forward pass from a uniform start over all states.
 
-    The columns are built in ``out`` (see ``emission_log_matrix``), which the
-    returned matrix then holds. Raises ValueError naming the read and event
+    The columns overwrite the read's emission matrix, which the returned
+    matrix then holds. Raises ValueError naming the read and event
     when a column has no finite, positive mass, as when no state reachable
     from the previous column can emit the event.
     """
-    columns = emission_log_matrix(hmm, events, out)
+    columns = emission_log_matrix(hmm, events)
     n, m = columns.shape
     col_max = columns.max(axis=1)
     trans = hmm.transitions
@@ -217,10 +204,10 @@ def _viterbi_tables(trans: TransitionModel) -> tuple:
     return pool, log_t, log_tables, parallel, parallel_pool, parallel_log_t
 
 
-def viterbi(hmm: Hmm, events: EventSequence, out=None) -> StatePath:
+def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
     """Most probable state path; ties break toward the lowest state id.
 
-    The scores are built in ``out`` (see ``emission_log_matrix``). Raises
+    The scores overwrite the read's emission matrix, freed on return. Raises
     ValueError naming the read and event when no path has a finite score, as
     when no state can emit an event.
     """
@@ -231,7 +218,7 @@ def viterbi(hmm: Hmm, events: EventSequence, out=None) -> StatePath:
     # state, added at step i to event i's emission row, its only reader. Only
     # the scores are kept; the traceback finds each predecessor from the
     # previous row, so the step needs no argmax.
-    scores = emission_log_matrix(hmm, events, out)
+    scores = emission_log_matrix(hmm, events)
     n, m = scores.shape
     scores[0] -= np.log(m)
     for i in range(1, n):
@@ -357,19 +344,18 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
     return calls[0] if states.ndim == 1 else calls
 
 
-def call_read(hmm: Hmm, events: EventSequence, n: int, seed, out=None) -> ReadEnsemble:
+def call_read(hmm: Hmm, events: EventSequence, n: int, seed) -> ReadEnsemble:
     """Viterbi call plus ``n`` posterior sample calls for one read.
 
-    Viterbi and then forward build their matrix in ``out`` (see
-    ``emission_log_matrix``), or each in a new array when it is None, so a
-    read's decode holds one (events x states) matrix at a time. ``seed``
-    seeds the traceback, as in ``sample_paths``.
+    Viterbi frees its matrix before forward builds one, so a read's decode
+    holds one (events x states) matrix at a time. ``seed`` seeds the
+    traceback, as in ``sample_paths``.
     """
     k, max_shift = hmm.k, hmm.transitions.max_shift
-    best = viterbi(hmm, events, out)
+    best = viterbi(hmm, events)
     samples = []
     if n > 0:
-        paths = sample_paths(hmm, events, forward(hmm, events, out), n, seed)
+        paths = sample_paths(hmm, events, forward(hmm, events), n, seed)
         samples = path_to_sequence(paths, k, max_shift)
     return ReadEnsemble(events.read_id, path_to_sequence(best.states, k, max_shift), samples)
 

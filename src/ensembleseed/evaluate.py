@@ -32,7 +32,6 @@ class Window:
     """One window of events: each call's slice over them and the true reference interval."""
 
     window_id: str
-    read_id: str
     event_range: tuple[int, int]
     viterbi: BaseCall
     samples: list[BaseCall]
@@ -94,7 +93,6 @@ def build_windows(
         windows.append(
             Window(
                 window_id=f"{ensemble.read_id}:{w}",
-                read_id=ensemble.read_id,
                 event_range=(a, b),
                 viterbi=sliced[0],
                 samples=sliced[1:],

@@ -80,26 +80,6 @@ class PoreModel:
         for arr in (self.level_mean, self.level_stdv):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_rows(cls, k: int, rows: dict[str, tuple[float, float]]) -> "PoreModel":
-        m = 4**k
-        mean = np.empty(m)
-        stdv = np.empty(m)
-        seen = np.zeros(m, dtype=bool)
-        for kmer, (mu, sigma) in rows.items():
-            code = encode_kmer(kmer)
-            if len(kmer) != k:
-                raise ValueError(f"k-mer {kmer!r} does not have length {k}")
-            if seen[code]:
-                raise ValueError(f"duplicate k-mer {kmer!r}")
-            seen[code] = True
-            mean[code] = mu
-            stdv[code] = sigma
-        if not seen.all():
-            missing = decode_kmer(int(np.flatnonzero(~seen)[0]), k)
-            raise ValueError(f"pore model incomplete: missing k-mer {missing}")
-        return cls(k, mean, stdv)
-
 
 class TransitionModel:
     """Outgoing transition probabilities over k-mer states, organised by shift order.
@@ -219,26 +199,30 @@ def write_pore_model(path, pore: PoreModel) -> None:
 
 
 def load_pore_model(path) -> PoreModel:
-    """Read a ``kmer<TAB>mu<TAB>sigma`` table covering all 4**k k-mers."""
+    """Read a ``kmer<TAB>mu<TAB>sigma`` table covering all 4**k k-mers, in any order."""
     linenos, (kmers, mu, sigma) = tsv_fields(path, PORE_MODEL_HEADER)
     mu = parse_column(float, mu, "mu", path, linenos)
     sigma = parse_column(float, sigma, "sigma", path, linenos)
     if not kmers:
         raise ValueError(f"{path}: empty pore model")
     k = len(kmers[0])  # the first row sets k
-    rows: dict[str, tuple[float, float]] = {}
+    seen: set[str] = set()
     alphabet = set(BASES)
-    for lineno, kmer, params in zip(linenos, kmers, zip(mu, sigma)):
+    for lineno, kmer, sd in zip(linenos, kmers, sigma):
         if not kmer or len(kmer) != k or not set(kmer) <= alphabet:
             raise ValueError(f"{path}:{lineno}: expected a {k}-mer over {BASES}, got {kmer!r}")
-        if not params[1] > 0:
+        if not sd > 0:
             raise ValueError(f"{path}:{lineno}: sigma must be positive")
-        if kmer in rows:
+        if kmer in seen:
             raise ValueError(f"{path}:{lineno}: duplicate k-mer {kmer}")
-        rows[kmer] = params
-    if len(rows) != 4**k:
-        raise ValueError(f"{path}: {len(rows)} k-mers, a {k}-mer pore model needs {4**k}")
-    return PoreModel.from_rows(k, rows)
+        seen.add(kmer)
+    if len(seen) != 4**k:
+        raise ValueError(f"{path}: {len(seen)} k-mers, a {k}-mer pore model needs {4**k}")
+    # Every row is a distinct k-mer and all 4**k are there, so each code is set once.
+    codes = [encode_kmer(kmer) for kmer in kmers]
+    mean, stdv = np.empty(4**k), np.empty(4**k)
+    mean[codes], stdv[codes] = mu, sigma
+    return PoreModel(k, mean, stdv)
 
 
 def write_events(path, reads: list[EventSequence]) -> None:

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from ensembleseed import call_read, make_hmm
-from ensembleseed.decode import decode_buffer
 from ensembleseed.evaluate import (
     CHAIN_10,
     SINGLE_13,
@@ -95,10 +94,8 @@ def per_transition_calls_digest(corpus) -> str:
     hmm = make_hmm(corpus.hmm.pore, estimate_transitions(counts, "per-transition"))
     reads = corpus.reads[:PER_TRANSITION_READS]
     seeds = np.random.SeedSequence(DEFAULT_CORPUS_SEED + 2).spawn(len(reads))
-    out = decode_buffer(hmm, [read.events for read in reads])
     ensembles = [
-        call_read(hmm, read.events, CORPUS_SAMPLES, seed, out[: len(read.events)])
-        for read, seed in zip(reads, seeds)
+        call_read(hmm, read.events, CORPUS_SAMPLES, seed) for read, seed in zip(reads, seeds)
     ]
     return calls_digest(ensembles)
 
@@ -117,10 +114,8 @@ def build_pinned_corpus() -> SimpleNamespace:
     reference, reads = simulate_corpus(hmm)
 
     seeds = np.random.SeedSequence(DEFAULT_CORPUS_SEED + 1).spawn(len(reads))
-    out = decode_buffer(hmm, [read.events for read in reads])
     ensembles = [
-        call_read(hmm, read.events, CORPUS_SAMPLES, seed, out[: len(read.events)])
-        for read, seed in zip(reads, seeds)
+        call_read(hmm, read.events, CORPUS_SAMPLES, seed) for read, seed in zip(reads, seeds)
     ]
 
     identities = np.array(

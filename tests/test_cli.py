@@ -168,6 +168,7 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
         (["--t", 0], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[0], n=[1]"),
         (["--n", -1], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[1], n=[-1]"),
         (["--dedup-radius", -1], "dedup radius must be >= 0, got -1"),
+        (["--window", "0"], "window size must be >= 1, got 0"),
         (["--seed-k", 0], "seed length must be in [1, 16], got 0"),
         (["--seed-k", 17], "seed length must be in [1, 16], got 17"),
     ],
@@ -175,8 +176,9 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
 def test_eval_checks_strategy_flags_before_loading_calls(
     pipeline, tmp_path, capsys, monkeypatch, flags, message
 ):
-    """Strategy flags, the (t, n) grid and the dedup radius are all checked up front,
-    even when the window is longer than every read, so no window is scored."""
+    """Strategy flags, the (t, n) grid, the dedup radius and the window size are all
+    checked up front, even when the window is longer than every read, so no window
+    is scored."""
     _, sim, _, calls = pipeline
 
     def unreachable(*args, **kwargs):

@@ -30,7 +30,6 @@ from ensembleseed.decode import (
     IllegalPathError,
     ReadEnsemble,
     call_read,
-    decode_buffer,
     emission_log_matrix,
     forward,
     load_basecalls,
@@ -316,13 +315,13 @@ def decode_outcome(decode):
     far=st.sampled_from([None, 4e154, 1e155]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_one_buffer_decodes_match_the_two_matrix_kernels(k, shift, mode, quantised, far, seed):
-    """Viterbi, forward and call_read, decoding in one buffer that holds the stale
-    rows of a longer read, agree bitwise with kernels that keep the emission matrix
-    beside a matrix of their own. Quantised levels, events and weights make exact
-    ties, and zero weights -inf scores. A far-out event's emission row is -inf under
-    every state of sd below about 2.1 (at 4e154) or under every state (at 1e155),
-    where the kernels must raise the same error."""
+def test_in_place_decodes_match_the_two_matrix_kernels(k, shift, mode, quantised, far, seed):
+    """Viterbi, forward and call_read, each overwriting its own emission matrix in
+    place, agree bitwise with kernels that keep the emission matrix beside a matrix
+    of their own. Quantised levels, events and weights make exact ties, and zero
+    weights -inf scores. A far-out event's emission row is -inf under every state
+    of sd below about 2.1 (at 4e154) or under every state (at 1e155), where the
+    kernels must raise the same error."""
     rng = np.random.default_rng(seed)
     m, max_shift = 4**k, min(shift, k)
     if quantised:
@@ -351,30 +350,23 @@ def test_one_buffer_decodes_match_the_two_matrix_kernels(k, shift, mode, quantis
         means[rng.integers(len(means))] = far
     scaling = ReadScaling(scale=rng.uniform(0.9, 1.1), shift=rng.uniform(-2, 2))
     events = EventSequence("short", means, scaling)
-    longer = EventSequence("long", rng.normal(100.0, 14.0, 12), scaling)
     count = int(rng.integers(0, 5))
-
-    buffer = decode_buffer(hmm, [events, longer])
-    assert buffer.shape == (len(longer), m)
-    call_read(hmm, longer, 3, seed, buffer)
-    out = buffer[: len(events)]
     logpdf = normal_logpdf_matrix(means, *hmm.levels(scaling))
 
-    got = decode_outcome(lambda: viterbi(hmm, events, out))
+    got = decode_outcome(lambda: viterbi(hmm, events))
     want = decode_outcome(lambda: two_matrix_viterbi(hmm, events, logpdf))
     if not isinstance(want, str):
         got = (got.states.tolist(), got.log_joint)
     assert got == want
 
-    got = decode_outcome(lambda: forward(hmm, events, out))
+    got = decode_outcome(lambda: forward(hmm, events))
     want = decode_outcome(lambda: two_matrix_forward(hmm, events, logpdf))
     if not isinstance(want, str):
-        assert np.shares_memory(got.columns, buffer)
         got = (got.columns.tobytes(), got.log_scale_factors.tobytes())
         want = tuple(array.tobytes() for array in want)
     assert got == want
 
-    got = decode_outcome(lambda: call_read(hmm, events, count, seed, out))
+    got = decode_outcome(lambda: call_read(hmm, events, count, seed))
     want = decode_outcome(lambda: two_matrix_call_read(hmm, events, count, seed))
     if not isinstance(want, str):
         got = [(call.sequence, call.lengths.tolist()) for call in [got.viterbi, *got.samples]]
@@ -396,8 +388,8 @@ def test_model_tables_are_built_once_per_model(monkeypatch):
 
 @pytest.mark.parametrize("n_events,n,bound", [(300, 16, 1.35), (1500, 250, 1.5)])
 def test_call_read_peaks_at_about_one_emission_matrix(n_events, n, bound):
-    """Viterbi and then forward build their matrix in the buffer the read decodes in,
-    and neither the traceback nor the translation adds a sizeable array beside it."""
+    """Viterbi frees its matrix before forward builds one, and neither the traceback
+    nor the translation adds a sizeable array beside it."""
     pore = synthetic_pore_model(5, seed=1)
     hmm = make_hmm(pore)
     rng = np.random.default_rng(0)
@@ -407,12 +399,44 @@ def test_call_read_peaks_at_about_one_emission_matrix(n_events, n, bound):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        call_read(hmm, events, n, 0, decode_buffer(hmm, [events]))
+        call_read(hmm, events, n, 0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     matrix = len(events) * hmm.num_states * 8
     assert peak <= bound * matrix, f"peak is {peak / matrix:.3f} emission matrices"
+
+
+def test_reads_decoded_in_a_row_peak_at_one_decode_plus_the_kept_calls():
+    """Equal-length reads decoded one after another, their calls kept, peak no higher
+    than the largest single read's decode plus the calls kept: no read's matrix
+    outlives its decode."""
+    pore = synthetic_pore_model(5, seed=1)
+    hmm = make_hmm(pore)
+    rng = np.random.default_rng(2)
+    reads = [
+        EventSequence(f"r{i}", rng.choice(pore.level_mean, 300) + rng.normal(0.0, 1.0, 300))
+        for i in range(4)
+    ]
+    call_read(hmm, reads[0], 1, 0)
+    tracemalloc.start()
+    try:
+        one = 0
+        for i, events in enumerate(reads):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call_read(hmm, events, 16, i)
+            one = max(one, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ensembles = [call_read(hmm, events, 16, i) for i, events in enumerate(reads)]
+        kept, peak = (value - start for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    matrix = len(reads[0]) * hmm.num_states * 8
+    assert len(ensembles) == len(reads)
+    assert kept < 0.1 * matrix, f"the kept calls hold {kept / matrix:.3f} emission matrices"
+    assert peak <= one + kept, f"peak is {(peak - one - kept) / matrix:.3f} matrices over"
 
 
 @settings(max_examples=60, deadline=None)

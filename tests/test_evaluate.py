@@ -274,7 +274,7 @@ def test_one_pass_matches_scoring_each_point_alone(
     rng = np.random.default_rng(seed)
     reference = "".join(rng.choice(list("ACGT"), 400))
     calls = [mutated_call(rng, reference, events, error) for _ in range(samples + 1)]
-    window = Window("w", "r", (0, events), calls[0], calls[1:], (0, 0, "+"))
+    window = Window("w", (0, events), calls[0], calls[1:], (0, 0, "+"))
     if chain is None:
         config = StrategyConfig(kind="single", seed_k=k, use_viterbi=use_viterbi)
     else:

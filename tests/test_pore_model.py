@@ -194,23 +194,17 @@ def test_pore_model_validation():
         PoreModel(1, np.zeros(4), np.array([1.0, 1.0, 0.0, 1.0]))
 
 
-def test_pore_model_from_rows_detects_missing_and_duplicates():
-    rows = {"A": (90.0, 2.0), "C": (100.0, 2.0), "G": (110.0, 2.0), "T": (120.0, 2.0)}
-    pm = PoreModel.from_rows(1, rows)
-    code = encode_kmer("G")
-    assert (pm.level_mean[code], pm.level_stdv[code]) == (110.0, 2.0)
-    with pytest.raises(ValueError, match="missing"):
-        PoreModel.from_rows(1, {"A": (90.0, 2.0)})
-
-
 def test_pore_model_round_trip(tmp_path):
     pore = toy_pore(3, seed=11)
     path = tmp_path / "pore.tsv"
     write_pore_model(path, pore)
-    back = load_pore_model(path)
-    assert back.k == 3
-    np.testing.assert_array_equal(back.level_mean, pore.level_mean)
-    np.testing.assert_array_equal(back.level_stdv, pore.level_stdv)
+    reversed_rows = tmp_path / "reversed.tsv"
+    header, *rows = path.read_text().splitlines()
+    reversed_rows.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    for back in (load_pore_model(path), load_pore_model(reversed_rows)):
+        assert back.k == 3
+        np.testing.assert_array_equal(back.level_mean, pore.level_mean)
+        np.testing.assert_array_equal(back.level_stdv, pore.level_stdv)
 
 
 def test_events_round_trip(tmp_path):
