@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .shifts import by_dropped_bases, incoming_edges, pair_probs, smallest_order
 
 
 class IllegalPathError(ValueError):
-    """A state path contains a pair not connected by any allowed shift."""
+    """A state path holds a code outside the k-mers or a pair no allowed shift links."""
 
 
 @dataclass
@@ -239,9 +240,19 @@ def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
     return StatePath(states=states, log_joint=float(scores[-1, states[-1]]))
 
 
+def _check_codes(states: np.ndarray, k: int) -> None:
+    """Raise IllegalPathError naming the (row and) event of the first code outside the k-mers."""
+    if states.size and (states.min() < 0 or states.max() >= 4**k):
+        *row, i = np.argwhere((states < 0) | (states >= 4**k))[0]
+        where = f"row {row[0]}, " if row else ""
+        code = states[(*row, i)]
+        raise IllegalPathError(f"{where}event {i}: state code {code} out of range for k={k}")
+
+
 def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray):
     """Log P(path, events) for an explicit state path, or for each row of a path array."""
     states = np.asarray(states, dtype=np.int64)
+    _check_codes(states, hmm.k)
     emit = _normal_logpdf(events.means, *hmm.levels(events.scaling, states)).sum(axis=-1)
     trans = pair_probs(hmm.transitions, states[..., :-1], states[..., 1:])
     if np.any(trans <= 0):
@@ -308,9 +319,11 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
     contributes the last j bases of its k-mer: j is k for the first event, so
     it contributes its whole k-mer, and for every later event the smallest
     shift linking it to its predecessor (0 for splits). The call's lengths are
-    those orders.
+    those orders. Raises IllegalPathError naming the row and event of a code
+    outside the k-mers or of a pair no shift up to ``max_shift`` links.
     """
     states = np.asarray(states, dtype=np.int64)
+    _check_codes(states, k)
     paths = states.reshape(-1, states.shape[-1])
     limit = k if max_shift is None else max_shift
     lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
@@ -387,9 +400,15 @@ def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> No
 
 
 def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
-    spans: dict[tuple[str, str], tuple[str, np.ndarray]] = {}
-    for where, rec in jsonl_records(spans_path, SPANS_FIELDS):
-        kind, index, text = rec["call"], rec["index"], rec["spans"]
+    """Read ``write_basecalls``' files: spans record i holds FASTA record i's spans."""
+    ensembles: dict[str, ReadEnsemble] = {}
+    pairs = zip_longest(jsonl_records(spans_path, SPANS_FIELDS), fasta_records(fasta_path))
+    for in_spans, in_fasta in pairs:
+        if in_spans is None:
+            lineno, header, _ = in_fasta
+            raise ValueError(f"{fasta_path}:{lineno}: no spans recorded for {header!r}")
+        where, rec = in_spans
+        read_id, kind, index, text = rec["read_id"], rec["call"], rec["index"], rec["spans"]
         if not (kind == "viterbi" or (kind == "sample" and type(index) is int)):
             raise ValueError(f"{where}: unknown call {kind!r} with index {index!r}")
         if not isinstance(text, str):
@@ -401,48 +420,37 @@ def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
         if np.any(lengths > _MAX_LENGTH):
             bad = next(c for c in text if not 0 <= ord(c) - _LENGTH_ZERO <= _MAX_LENGTH)
             raise ValueError(f"{where}: span character {bad!r} encodes no length 0..{_MAX_LENGTH}")
-        key = (rec["read_id"], _call_label(kind, index))
-        if key in spans:
-            raise ValueError(f"{where}: repeated {key[1]} call for read {key[0]!r}")
-        spans[key] = (where, lengths)
-
-    ensembles: list[ReadEnsemble] = []
-    by_read: dict[str, ReadEnsemble] = {}
-    seen: set[tuple[str, str]] = set()
-    for lineno, header, seq in fasta_records(fasta_path):
-        read_id, _, label = header.partition(" ")
-        key = (read_id, label)
-        if key not in spans:
-            raise ValueError(f"{fasta_path}:{lineno}: no spans recorded for {header!r}")
-        if key in seen:
-            raise ValueError(f"{fasta_path}:{lineno}: repeated {label} call for read {read_id!r}")
-        seen.add(key)
-        spans_where, lengths = spans[key]
+        label = _call_label(kind, index)
+        if in_fasta is None:
+            raise ValueError(f"{where}: no FASTA record for the {label} call of {read_id!r}")
+        lineno, header, seq = in_fasta
+        pair = f"{where}, {fasta_path}:{lineno}"
+        if header.partition(" ")[::2] != (read_id, label):
+            raise ValueError(
+                f"{pair}: spans of the {label} call of {read_id!r} beside the FASTA record "
+                f"{header!r}: both files must list the calls in one order"
+            )
         covered = int(lengths.sum(dtype=np.int64))
         if covered != len(seq):
             raise ValueError(
-                f"{spans_where}: spans cover {covered} bases, "
+                f"{where}: spans cover {covered} bases, "
                 f"the FASTA record {header!r} has {len(seq)}"
             )
         call = BaseCall(sequence=seq, lengths=lengths)
-        if read_id not in by_read:
-            by_read[read_id] = ReadEnsemble(read_id=read_id, viterbi=None, samples=[])
-            ensembles.append(by_read[read_id])
-        samples = by_read[read_id].samples
-        due = _call_label("sample", len(samples))
+        ens = ensembles.setdefault(read_id, ReadEnsemble(read_id=read_id, viterbi=None, samples=[]))
+        due = _call_label("sample", len(ens.samples))
         if label == "viterbi":
-            by_read[read_id].viterbi = call
+            if ens.viterbi is not None:
+                raise ValueError(f"{pair}: repeated viterbi call for read {read_id!r}")
+            ens.viterbi = call
         elif label != due:
             raise ValueError(
-                f"{fasta_path}:{lineno}: {label} call of read {read_id!r} where {due} is due: "
+                f"{pair}: {label} call of read {read_id!r} where {due} is due: "
                 f"sample indexes must run 0, 1, 2, ... in file order"
             )
         else:
-            samples.append(call)
-    for ens in ensembles:
+            ens.samples.append(call)
+    for ens in ensembles.values():
         if ens.viterbi is None:
             raise ValueError(f"{fasta_path}: read {ens.read_id} has no viterbi call")
-    for (read_id, label), (spans_where, _) in spans.items():
-        if (read_id, label) not in seen:
-            raise ValueError(f"{spans_where}: no FASTA record for the {label} call of {read_id!r}")
-    return ensembles
+    return list(ensembles.values())

@@ -17,11 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decode import BaseCall, ReadEnsemble, StatePath
+from .decode import BaseCall, IllegalPathError, ReadEnsemble, StatePath, path_to_sequence
 from .io import atomic_write, tsv_rows
 from .kmers import STRANDS
 from .seeding import KmerIndex, chain_hits, collect_ensemble_kmers, find_hits
-from .shifts import smallest_orders
 
 DEFAULT_WINDOW_SIZE = 500
 DEFAULT_DEDUP_RADIUS = 10
@@ -57,8 +56,6 @@ def build_windows(
     n_events = len(true_path.states)
     starts = []  # per call, each event's first base offset, then the call's length
     for call in calls:
-        if call.lengths.size == 0:
-            raise ValueError(f"read {ensemble.read_id}: base call lacks event spans")
         if call.lengths.size != n_events:
             raise ValueError(
                 f"read {ensemble.read_id}: call has {call.lengths.size} event "
@@ -68,13 +65,11 @@ def build_windows(
         if starts[-1][-1] != len(call.sequence):
             raise ValueError(f"read {ensemble.read_id}: event spans do not tile the call")
 
-    states = true_path.states
-    if states.min() < 0 or states.max() >= 4**k:
-        raise ValueError(f"read {ensemble.read_id}: true path has states outside the {k}-mers")
-    orders = smallest_orders(states[:-1], states[1:], k, k)
-    if np.any(orders < 0):
-        raise ValueError(f"read {ensemble.read_id}: true path is not a legal walk")
-    rel = np.concatenate([[0], np.cumsum(orders)])
+    try:
+        orders = path_to_sequence(true_path.states, k).lengths
+    except IllegalPathError as err:
+        raise IllegalPathError(f"read {ensemble.read_id}: true path, {err}") from None
+    rel = np.cumsum(orders, dtype=np.int64) - k
     contig, fs, fe, strand = truth
     if k + rel[-1] > fe - fs:
         raise ValueError(

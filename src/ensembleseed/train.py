@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import IllegalPathError, StatePath
+from .decode import IllegalPathError, StatePath, path_to_sequence
 from .io import atomic_write, parse_column, parse_field, tsv_fields, tsv_rows
 from .kmers import decode_kmer
 from .pore_model import TransitionModel
@@ -75,25 +75,18 @@ class TransitionCounts:
 def count_transitions(paths, k: int, max_shift: int = 2) -> TransitionCounts:
     """Count every consecutive state pair across ``paths``.
 
-    Raises IllegalPathError naming the offending path and event position if a
-    pair is not linked by any shift of order <= max_shift.
+    Raises IllegalPathError naming the path and event of a code outside the
+    k-mers or of a pair no shift of order <= max_shift links.
     """
     tables = _zero_tables(k, max_shift)
     for pi, path in enumerate(paths):
         states = np.asarray(path.states if isinstance(path, StatePath) else path, np.int64)
         if states.size < 2:
             continue
-        if states.min() < 0 or states.max() >= 4**k:
-            raise IllegalPathError(f"path {pi}: state codes out of range for k={k}")
-        orders = smallest_orders(states[:-1], states[1:], k, max_shift)
-        bad = np.flatnonzero(orders < 0)
-        if bad.size:
-            pos = int(bad[0])
-            raise IllegalPathError(
-                f"path {pi}, events {pos}..{pos + 1}: "
-                f"{decode_kmer(int(states[pos]), k)} -> {decode_kmer(int(states[pos + 1]), k)} "
-                f"needs a shift beyond {max_shift}"
-            )
+        try:
+            orders = path_to_sequence(states, k, max_shift).lengths[1:]
+        except IllegalPathError as err:
+            raise IllegalPathError(f"path {pi}, {err}") from None
         _add_pairs(tables, states[:-1], states[1:], orders, np.ones(orders.size))
     return TransitionCounts(k, tables)
 

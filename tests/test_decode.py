@@ -462,7 +462,10 @@ def test_emission_matches_the_numpy_expression_oracle(k, scale, shift, var, kind
         means = loc[states]
     else:
         # z * z overflows past |z| = 1.3e154, and -0.5 * z * z past 1.9e154.
+        # With sd <= 7 here, an event at +-10**155.5 overflows under every state,
+        # so one is placed where a short read might draw none.
         means = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(153.5, 155.5, n)
+        means[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10.0**155.5
     want = normal_logpdf_matrix(means, loc, sd)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -495,6 +498,23 @@ def test_path_log_joint_matches_oracle():
             assert got == -math.inf
         else:
             assert got == pytest.approx(math.log(want), rel=1e-9)
+
+
+@pytest.mark.parametrize("code", [-1, 16])
+@pytest.mark.parametrize(
+    "paths,where",
+    [([-9], "event 0"), ([0, 1, -9], "event 2"), ([[0, 1, 5], [0, -9, 5]], "row 1, event 1")],
+)
+def test_codes_outside_the_kmers_are_rejected(code, paths, where):
+    """Neither translation nor scoring reads -1 as TT or 4**k as AA; -9 marks the bad code."""
+    states = np.where(np.array(paths) == -9, code, paths)
+    hmm = make_hmm(synthetic_pore_model(2, seed=3))
+    events = EventSequence("r", np.full(states.shape[-1], 100.0))
+    message = rf"^{where}: state code {code} out of range for k=2$"
+    with pytest.raises(IllegalPathError, match=message):
+        path_to_sequence(states, 2)
+    with pytest.raises(IllegalPathError, match=message):
+        path_log_joint(hmm, events, states)
 
 
 def test_aggregate_transition_probs_matches_oracle():
@@ -664,7 +684,8 @@ def test_load_basecalls_rejects_repeated_spans_record(tmp_path):
     )
     with open(spans, "a") as sp:
         sp.write(json.dumps({"read_id": "r1", "call": "viterbi", "index": None, "spans": "3"}))
-    with pytest.raises(ValueError, match=r"spans\.jsonl:3: repeated viterbi call for read 'r1'"):
+    message = r"spans\.jsonl:3: no FASTA record for the viterbi call of 'r1'"
+    with pytest.raises(ValueError, match=message):
         load_basecalls(fasta, spans)
 
 
@@ -674,7 +695,35 @@ def test_load_basecalls_rejects_repeated_fasta_record(tmp_path):
     )
     with open(fasta, "a") as fa:
         fa.write(">r1 sample0\nACG\n")
-    with pytest.raises(ValueError, match=r"calls\.fasta:5: repeated sample0 call for read 'r1'"):
+    with pytest.raises(ValueError, match=r"calls\.fasta:5: no spans recorded for 'r1 sample0'"):
+        load_basecalls(fasta, spans)
+
+
+@pytest.mark.parametrize(
+    "kind,index,message",
+    [
+        ("viterbi", None, "repeated viterbi call for read 'r1'"),
+        ("sample", 0, "sample0 call of read 'r1' where sample1 is due"),
+    ],
+)
+def test_load_basecalls_rejects_a_call_repeated_in_both_files(tmp_path, kind, index, message):
+    records = [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    fasta, spans = write_call_files(tmp_path, records + [("r1", kind, index, "AC")])
+    with pytest.raises(ValueError, match=rf"spans\.jsonl:3, \S*calls\.fasta:5: {message}"):
+        load_basecalls(fasta, spans)
+
+
+def test_load_basecalls_rejects_spans_in_another_order(tmp_path):
+    """Record i of each file holds the same call; a key-matching reorder is no excuse."""
+    records = [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "AC"), ("r1", "sample", 1, "A")]
+    fasta, spans = write_call_files(tmp_path, records)
+    lines = spans.read_text().splitlines()
+    spans.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+    message = (
+        r"spans\.jsonl:2, \S*calls\.fasta:3: spans of the sample1 call of 'r1' "
+        r"beside the FASTA record 'r1 sample0'"
+    )
+    with pytest.raises(ValueError, match=message):
         load_basecalls(fasta, spans)
 
 
@@ -739,6 +788,16 @@ def test_load_basecalls_rejects_spans_record_without_fasta_record(tmp_path):
     with open(spans, "a") as sp:
         sp.write(json.dumps({"read_id": "ghost", "call": "viterbi", "index": None, "spans": "3"}))
     with pytest.raises(ValueError, match=r"spans\.jsonl:3: no FASTA record for the viterbi call"):
+        load_basecalls(fasta, spans)
+
+
+def test_load_basecalls_rejects_fasta_record_without_spans_record(tmp_path):
+    fasta, spans = write_call_files(
+        tmp_path, [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "ACG")]
+    )
+    with open(fasta, "a") as fa:
+        fa.write(">ghost viterbi\nACG\n")
+    with pytest.raises(ValueError, match=r"calls\.fasta:5: no spans recorded for 'ghost viterbi'"):
         load_basecalls(fasta, spans)
 
 

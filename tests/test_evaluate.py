@@ -92,7 +92,10 @@ class TestBuildWindows:
 
     @pytest.mark.parametrize(
         "k,message",
-        [(2, "true path has states outside the 2-mers"), (4, r"true path spans \d+ bases, truth")],
+        [
+            (2, r"true path, event \d+: state code \d+ out of range for k=2"),
+            (4, r"true path spans \d+ bases, truth"),
+        ],
     )
     def test_true_path_of_another_k_rejected(self, k, message):
         hmm = make_hmm(synthetic_pore_model(3, seed=19))

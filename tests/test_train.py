@@ -59,7 +59,7 @@ class TestCountTransitions:
             count_transitions(paths, 3, max_shift=2)
 
     def test_out_of_range_codes(self):
-        with pytest.raises(IllegalPathError, match="out of range"):
+        with pytest.raises(IllegalPathError, match="path 0, event 1: state code 99 out of range"):
             count_transitions([np.array([0, 99])], 2)
 
     def test_single_event_paths_contribute_nothing(self):
