@@ -9,6 +9,7 @@ spawned in read order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .decode import call_read, load_basecalls, viterbi, write_basecalls
+from .decode import call_read, iter_basecalls, viterbi, write_basecalls
 from .evaluate import (
     CHAIN_10,
     DEFAULT_DEDUP_RADIUS,
@@ -161,15 +162,18 @@ def cmd_basecall(args) -> int:
     hmm = make_hmm(pore, _load_transitions(args, pore.k))
     events = load_events(args.events)
     streams = np.random.SeedSequence(args.seed).spawn(max(1, len(events)))
-    ensembles = [call_read(hmm, ev, args.n, stream) for ev, stream in zip(events, streams)]
+    ensembles = (call_read(hmm, ev, args.n, stream) for ev, stream in zip(events, streams))
+    made = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_basecalls(
-        os.path.join(args.out_dir, "basecalls.fasta"),
-        os.path.join(args.out_dir, "spans.jsonl"),
-        ensembles,
-    )
+    out = partial(os.path.join, args.out_dir)
+    try:
+        write_basecalls(out("basecalls.fasta"), out("spans.jsonl"), ensembles)
+    except BaseException:
+        if made:  # the writer has removed its temporary files
+            os.rmdir(args.out_dir)
+        raise
     _write_config(args.out_dir, "basecall", args)
-    log.info("base-called %d reads (n=%d samples each)", len(ensembles), args.n)
+    log.info("base-called %d reads (n=%d samples each)", len(events), args.n)
     return 0
 
 
@@ -194,34 +198,34 @@ def cmd_eval(args) -> int:
     if len(records) != 1:
         raise ValueError(f"{args.reference}: expected exactly one reference sequence")
     reference = records[0][1]
-    ensembles = load_basecalls(args.basecalls, args.spans)
     # grid points with t > n score zero without drawing samples
     need = max((n for n in args.n if n >= min(args.t)), default=0)
-    have = min((len(ens.samples) for ens in ensembles), default=need)
-    if have < need:
-        raise ValueError(
-            f"--n {need} needs {need} sample calls per read, but {args.basecalls} has {have}"
-        )
-    truth = load_truth(args.truth)
-    true_paths = load_true_paths(args.true_paths)
 
-    windows = []
-    for ens in ensembles:
-        if ens.read_id not in truth:
-            raise ValueError(f"read {ens.read_id} missing from {args.truth}")
-        if ens.read_id not in true_paths:
-            raise ValueError(f"read {ens.read_id} missing from {args.true_paths}")
-        windows += build_windows(
-            ens, truth[ens.read_id], true_paths[ens.read_id], args.model_k,
-            window_size=args.window,
-        )
-    log.info("evaluating %d windows", len(windows))
+    def with_samples(ens):
+        if len(ens.samples) < need:
+            have = f"read {ens.read_id} in {args.basecalls} has {len(ens.samples)}"
+            raise ValueError(f"--n {need} needs {need} sample calls per read, but {have}")
+        return ens
 
+    # Reads stream one at a time; the first is read and checked before anything is built.
+    reads = map(with_samples, iter_basecalls(args.basecalls, args.spans))
+    first = next(reads, None)
+    truth, true_paths = load_truth(args.truth), load_true_paths(args.true_paths)
     indexes = {k: build_index(reference, k) for k in {c.seed_k for c in strategies}}
-    rows = []
-    for config in strategies:
-        index = indexes[config.seed_k]
-        rows += sweep(windows, index, config, args.t, args.n, radius=args.dedup_radius)
+    grid = (args.t, args.n, args.dedup_radius)
+
+    def score(windows):
+        return [row for c in strategies for row in sweep(windows, indexes[c.seed_k], c, *grid)]
+
+    rows = score([])
+    for ens in itertools.chain([first] if first else [], reads):
+        read_id = ens.read_id
+        for path, table in ((args.truth, truth), (args.true_paths, true_paths)):
+            if read_id not in table:
+                raise ValueError(f"read {read_id} missing from {path}")
+        windows = build_windows(ens, truth[read_id], true_paths[read_id], args.model_k, args.window)
+        log.info("read %s: %d windows", read_id, len(windows))
+        rows = [total + row for total, row in zip(rows, score(windows))]
     os.makedirs(args.out_dir, exist_ok=True)
     write_report(os.path.join(args.out_dir, "report.tsv"), rows)
     _write_config(args.out_dir, "eval", args)

@@ -10,7 +10,10 @@ per-order model, whose order-j edges all share one weight.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -89,14 +92,14 @@ class ReadEnsemble:
     samples: list[BaseCall]
 
 
-def _normal_logpdf(x, loc, sd):
-    """``-0.5 * z * z - log(sd * sqrt(2 pi))``, z = (x - loc) / sd, built in one new array.
+def _normal_logpdf(x, loc, sd, out=None):
+    """``-0.5 * z * z - log(sd * sqrt(2 pi))``, z = (x - loc) / sd, in ``out`` or one new array.
 
     Only ``-0.5 * z`` needs a temporary, made 16 rows at a time. Overflow
     quietly gives -inf.
     """
     with np.errstate(over="ignore"):
-        z = np.subtract(x, loc)
+        z = np.subtract(x, loc, out=out)
         z /= sd
         for rows in np.split(z, range(16, len(z), 16)):
             rows *= -0.5 * rows
@@ -105,8 +108,16 @@ def _normal_logpdf(x, loc, sd):
 
 
 def emission_log_matrix(hmm: Hmm, events: EventSequence) -> np.ndarray:
-    """New (n_events, n_states) array of the log density of each event under each state."""
-    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling))
+    """New (n_events, n_states) array of the log density of each event under each state.
+
+    It has a private memory map of its own, unmapped once dropped: on the heap, small
+    blocks landing in a freed matrix's place could keep it resident beside the next read's.
+    """
+    buffer = mmap.mmap(-1, 8 * len(events) * hmm.num_states, access=mmap.ACCESS_COPY)
+    with contextlib.suppress(AttributeError, OSError):  # as numpy asks for its large arrays
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    out = np.frombuffer(buffer).reshape(len(events), -1)
+    return _normal_logpdf(events.means[:, None], *hmm.levels(events.scaling), out)
 
 
 def _incoming(prev: np.ndarray, trans, tables, combine, reduce) -> np.ndarray:
@@ -273,9 +284,10 @@ def sample_paths(
     The forward matrix is computed once and shared across draws: the final
     state is drawn proportionally to the last column, then each earlier state
     proportionally to its forward value times the transition probability into
-    the already-fixed successor. Returns an int64 (count, n_events) array, one
-    path per row; ``path_log_joint`` scores its rows. ``seed`` may be an int
-    or a numpy Generator; a given seed yields reproducible paths.
+    the already-fixed successor. Returns a (count, n_events) array, one path
+    per row, in the narrowest type holding every code (uint16 at k = 5..8);
+    ``path_log_joint`` scores its rows. ``seed`` may be an int or a numpy
+    Generator; a given seed yields reproducible paths.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -283,8 +295,9 @@ def sample_paths(
     n, m = F.shape
     if n != len(events) or m != hmm.num_states:
         raise ValueError("forward matrix does not match this model and read")
+    paths = np.empty((count, n), dtype=np.min_scalar_type(m - 1))
     if count == 0:
-        return np.empty((0, n), dtype=np.int64)
+        return paths
 
     rng = np.random.default_rng(seed)
     trans = hmm.transitions
@@ -299,7 +312,6 @@ def sample_paths(
     u = rng.random(count) * cum[-1]
     cur = np.minimum(np.searchsorted(cum, u, side="right"), m - 1).astype(np.int64)
 
-    paths = np.empty((count, n), dtype=np.int64)
     paths[:, -1] = cur
     for i in range(n - 2, -1, -1):
         pool = pred[cur]
@@ -319,18 +331,20 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
     contributes the last j bases of its k-mer: j is k for the first event, so
     it contributes its whole k-mer, and for every later event the smallest
     shift linking it to its predecessor (0 for splits). The call's lengths are
-    those orders. Raises IllegalPathError naming the row and event of a code
-    outside the k-mers or of a pair no shift up to ``max_shift`` links.
+    those orders. Raises IllegalPathError on a path with no event, and names the
+    row and event of a code outside the k-mers or of a pair no shift up to ``max_shift`` links.
     """
-    states = np.asarray(states, dtype=np.int64)
+    states = np.asarray(states)
+    if states.shape[-1] == 0:
+        raise IllegalPathError("empty state path: no event to translate")
     _check_codes(states, k)
     paths = states.reshape(-1, states.shape[-1])
     limit = k if max_shift is None else max_shift
     lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
     calls = []
-    # Blocks of 16 rows keep the temporaries a small fraction of the paths.
+    # Blocks of 16 rows, widened one at a time, keep the temporaries small.
     for first in range(0, len(paths), 16):
-        block = paths[first : first + 16]
+        block = paths[first : first + 16].astype(np.int64, copy=False)
         orders = np.empty(block.shape, dtype=np.int64)
         orders[:, 0] = k
         orders[:, 1:] = smallest_orders(block[:, :-1], block[:, 1:], k, limit)
@@ -387,7 +401,7 @@ def _call_label(kind: str, index: int | None) -> str:
     return "viterbi" if kind == "viterbi" else f"sample{index}"
 
 
-def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> None:
+def write_basecalls(fasta_path, spans_path, ensembles: Iterable[ReadEnsemble]) -> None:
     with atomic_write(fasta_path) as fa, atomic_write(spans_path) as sp:
         for ens in ensembles:
             calls = [("viterbi", None, ens.viterbi)]
@@ -399,9 +413,9 @@ def write_basecalls(fasta_path, spans_path, ensembles: list[ReadEnsemble]) -> No
                 sp.write(json.dumps(record) + "\n")
 
 
-def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
-    """Read ``write_basecalls``' files: spans record i holds FASTA record i's spans."""
-    ensembles: dict[str, ReadEnsemble] = {}
+def iter_basecalls(fasta_path, spans_path) -> Iterator[ReadEnsemble]:
+    """Yield the reads of ``write_basecalls``' files in turn, each one block of calls."""
+    ens, ended = None, set()
     pairs = zip_longest(jsonl_records(spans_path, SPANS_FIELDS), fasta_records(fasta_path))
     for in_spans, in_fasta in pairs:
         if in_spans is None:
@@ -437,20 +451,25 @@ def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
                 f"the FASTA record {header!r} has {len(seq)}"
             )
         call = BaseCall(sequence=seq, lengths=lengths)
-        ens = ensembles.setdefault(read_id, ReadEnsemble(read_id=read_id, viterbi=None, samples=[]))
-        due = _call_label("sample", len(ens.samples))
-        if label == "viterbi":
-            if ens.viterbi is not None:
-                raise ValueError(f"{pair}: repeated viterbi call for read {read_id!r}")
-            ens.viterbi = call
-        elif label != due:
+        new = ens is None or read_id != ens.read_id
+        due = "viterbi" if new else _call_label("sample", len(ens.samples))
+        if label != due or read_id in ended:
+            whose = "after its block ended" if read_id in ended else f"where {due} is due"
             raise ValueError(
-                f"{pair}: {label} call of read {read_id!r} where {due} is due: "
-                f"sample indexes must run 0, 1, 2, ... in file order"
+                f"{pair}: {label} call of read {read_id!r} {whose}: "
+                f"each read's calls form one block, viterbi, sample0, sample1, ..."
             )
+        if new:
+            if ens is not None:
+                ended.add(ens.read_id)
+                yield ens
+            ens = ReadEnsemble(read_id, call, [])
         else:
             ens.samples.append(call)
-    for ens in ensembles.values():
-        if ens.viterbi is None:
-            raise ValueError(f"{fasta_path}: read {ens.read_id} has no viterbi call")
-    return list(ensembles.values())
+    if ens is not None:
+        yield ens
+
+
+def load_basecalls(fasta_path, spans_path) -> list[ReadEnsemble]:
+    """Every read of ``iter_basecalls``, in file order."""
+    return list(iter_basecalls(fasta_path, spans_path))

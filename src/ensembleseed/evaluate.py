@@ -180,6 +180,10 @@ class EvalRow:
         if self.fp < 0:
             raise ValueError(f"FP must be >= 0, got {self.fp}")
 
+    def __add__(self, other: EvalRow) -> EvalRow:
+        tp, windows, fp = self.tp + other.tp, self.windows + other.windows, self.fp + other.fp
+        return replace(self, tp=tp, windows=windows, sn=tp / windows if windows else 0.0, fp=fp)
+
 
 def window_points(window: Window, index: KmerIndex, config: StrategyConfig, points) -> np.ndarray:
     """Every grid point's candidate left endpoints under a strategy, in one pass.

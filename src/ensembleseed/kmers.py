@@ -45,7 +45,7 @@ def encode_sequence(seq: str) -> np.ndarray:
 
 
 def kmer_codes(seq: str, k: int) -> np.ndarray:
-    """Integer codes of all overlapping k-mers of ``seq``.
+    """Integer codes of all overlapping k-mers of ``seq``, built in one int64 array.
 
     Positions whose k-mer overlaps a non-ACGT character get code -1.
     """
@@ -53,13 +53,11 @@ def kmer_codes(seq: str, k: int) -> np.ndarray:
     n = len(seq) - k + 1
     if n <= 0:
         return np.empty(0, dtype=np.int64)
-    bases = np.maximum(codes, 0).astype(np.int64)
     out = np.zeros(n, dtype=np.int64)
     for j in range(k):
         out <<= 2
-        out |= bases[j : j + n]
-    bad = np.concatenate([[0], np.cumsum(codes < 0)])  # non-ACGT characters before each position
-    out[bad[k:] > bad[:n]] = -1
+        out |= codes[j : j + n]  # a non-ACGT -1 sets every bit: the code stays negative
+    out[out < 0] = -1
     return out
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .kmers import STRANDS, kmer_codes, reverse_complement
 
 _LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
+_CHUNK = 1 << 16  # keys an index build makes at a time: bounds its temporaries
 _PAIRS = 1 << 15  # (hit, column) pairs a chaining step tests: bounds memory on dense hits
 
 
@@ -48,12 +49,16 @@ def build_index(reference: str, k: int) -> KmerIndex:
     positions = {}
     for strand, seq in zip(STRANDS, (reference, reverse_complement(reference))):
         codes = kmer_codes(seq, k)
-        offsets = np.arange(codes.size)
-        if strand == "-":  # revcomp offset j covers forward bases [L-j-k, L-j)
-            offsets = len(reference) - k - offsets
         keep = codes >= 0
-        keys = codes[keep] << 32 | offsets[keep]  # k=16 codes reach the int64 sign bit
-        positions[strand] = np.sort(keys.astype(np.uint64))
+        keys = codes.view(np.uint64)  # in place; k=16 codes reach the int64 sign bit
+        keys <<= np.uint64(32)
+        for start in range(0, keys.size, _CHUNK):
+            offsets = np.arange(start, min(start + _CHUNK, keys.size), dtype=np.uint64)
+            if strand == "-":  # revcomp offset j covers forward bases [L-j-k, L-j)
+                offsets = np.uint64(len(reference) - k) - offsets
+            keys[start : start + _CHUNK] |= offsets
+        positions[strand] = keys if keep.all() else keys[keep]
+        positions[strand].sort()
     return KmerIndex(k=k, positions=positions)
 
 

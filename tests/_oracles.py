@@ -399,6 +399,24 @@ def scan_kmer_positions(reference, kmer):
     return out
 
 
+def index_keys(reference, k):
+    """Each strand's sorted ``uint64`` keys ``code << 32 | forward offset``, by a scan.
+
+    A k-mer holding any character but A, C, G, T gets no key; a "-" key holds
+    the code of the reverse complement of the forward k-mer at its offset.
+    """
+    comp = {"A": "T", "C": "G", "G": "C", "T": "A"}
+    keys = {"+": [], "-": []}
+    for i in range(len(reference) - k + 1):
+        kmer = reference[i : i + k]
+        if set(kmer) <= set(comp):
+            rc = "".join(comp[b] for b in reversed(kmer))
+            for strand, seq in (("+", kmer), ("-", rc)):
+                code = int("".join(str("ACGT".index(b)) for b in seq), 4)
+                keys[strand].append(code << 32 | i)
+    return {strand: np.array(sorted(found), dtype=np.uint64) for strand, found in keys.items()}
+
+
 def index_entries(index):
     """``{code: [(offset, strand), ...]}`` decoded from a ``KmerIndex``'s key arrays.
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,18 @@ import pytest
 import ensembleseed
 from ensembleseed import cli
 from ensembleseed.cli import main
-from ensembleseed.evaluate import load_report
+from ensembleseed.decode import load_basecalls
+from ensembleseed.evaluate import (
+    CHAIN_10,
+    StrategyConfig,
+    build_windows,
+    load_report,
+    sweep,
+    write_report,
+)
+from ensembleseed.io import read_fasta
 from ensembleseed.seeding import build_index
-from ensembleseed.simulate import load_truth
+from ensembleseed.simulate import load_true_paths, load_truth
 
 
 def run_cli(*argv):
@@ -184,7 +194,7 @@ def test_eval_checks_strategy_flags_before_loading_calls(
     def unreachable(*args, **kwargs):
         raise AssertionError("eval loaded base calls before checking its flags")
 
-    monkeypatch.setattr(cli, "load_basecalls", unreachable)
+    monkeypatch.setattr(cli, "iter_basecalls", unreachable)
     out = tmp_path / "out"
     rc = run_cli(
         "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
@@ -240,6 +250,64 @@ def test_eval_checks_n_against_the_calls_before_any_index(pipeline, tmp_path, ca
     err = capsys.readouterr().err
     assert "ensembleseed eval: --n 5 needs 5 sample calls per read" in err
     assert "basecalls.fasta has 3" in err
+
+
+@pytest.mark.parametrize("window", [50, 5000])
+def test_eval_report_equals_one_sweep_per_strategy_over_every_window(pipeline, tmp_path, window):
+    """eval scores one read at a time and sums each read's rows; that gives the report of
+    one sweep per strategy over the whole corpus's windows, t > n points and the Viterbi
+    strategies included. No read of the corpus has 5000 events, so no window is full."""
+    _, sim, _, calls = pipeline
+    t_values, n_values = [1, 2, 4], [0, 1, 3]
+    out = tmp_path / "out"
+    assert run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", window, "--seed-k", 6, "--t", "1,2,4", "--n", "0,1,3", "--out-dir", out,
+    ) == 0
+    truth, true_paths = load_truth(sim / "truth.tsv"), load_true_paths(sim / "true_paths.jsonl")
+    windows = [
+        w
+        for ens in load_basecalls(calls / "basecalls.fasta", calls / "spans.jsonl")
+        for w in build_windows(ens, truth[ens.read_id], true_paths[ens.read_id], 3, window)
+    ]
+    assert len(windows) == (12 if window == 50 else 0)
+    index = build_index(read_fasta(sim / "reference.fasta")[0][1], 6)
+    gaps = dict(chain_len=CHAIN_10.chain_len, min_gap=CHAIN_10.min_gap, max_gap=CHAIN_10.max_gap)
+    strategies = [
+        StrategyConfig("single", 6),
+        StrategyConfig("chain", 6, **gaps),
+        StrategyConfig("single", 6, use_viterbi=True),
+        StrategyConfig("chain", 6, use_viterbi=True, **gaps),
+    ]
+    rows = [row for c in strategies for row in sweep(windows, index, c, t_values, n_values)]
+    assert window == 5000 or any(row.tp and row.fp for row in rows)
+    write_report(tmp_path / "want.tsv", rows)
+    assert (out / "report.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def test_eval_names_a_later_read_with_too_few_samples(pipeline, tmp_path, capsys):
+    """The first read's block is checked before any index; a later short read fails at its own."""
+    _, sim, _, calls = pipeline
+    fasta = (calls / "basecalls.fasta").read_text().splitlines(keepends=True)
+    spans = (calls / "spans.jsonl").read_text().splitlines(keepends=True)
+    drop = next(i for i, line in enumerate(spans) if '"read0001", "call": "sample", "index": 2' in line)
+    (tmp_path / "spans.jsonl").write_text("".join(spans[:drop] + spans[drop + 1 :]))
+    at = fasta.index(">read0001 sample2\n")
+    end = next(i for i in range(at + 1, len(fasta)) if fasta[i].startswith(">"))
+    (tmp_path / "calls.fasta").write_text("".join(fasta[:at] + fasta[end:]))
+    rc = run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", tmp_path / "calls.fasta", "--spans", tmp_path / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--n", "3", "--out-dir", tmp_path / "out",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--n 3 needs 3 sample calls per read, but read read0001 in " in err
+    assert "calls.fasta has 2" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -440,6 +508,71 @@ def test_a_read_no_path_can_emit_fails_with_one_line(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"ensembleseed {command}: read 'read0000': no finite Viterbi score at event 5\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_basecall_failing_at_its_third_read_leaves_nothing(pipeline, tmp_path, capsys, existing):
+    """Reads are written as they decode, yet a failed run leaves no output file, no temporary
+    file, and no output directory unless the directory was there before the run."""
+    _, sim, _, _ = pipeline
+    lines = (sim / "events.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["events"][5] = 1e200
+    lines[2] = json.dumps(record)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    rc = run_cli(
+        "basecall", "--model-k", 3, "--events", events,
+        "--pore-model", sim / "pore_model.tsv", "--n", 2, "--out-dir", out,
+    )
+    assert rc == 2
+    read_id = record["read_id"]
+    assert f"read {read_id!r}: no finite Viterbi score at event 5" in capsys.readouterr().err
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+    else:
+        assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.jsonl"] + ["out"] * existing
+
+
+def _traced_peak(argv) -> int:
+    """Peak traced allocation of one CLI run, over what was held when it began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_basecall_holds_one_read_at_a_time(pipeline, tmp_path):
+    """Decoding and writing 4N reads at the default n=250 peaks within a small fixed margin
+    of N reads: each read's calls are written and dropped before the next read decodes.
+    Kept until the end, the 3N more reads' calls would hold about 1.1 MB more."""
+    _, sim, _, _ = pipeline
+    records = [json.loads(line) for line in (sim / "events.jsonl").read_text().splitlines()]
+    n_reads = 3
+    for count in (n_reads, 4 * n_reads):
+        with open(tmp_path / f"events{count}.jsonl", "w") as fh:
+            for i in range(count):
+                record = dict(records[i % n_reads], read_id=f"r{i}")
+                fh.write(json.dumps(record) + "\n")
+
+    def argv(count):
+        return [
+            "basecall", "--model-k", 3, "--events", tmp_path / f"events{count}.jsonl",
+            "--pore-model", sim / "pore_model.tsv", "--out-dir", tmp_path / f"calls{count}",
+        ]
+
+    run_cli(*argv(n_reads))
+    few, many = _traced_peak(argv(n_reads)), _traced_peak(argv(4 * n_reads))
+    assert many - few <= 64_000, f"{4 * n_reads} reads peak {many - few} bytes over {n_reads}"
 
 
 def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ensembleseed.decode import (
     call_read,
     emission_log_matrix,
     forward,
+    iter_basecalls,
     load_basecalls,
     path_log_joint,
     path_to_sequence,
@@ -386,8 +388,29 @@ def test_model_tables_are_built_once_per_model(monkeypatch):
         assert (a.sequence, a.lengths.tobytes()) == (b.sequence, b.lengths.tobytes())
 
 
-@pytest.mark.parametrize("n_events,n,bound", [(300, 16, 1.35), (1500, 250, 1.5)])
-def test_call_read_peaks_at_about_one_emission_matrix(n_events, n, bound):
+@pytest.fixture
+def one_matrix_at_a_time(monkeypatch):
+    """Fails a decode that builds an emission matrix while an earlier one is alive.
+
+    Each matrix lives in a memory map of its own, which tracemalloc does not
+    trace, so the traced peaks below count only what a decode holds beside it.
+    Returns a weak reference to every matrix built.
+    """
+    made = []
+    build = decode.emission_log_matrix
+
+    def tracked(hmm, events):
+        assert all(ref() is None for ref in made), "an earlier emission matrix is still alive"
+        matrix = build(hmm, events)
+        made.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(decode, "emission_log_matrix", tracked)
+    return made
+
+
+@pytest.mark.parametrize("n_events,n,bound", [(300, 16, 0.35), (1500, 250, 0.5)])
+def test_call_read_peaks_at_about_one_emission_matrix(n_events, n, bound, one_matrix_at_a_time):
     """Viterbi frees its matrix before forward builds one, and neither the traceback
     nor the translation adds a sizeable array beside it."""
     pore = synthetic_pore_model(5, seed=1)
@@ -404,10 +427,11 @@ def test_call_read_peaks_at_about_one_emission_matrix(n_events, n, bound):
     finally:
         tracemalloc.stop()
     matrix = len(events) * hmm.num_states * 8
-    assert peak <= bound * matrix, f"peak is {peak / matrix:.3f} emission matrices"
+    assert len(one_matrix_at_a_time) == 4
+    assert peak <= bound * matrix, f"peak beside the matrix is {peak / matrix:.3f} matrices"
 
 
-def test_reads_decoded_in_a_row_peak_at_one_decode_plus_the_kept_calls():
+def test_reads_decoded_in_a_row_peak_at_one_decode_plus_the_kept_calls(one_matrix_at_a_time):
     """Equal-length reads decoded one after another, their calls kept, peak no higher
     than the largest single read's decode plus the calls kept: no read's matrix
     outlives its decode."""
@@ -533,15 +557,28 @@ class TestSamplePaths:
         fwd = forward(hmm, events)
         a = sample_paths(hmm, events, fwd, 8, seed=42)
         b = sample_paths(hmm, events, fwd, 8, seed=42)
-        assert a.dtype == np.int64 and a.shape == b.shape == (8, 5)
+        assert a.dtype == np.uint8 and a.shape == b.shape == (8, 5)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_draws(self):
         hmm, events, _, _ = random_instance(12)
         fwd = forward(hmm, events)
         paths = sample_paths(hmm, events, fwd, 0, seed=1)
-        assert paths.dtype == np.int64 and paths.shape == (0, 3)
+        assert paths.dtype == np.uint8 and paths.shape == (0, 3)
         assert path_to_sequence(paths, 1) == []
+
+    @pytest.mark.parametrize("k,dtype", [(4, np.uint8), (5, np.uint16)])
+    def test_paths_come_in_the_narrowest_code_type(self, k, dtype):
+        """Translation and scoring read the narrow rows as they read the same rows in int64."""
+        hmm, events, _, _ = random_instance(16, k=k, n_events=40, with_joints=False)
+        paths = sample_paths(hmm, events, forward(hmm, events), 20, seed=3)
+        assert paths.dtype == dtype and paths.shape == (20, 40)
+        wide = paths.astype(np.int64)
+        for got, want in zip(path_to_sequence(paths, k), path_to_sequence(wide, k)):
+            assert (got.sequence, got.lengths.tobytes()) == (want.sequence, want.lengths.tobytes())
+        joints = path_log_joint(hmm, events, paths)
+        np.testing.assert_array_equal(joints, path_log_joint(hmm, events, wide))
+        assert path_log_joint(hmm, events, paths[0]) == joints[0]
 
     def test_rejects_negative_count(self):
         hmm, events, _, _ = random_instance(13)
@@ -628,6 +665,12 @@ class TestPathToSequence:
             assert calls[row].lengths.tobytes() == alone.lengths.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_an_empty_path_is_an_illegal_path(shape):
+    with pytest.raises(IllegalPathError, match="empty state path"):
+        path_to_sequence(np.zeros(shape, dtype=np.int64), 3)
+
+
 def legal_paths(draw, k, max_shift):
     """A (rows, events) array of linked paths, with splits and homopolymer runs."""
     rows, events = draw(st.integers(1, 4)), draw(st.integers(1, 12))
@@ -702,7 +745,7 @@ def test_load_basecalls_rejects_repeated_fasta_record(tmp_path):
 @pytest.mark.parametrize(
     "kind,index,message",
     [
-        ("viterbi", None, "repeated viterbi call for read 'r1'"),
+        ("viterbi", None, "viterbi call of read 'r1' where sample1 is due"),
         ("sample", 0, "sample0 call of read 'r1' where sample1 is due"),
     ],
 )
@@ -742,6 +785,40 @@ def test_load_basecalls_rejects_samples_out_of_file_order(tmp_path, order, line,
     message = rf"calls\.fasta:{line}: {label} call of read 'r1' where {due} is due"
     with pytest.raises(ValueError, match=message):
         load_basecalls(fasta, spans)
+
+
+@pytest.mark.parametrize(
+    "records,line,message",
+    [
+        # r1's calls interleaved with r2's; a None index is the viterbi call
+        ([("r1", None), ("r2", None), ("r1", 0)], 3, "sample0 call of read 'r1' after its block"),
+        # a viterbi call after its read's samples
+        ([("r1", 0), ("r1", None)], 1, "sample0 call of read 'r1' where viterbi is due"),
+        ([("r1", None), ("r1", 0), ("r1", None)], 3, "viterbi call of read 'r1' where sample1"),
+        # a read id back after its block has ended
+        ([("r1", None), ("r2", None), ("r1", None)], 3, "viterbi call of read 'r1' after its block"),
+    ],
+)
+def test_load_basecalls_requires_each_read_to_be_one_block(tmp_path, records, line, message):
+    """A read's calls run viterbi, sample0, sample1, ... with no other read's call between."""
+    calls = [(r, "viterbi" if i is None else "sample", i, "ACG") for r, i in records]
+    fasta, spans = write_call_files(tmp_path, calls)
+    where = rf"spans\.jsonl:{line}, \S*calls\.fasta:{2 * line - 1}: "
+    with pytest.raises(ValueError, match=where + message):
+        load_basecalls(fasta, spans)
+
+
+def test_iter_basecalls_yields_a_read_before_reading_past_the_next_block(tmp_path):
+    """Reads stream: a fault in a later read's block surfaces only once the reader gets there."""
+    records = [("r1", "viterbi", None, "ACG"), ("r1", "sample", 0, "AC"), ("r2", "viterbi", None, "A")]
+    fasta, spans = write_call_files(tmp_path, records + [("r2", "sample", 1, "A")])
+    reads = iter_basecalls(fasta, spans)
+    first = next(reads)
+    assert (first.read_id, first.viterbi.sequence, [c.sequence for c in first.samples]) == (
+        "r1", "ACG", ["AC"]
+    )
+    with pytest.raises(ValueError, match=r"spans\.jsonl:4, .*sample1 call of read 'r2' where sample0"):
+        next(reads)
 
 
 @pytest.mark.parametrize(

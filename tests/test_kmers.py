@@ -56,6 +56,19 @@ def test_kmer_codes_flags_ambiguous_windows():
     np.testing.assert_array_equal(got, [encode_kmer("AC"), -1, -1, encode_kmer("GT")])
 
 
+@pytest.mark.parametrize("k", [1, 3, 15, 16])
+def test_kmer_codes_mark_each_k_mer_over_a_non_acgt_character(k):
+    """Runs of N longer than k, single N, lowercase and gap characters, at both ends."""
+    rng = np.random.default_rng(k)
+    seq = "N" + "".join(rng.choice(list("ACGTNa-"), 400, p=[0.22] * 4 + [0.04] * 3)) + "-"
+    seq = seq[:100] + "N" * 20 + seq[100:]
+    got = kmer_codes(seq, k)
+    windows = [seq[i : i + k] for i in range(len(seq) - k + 1)]
+    want = [encode_kmer(w) if set(w) <= set("ACGT") else -1 for w in windows]
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
 def test_kmer_codes_short_sequence():
     assert kmer_codes("AC", 3).size == 0
 

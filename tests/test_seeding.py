@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from _oracles import (
     chain_triples,
     hit_rows,
     index_entries,
+    index_keys,
     reach_chains,
     scan_kmer_positions,
 )
@@ -80,6 +82,38 @@ class TestBuildIndex:
         for entries in index_entries(idx).values():
             for off, _ in entries:
                 assert "N" not in ref[off : off + 3]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 16])
+    def test_keys_equal_a_scan_bit_for_bit(self, k):
+        """Keys built in place from the codes, ambiguous k-mers dropped after; at k=16 a
+        leading G or T code reaches the top bit of its key."""
+        rng = np.random.default_rng(k)
+        for length in (0, k - 1, k, 40, 300):
+            reference = "".join(rng.choice(list("ACGTNa"), length, p=[0.23] * 4 + [0.05, 0.03]))
+            index = build_index(reference, k)
+            for strand, want in index_keys(reference, k).items():
+                got = index.positions[strand]
+                assert got.dtype == np.uint64 and got.tobytes() == want.tobytes(), (length, strand)
+
+    def test_build_peaks_within_twice_the_held_index(self):
+        """A 4.6 Mb reference (about E. coli) with a few N bases: the keys overwrite the
+        codes, and only the ambiguous k-mers' removal copies them."""
+        rng = np.random.default_rng(5)
+        bases = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), 4_600_000)
+        bases[rng.choice(bases.size, 5, replace=False)] = ord("N")
+        reference = bases.tobytes().decode("ascii")
+        del bases
+        build_index(reference[:1000], 13)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            index = build_index(reference, 13)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        held = sum(keys.nbytes for keys in index.positions.values())
+        assert held == 8 * 2 * (len(reference) - 12 - 5 * 13)
+        assert peak <= 2 * held, f"peak is {peak / held:.2f} times the index"
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
