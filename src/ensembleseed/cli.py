@@ -207,25 +207,34 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--n {need} needs {need} sample calls per read, but {have}")
         return ens
 
-    # Reads stream one at a time; the first is read and checked before anything is built.
-    reads = map(with_samples, iter_basecalls(args.basecalls, args.spans))
-    first = next(reads, None)
-    truth, true_paths = load_truth(args.truth), load_true_paths(args.true_paths)
-    indexes = {k: build_index(reference, k) for k in {c.seed_k for c in strategies}}
-    grid = (args.t, args.n, args.dedup_radius)
-
-    def score(windows):
-        return [row for c in strategies for row in sweep(windows, indexes[c.seed_k], c, *grid)]
-
-    rows = score([])
-    for ens in itertools.chain([first] if first else [], reads):
+    def read_windows(ens):
         read_id = ens.read_id
         for path, table in ((args.truth, truth), (args.true_paths, true_paths)):
             if read_id not in table:
                 raise ValueError(f"read {read_id} missing from {path}")
-        windows = build_windows(ens, truth[read_id], true_paths[read_id], args.model_k, args.window)
-        log.info("read %s: %d windows", read_id, len(windows))
-        rows = [total + row for total, row in zip(rows, score(windows))]
+        return build_windows(ens, truth[read_id], true_paths[read_id], args.model_k, args.window)
+
+    # Reads stream one at a time, in one pass per seed length, and one index is alive at a
+    # time. The first read is checked before any index is built, every read in the first pass.
+    reads = map(with_samples, iter_basecalls(args.basecalls, args.spans))
+    first = next(reads, None)
+    truth, true_paths = load_truth(args.truth), load_true_paths(args.true_paths)
+    grid = (args.t, args.n, args.dedup_radius)
+    lengths = list(dict.fromkeys(c.seed_k for c in strategies))
+    totals: dict[StrategyConfig, list] = {}
+    for length in lengths:
+        index = build_index(reference, length)
+        mine = {c: sweep([], index, c, *grid) for c in strategies if c.seed_k == length}
+        for ens in itertools.chain([first] if first else [], reads):
+            windows = read_windows(ens)
+            if length == lengths[0]:
+                log.info("read %s: %d windows", ens.read_id, len(windows))
+            for c, total in mine.items():
+                mine[c] = [a + b for a, b in zip(total, sweep(windows, index, c, *grid))]
+        totals.update(mine)
+        index = first = ens = windows = None  # freed before the next length's index is built
+        reads = iter_basecalls(args.basecalls, args.spans)
+    rows = [row for c in strategies for row in totals[c]]
     os.makedirs(args.out_dir, exist_ok=True)
     write_report(os.path.join(args.out_dir, "report.tsv"), rows)
     _write_config(args.out_dir, "eval", args)

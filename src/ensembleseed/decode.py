@@ -411,6 +411,7 @@ def write_basecalls(fasta_path, spans_path, ensembles: Iterable[ReadEnsemble]) -
                 spans = (call.lengths + _LENGTH_ZERO).tobytes().decode("ascii")
                 record = {"read_id": ens.read_id, "call": kind, "index": index, "spans": spans}
                 sp.write(json.dumps(record) + "\n")
+            ens = calls = call = None  # freed before the next read decodes
 
 
 def iter_basecalls(fasta_path, spans_path) -> Iterator[ReadEnsemble]:

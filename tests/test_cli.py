@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import ensembleseed
 from ensembleseed import cli
 from ensembleseed.cli import main
-from ensembleseed.decode import load_basecalls
+from ensembleseed.decode import call_read, load_basecalls
 from ensembleseed.evaluate import (
     CHAIN_10,
     StrategyConfig,
@@ -104,23 +106,36 @@ def test_eval_and_report(pipeline, tmp_path):
     assert any("single-kmer_t1" in name for name in produced)
 
 
-@pytest.mark.parametrize("seed_k,lengths", [([], [10, 13]), (["--seed-k", 11], [11])])
-def test_eval_builds_one_index_per_seed_length(pipeline, tmp_path, monkeypatch, seed_k, lengths):
-    _, sim, _, calls = pipeline
-    built = []
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The seed lengths ``cli.build_index`` is called with, in call order. A build fails
+    while an index it built before is still alive."""
+    built, indexes = [], []
 
-    def counting_build_index(reference, k):
+    def checked_build_index(reference, k):
+        gc.collect()
+        alive = [length for length, index in zip(built, indexes) if index() is not None]
+        assert not alive, f"the k={alive} index is still alive while k={k} is built"
+        index = build_index(reference, k)
         built.append(k)
-        return build_index(reference, k)
+        indexes.append(weakref.ref(index))
+        return index
 
-    monkeypatch.setattr(cli, "build_index", counting_build_index)
+    monkeypatch.setattr(cli, "build_index", checked_build_index)
+    return built
+
+
+@pytest.mark.parametrize("seed_k,lengths", [([], [13, 10]), (["--seed-k", 11], [11])])
+def test_eval_builds_one_index_per_seed_length(pipeline, tmp_path, index_builds, seed_k, lengths):
+    """Lengths are indexed in strategy order, and an index is freed before the next is built."""
+    _, sim, _, calls = pipeline
     assert run_cli(
         "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--n", "1,2", *seed_k, "--out-dir", tmp_path / "out",
     ) == 0
-    assert sorted(built) == lengths
+    assert index_builds == lengths
 
 
 def test_eval_reruns_are_byte_identical(pipeline, tmp_path):
@@ -287,8 +302,9 @@ def test_eval_report_equals_one_sweep_per_strategy_over_every_window(pipeline, t
     assert (out / "report.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
-def test_eval_names_a_later_read_with_too_few_samples(pipeline, tmp_path, capsys):
-    """The first read's block is checked before any index; a later short read fails at its own."""
+def test_eval_names_a_later_read_with_too_few_samples(pipeline, tmp_path, capsys, index_builds):
+    """The first read's block is checked before any index; a later short read fails at its
+    own, in the first seed length's pass, before the second index is built."""
     _, sim, _, calls = pipeline
     fasta = (calls / "basecalls.fasta").read_text().splitlines(keepends=True)
     spans = (calls / "spans.jsonl").read_text().splitlines(keepends=True)
@@ -307,7 +323,52 @@ def test_eval_names_a_later_read_with_too_few_samples(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert "--n 3 needs 3 sample calls per read, but read read0001 in " in err
     assert "calls.fasta has 2" in err
+    assert index_builds == [13]
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_names_a_later_read_missing_from_truth_before_a_second_index(
+    pipeline, tmp_path, capsys, index_builds
+):
+    _, sim, _, calls = pipeline
+    lines = (sim / "truth.tsv").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.endswith("\tread0002\n")]
+    (tmp_path / "truth.tsv").write_text("".join(kept))
+    rc = run_cli(
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", tmp_path / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--out-dir", tmp_path / "out",
+    )
+    assert rc == 2
+    assert f"read read0002 missing from {tmp_path / 'truth.tsv'}" in capsys.readouterr().err
+    assert index_builds == [13]
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_peaks_at_about_one_index(tmp_path):
+    """On a 1 Mb reference the k=13 index is 16 MB, and eval frees it before building the
+    k=10 index: its traced peak stays well below the two indexes that kept both alive."""
+    sim, calls = tmp_path / "sim", tmp_path / "calls"
+    assert run_cli(
+        "simulate", "--model-k", 3, "--ref-length", 1_000_000, "--reads", 2,
+        "--events-per-read", 120, "--seed", 3, "--out-dir", sim,
+    ) == 0
+    assert run_cli(
+        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "--pore-model", sim / "pore_model.tsv", "--n", 2, "--out-dir", calls,
+    ) == 0
+    index = build_index(read_fasta(sim / "reference.fasta")[0][1], 13)
+    one_index = sum(keys.nbytes for keys in index.positions.values())
+    del index
+    peak = _traced_peak([
+        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--n", "1,2", "--out-dir", tmp_path / "eval",
+    ])
+    assert one_index > 15_000_000
+    assert peak <= 1.6 * one_index, f"eval peaks at {peak / one_index:.2f} indexes"
 
 
 @pytest.fixture
@@ -573,6 +634,26 @@ def test_basecall_holds_one_read_at_a_time(pipeline, tmp_path):
     run_cli(*argv(n_reads))
     few, many = _traced_peak(argv(n_reads)), _traced_peak(argv(4 * n_reads))
     assert many - few <= 64_000, f"{4 * n_reads} reads peak {many - few} bytes over {n_reads}"
+
+
+def test_basecall_frees_a_reads_calls_before_the_next_decodes(pipeline, tmp_path, monkeypatch):
+    _, sim, _, _ = pipeline
+    made = []
+
+    def checked_call_read(*args):
+        gc.collect()
+        alive = sum(call() is not None for call in made)
+        assert not alive, f"{alive} calls of an earlier read are alive as the next read decodes"
+        ens = call_read(*args)
+        made.extend(weakref.ref(call) for call in [ens.viterbi, *ens.samples])
+        return ens
+
+    monkeypatch.setattr(cli, "call_read", checked_call_read)
+    assert run_cli(
+        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "--pore-model", sim / "pore_model.tsv", "--n", 2, "--out-dir", tmp_path / "calls",
+    ) == 0
+    assert len(made) == 6 * 3
 
 
 def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):
