@@ -20,7 +20,8 @@ from .kmers import STRANDS, kmer_codes, reverse_complement
 
 _LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
 _CHUNK = 1 << 16  # keys an index build makes at a time: bounds its temporaries
-_PAIRS = 1 << 15  # (hit, column) pairs a chaining step tests: bounds memory on dense hits
+_PAIRS = 1 << 13  # (hit, candidate) pairs a chaining batch tests, on either axis: bounds memory
+_PAST = np.iinfo(np.int64).max  # above every chaining key
 
 
 @dataclass
@@ -156,6 +157,83 @@ def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> np.ndarray:
     return hits[np.lexsort(hits.T[::-1])]
 
 
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted array that differ from the one before."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _batches(open_: np.ndarray, lo: np.ndarray, hi: np.ndarray, spread: bool):
+    """``(hit, candidate)`` pairs of the open hits, hit i's candidates running from lo[i] to hi[i].
+
+    Each pass gives every open hit its next candidates, in order: with
+    ``spread``, an equal share of ``_PAIRS`` (at least one), so a hit that
+    the caller closes early tests few; without, all of them. A batch holds
+    consecutive hits' pairs, at most ``_PAIRS``. A hit leaves once its
+    candidates run out or the caller clears ``open_[i]`` between batches.
+    ``lo`` is advanced in place.
+    """
+    todo = np.flatnonzero(open_ & (lo < hi))
+    while todo.size:
+        share = max(_PAIRS // todo.size, 1) if spread else _PAIRS
+        first = 0
+        while first < todo.size:
+            part = todo[first : first + _PAIRS]
+            count = np.minimum(hi[part] - lo[part], share)
+            fit = np.searchsorted(np.cumsum(count), _PAIRS, side="right")  # share <= _PAIRS
+            part, count = part[:fit], count[:fit]
+            owner, at = _ranges(lo[part], count)
+            yield part[owner], at
+            lo[part] += count
+            first += fit
+        todo = todo[open_[todo] & (lo[todo] < hi[todo])]
+
+
+def _links(col, walk, key, span: int, least: int, max_gap: int) -> np.ndarray:
+    """Each hit's least linked successor, as an index, or ``col.size`` where it has none.
+
+    Hits come sorted by ``key = col * span + walk``, walk being nonnegative and
+    below ``span - max_gap``. Hit j succeeds hit i when both its column and
+    its walk exceed i's by ``least`` to ``max_gap``; the least such j has the
+    least (column, walk). It is searched along whichever axis holds fewer
+    candidates for i: the occupied columns in range, each probed for its first
+    hit at or past the start of the walk range, or the hits whose walk is in range.
+    """
+    n = col.size
+    by_walk = np.argsort(walk)  # the order of equal walks does not matter: links are minima
+    ordered = walk[by_walk]
+    walk_lo, walk_hi = np.empty_like(by_walk), np.empty_like(by_walk)
+    walk_lo[by_walk] = np.searchsorted(ordered, ordered + least)  # sorted probes search fastest
+    walk_hi[by_walk] = np.searchsorted(ordered, ordered + max_gap, side="right")
+    del ordered
+    occupied = col[_starts(col)]
+    lo = np.searchsorted(occupied, col + least)
+    hi = np.searchsorted(occupied, col + max_gap, side="right")
+    columns = hi - lo <= walk_hi - walk_lo
+    walked = ~columns
+    lo[walked], hi[walked] = walk_lo[walked], walk_hi[walked]  # each hit keeps its own axis
+    del walk_lo, walk_hi
+    key = np.append(key, _PAST)  # a probe past every key finds _PAST
+    link = np.full(n, n)
+    for a, at in _batches(columns, lo, hi, spread=True):  # columns ascend: the first link is least
+        probe = occupied[at] * span + (walk[a] + least)
+        j = np.searchsorted(key, probe)
+        linked = key[j] - probe <= max_gap - least  # j in that column, walk in range
+        a, j = a[linked], j[linked]
+        first = _starts(a)
+        link[a[first]] = j[first]
+        columns[a] = False
+    for a, at in _batches(walked, lo, hi, spread=False):  # a minimum needs every candidate
+        j = by_walk[at]
+        gap = col[j] - col[a]
+        j = np.where((gap >= least) & (gap <= max_gap), j, n)
+        first = np.flatnonzero(_starts(a))
+        a = a[first]
+        link[a] = np.minimum(link[a], np.minimum.reduceat(j, first))
+    return link
+
+
 def chain_hits(
     hits: np.ndarray, length: int = 3, min_gap: int = 10, max_gap: int = 50
 ) -> np.ndarray:
@@ -169,6 +247,9 @@ def chain_hits(
     direction, earlier minus later. When several chains share a leftmost hit
     only one (the lexicographically first) is kept. Returns a
     ``(chains, length, 3)`` array of hit rows, sorted by leftmost hit.
+
+    Each round searches every surviving hit's successor along the axis that
+    offers it fewer candidates (see ``_links``), at most ``_PAIRS`` pairs at a time.
     """
     if length < 1:
         raise ValueError(f"chain length must be >= 1, got {length}")
@@ -181,42 +262,25 @@ def chain_hits(
     for s, sign in enumerate((1, -1)):  # STRANDS order: "+" walks right, "-" left
         pool = np.flatnonzero(strands == s)
         col, walk = cols[pool], sign * refs[pool]  # walk: reference in the match's direction
+        walk -= walk.min(initial=0)
         # One key per distinct hit, sorted as (column, walk) is, so a search for
         # a column and a walk coordinate finds that column's first hit at or past it.
-        base = walk.min(initial=0)
-        span = int(walk.max(initial=0) - base) + max_gap + 1
-        key, first = np.unique(col * span + (walk - base), return_index=True)
+        span = int(walk.max(initial=0)) + max_gap + 1
+        key, first = np.unique(col * span + walk, return_index=True)
         pool, col, walk = pool[first], col[first], walk[first]
         # Round d keeps the hits that start a chain of d hits, each with its
-        # first linked successor, in this order, among round d-1's survivors;
-        # a chain of d hits starts a chain of d-1, so only those are scanned.
+        # least linked successor among round d-1's survivors; a chain of d
+        # hits starts a chain of d-1, so only those are scanned.
         alive = np.arange(pool.size)
         steps = []
         for _ in range(length - 1):
-            c, w, kk = col[alive], walk[alive], key[alive]
-            occupied = np.unique(c)
-            lo = np.searchsorted(occupied, c + least)
-            hi = np.searchsorted(occupied, c + max_gap, side="right")
-            link = np.full(alive.size, -1)
-            todo = np.flatnonzero(hi > lo)
-            while todo.size:  # each hit's candidate columns in order, a slice per step
-                step = _PAIRS // todo.size + 1
-                a, at = _ranges(lo[todo], np.minimum(hi[todo] - lo[todo], step))
-                a = todo[a]
-                j = np.searchsorted(kk, occupied[at] * span + (w[a] + least - base))
-                j = np.minimum(j, alive.size - 1)
-                gap = w[j] - w[a]
-                linked = (c[j] == occupied[at]) & (gap >= least) & (gap <= max_gap)
-                heads, first = np.unique(a[linked], return_index=True)
-                link[heads] = j[linked][first]
-                lo[todo] += step
-                todo = todo[(link[todo] < 0) & (lo[todo] < hi[todo])]
-            heads = np.flatnonzero(link >= 0)
+            link = _links(col[alive], walk[alive], key[alive], span, least, max_gap)
+            heads = np.flatnonzero(link < alive.size)
             steps.append((alive[heads], alive[link[heads]]))
             alive = alive[heads]
         members = [alive]
         for survivors, successor in reversed(steps):
             members.append(successor[np.searchsorted(survivors, members[-1])])
-        parts.append(hits[pool[np.stack(members, axis=1)]])
-    chains = np.concatenate(parts)
-    return chains[np.lexsort(chains[:, 0].T[::-1])]
+        parts.append(pool[np.stack(members, axis=1)])
+    rows = np.concatenate(parts)  # each chain's hit indices: sort them before taking the rows
+    return hits[rows[np.lexsort(hits[rows[:, 0]].T[::-1])]]

@@ -555,6 +555,86 @@ def reach_chains(hits, length, min_gap, max_gap):
     return chains
 
 
+_PAIRS = 1 << 15  # column_chain_hits' pair budget per step
+
+
+def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[lo[i], lo[i] + count[i])`` laid end to end, and each element's i."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) + (lo - np.cumsum(count) + count)[owner]
+
+
+def column_chain_hits(
+    hits: np.ndarray, length: int = 3, min_gap: int = 10, max_gap: int = 50
+) -> np.ndarray:
+    """All maximal-credit chains of ``find_hits`` rows, one per distinct leftmost hit.
+
+    The column-only search that ``seeding.chain_hits`` replaced: each round
+    tests every surviving hit against every occupied column in its gap range,
+    one ``searchsorted`` per (hit, column) pair, ``_PAIRS`` pairs plus one per
+    open hit at a time, and keeps each hit's first link with ``np.unique``.
+
+    A chain is ``length`` same-strand hits with strictly increasing coordinates
+    in the match's own frame, adjacent start distances in [min_gap, max_gap] on
+    both axes; the two distances may differ. Hit positions are forward-strand
+    left endpoints, so colinear reverse-strand matches run right to left on the
+    reference: for a "-" pool the reference distance is taken in walk
+    direction, earlier minus later. When several chains share a leftmost hit
+    only one (the lexicographically first) is kept. Returns a
+    ``(chains, length, 3)`` array of hit rows, sorted by leftmost hit.
+    """
+    if length < 1:
+        raise ValueError(f"chain length must be >= 1, got {length}")
+    if not 0 <= min_gap <= max_gap:
+        raise ValueError(f"need 0 <= min_gap <= max_gap, got [{min_gap}, {max_gap}]")
+
+    least = max(min_gap, 1)  # coordinates strictly increase along a chain
+    parts = []
+    cols, refs, strands = hits.T
+    for s, sign in enumerate((1, -1)):  # STRANDS order: "+" walks right, "-" left
+        pool = np.flatnonzero(strands == s)
+        col, walk = cols[pool], sign * refs[pool]  # walk: reference in the match's direction
+        # One key per distinct hit, sorted as (column, walk) is, so a search for
+        # a column and a walk coordinate finds that column's first hit at or past it.
+        base = walk.min(initial=0)
+        span = int(walk.max(initial=0) - base) + max_gap + 1
+        key, first = np.unique(col * span + (walk - base), return_index=True)
+        pool, col, walk = pool[first], col[first], walk[first]
+        # Round d keeps the hits that start a chain of d hits, each with its
+        # first linked successor, in this order, among round d-1's survivors;
+        # a chain of d hits starts a chain of d-1, so only those are scanned.
+        alive = np.arange(pool.size)
+        steps = []
+        for _ in range(length - 1):
+            c, w, kk = col[alive], walk[alive], key[alive]
+            occupied = np.unique(c)
+            lo = np.searchsorted(occupied, c + least)
+            hi = np.searchsorted(occupied, c + max_gap, side="right")
+            link = np.full(alive.size, -1)
+            todo = np.flatnonzero(hi > lo)
+            while todo.size:  # each hit's candidate columns in order, a slice per step
+                step = _PAIRS // todo.size + 1
+                a, at = _ranges(lo[todo], np.minimum(hi[todo] - lo[todo], step))
+                a = todo[a]
+                j = np.searchsorted(kk, occupied[at] * span + (w[a] + least - base))
+                j = np.minimum(j, alive.size - 1)
+                gap = w[j] - w[a]
+                linked = (c[j] == occupied[at]) & (gap >= least) & (gap <= max_gap)
+                heads, first = np.unique(a[linked], return_index=True)
+                link[heads] = j[linked][first]
+                lo[todo] += step
+                todo = todo[(link[todo] < 0) & (lo[todo] < hi[todo])]
+            heads = np.flatnonzero(link >= 0)
+            steps.append((alive[heads], alive[link[heads]]))
+            alive = alive[heads]
+        members = [alive]
+        for survivors, successor in reversed(steps):
+            members.append(successor[np.searchsorted(survivors, members[-1])])
+        parts.append(hits[pool[np.stack(members, axis=1)]])
+    chains = np.concatenate(parts)
+    return chains[np.lexsort(chains[:, 0].T[::-1])]
+
+
 def edit_distance(a, b):
     """Textbook O(len(a)*len(b)) dynamic program."""
     prev = list(range(len(b) + 1))

@@ -10,6 +10,7 @@ from _oracles import (
     anchor_kmers,
     as_hits,
     chain_triples,
+    column_chain_hits,
     hit_rows,
     index_entries,
     index_keys,
@@ -362,11 +363,54 @@ class TestChainHits:
             assert tuple((h.query_col, h.ref_pos, h.strand) for h in c) in valid
 
 
-def test_chaining_in_one_column_steps_matches_reach_traceback(monkeypatch):
-    """A budget of one (hit, column) pair per step tests each hit's columns one at a time."""
+def axis_candidates(rows, min_gap, max_gap):
+    """Each distinct hit's candidates in a first chaining round, strand by strand.
+
+    Returns two arrays: the occupied columns of its strand in its column range
+    [c + least, c + max_gap], and the hits of its strand whose walk coordinate
+    (reference position, negated on "-") lies in [w + least, w + max_gap].
+    """
+    least = max(min_gap, 1)
+    by_col, by_walk = [], []
+    for s, sign in enumerate((1, -1)):
+        col, walk = np.unique(rows[rows[:, 2] == s, :2] * [1, sign], axis=0).T
+        occupied, walks = np.unique(col), np.sort(walk)
+        for counts, ends, at in ((by_col, occupied, col), (by_walk, walks, walk)):
+            counts.append(
+                np.searchsorted(ends, at + max_gap, "right") - np.searchsorted(ends, at + least)
+            )
+    return np.concatenate(by_col), np.concatenate(by_walk)
+
+
+def assert_both_axes(rows, min_gap, max_gap):
+    """Some hit has candidate columns and as many walk candidates or more; some has fewer."""
+    by_col, by_walk = axis_candidates(rows, min_gap, max_gap)
+    assert ((by_col > 0) & (by_col <= by_walk)).any(), "no hit searches its columns"
+    assert ((by_walk > 0) & (by_walk < by_col)).any(), "no hit searches its walk range"
+
+
+def test_chaining_in_one_pair_batches_on_both_axes_matches_reach_traceback(monkeypatch):
+    """A budget of one (hit, candidate) pair per batch tests each candidate on its own.
+
+    Hits scattered over 20 kb find every column in range occupied but few hits
+    in their walk range, so they search the walk axis; sparse colinear runs
+    among them give that search links to find. A dense colinear run, three hits
+    a column, has more walk candidates than columns and searches its columns.
+    """
     rng = np.random.default_rng(5)
-    cols, refs = rng.integers(0, 200, 600).tolist(), rng.integers(0, 400, 600).tolist()
-    hits = list(map(Hit, cols, refs, rng.choice(["+", "-"], 600).tolist()))
+    cols, refs = rng.integers(0, 200, 400).tolist(), rng.integers(0, 20_000, 400).tolist()
+    hits = list(map(Hit, cols, refs, rng.choice(["+", "-"], 400).tolist()))
+    for strand in rng.choice(["+", "-"], 12).tolist():
+        sign = 1 if strand == "+" else -1
+        q, r = int(rng.integers(0, 100)), int(rng.integers(1_000, 19_000))
+        for dq, dr in rng.integers(10, 30, (5, 2)).tolist():
+            hits.append(Hit(q, r, strand))
+            q, r = q + dq, r + sign * dr
+    for q in range(200, 320):
+        for strand, sign in (("+", 1), ("-", -1)):
+            jitter = rng.integers(0, 12, 3).tolist()
+            hits += [Hit(q, 30_000 + sign * (q + j), strand) for j in jitter]
+    assert_both_axes(hit_rows(hits), 10, 50)
     monkeypatch.setattr(seeding, "_PAIRS", 1)
     for length in (2, 3, 4):
         assert chains_of(hits, length) == reach_chains(hits, length, 10, 50)
@@ -400,3 +444,88 @@ def test_chain_hits_match_reach_traceback(case):
     hits, length, min_gap, max_gap = case
     got = chains_of(hits, length, min_gap, max_gap)
     assert got == reach_chains(hits, length, min_gap, max_gap)
+
+
+@st.composite
+def two_axis_instances(draw):
+    """Random, dense and clustered hits on both strands, which need both search axes.
+
+    Per strand, a dense block fills every column and walk coordinate of a
+    (max_gap + 1)-square, so its corner hit has at least as many walk
+    candidates as columns. A fence puts one hit 2,000 walk units past the rest,
+    with one linked successor, while every column in its range is occupied
+    far off in walk, so that hit has fewer walk candidates than columns.
+    Uniform random hits and colinear runs fall over the block.
+    """
+    length = draw(st.integers(1, 5))
+    max_gap = draw(st.integers(2, 12))
+    min_gap = draw(st.integers(0, max_gap - 1))
+    least = max(min_gap, 1)
+    gap = st.integers(0, max_gap + 2)
+    hits = []
+    for strand, sign in (("+", 1), ("-", -1)):
+        def add(q, w):
+            hits.append(Hit(q, w if sign > 0 else 10_000 - w, strand))
+
+        q0, w0 = draw(st.integers(0, 30)), draw(st.integers(0, 300))
+        for q in range(q0, q0 + max_gap + 1):
+            for w in range(w0, w0 + max_gap + 1):
+                add(q, w)
+        qf = draw(st.integers(0, 60))
+        add(qf, 2_000)
+        add(qf + draw(st.integers(least, max_gap)), 2_000 + draw(st.integers(least, max_gap)))
+        for q in range(qf + least, qf + max_gap + 1):
+            add(q, 5_000)
+        anywhere = st.tuples(st.integers(0, 60), st.integers(0, 400))
+        for q, w in draw(st.lists(anywhere, max_size=40)):
+            add(q, w)
+        runs = st.tuples(anywhere, st.lists(st.tuples(gap, gap), max_size=6))
+        for (q, w), steps in draw(st.lists(runs, max_size=6)):
+            add(q, w)
+            for dq, dw in steps:
+                q, w = q + dq, w + dw
+                add(q, w)
+    return draw(st.permutations(hits)), length, min_gap, max_gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_axis_instances())
+def test_chain_hits_match_the_column_search_bitwise(case):
+    """The per-hit axis choice finds the same links as the column-only search it replaced."""
+    hits, length, min_gap, max_gap = case
+    rows = hit_rows(hits)
+    assert_both_axes(rows, min_gap, max_gap)
+    got = chain_hits(rows, length, min_gap, max_gap)
+    want = column_chain_hits(rows, length, min_gap, max_gap)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_dense_chaining_peaks_no_higher_than_the_column_search(monkeypatch):
+    """200,000 hits in 500 columns over 100 kb: a hit has about 41 occupied columns and
+    as many walk candidates on average, so both axes search at length, and every
+    round holds about 100,000 survivors per strand. No batch expands more than
+    ``_PAIRS`` (hit, candidate) pairs."""
+    rng = np.random.default_rng(7)
+    size = 200_000
+    hits = np.stack([rng.integers(0, top, size) for top in (500, 100_000, 2)], axis=1)
+    assert_both_axes(hits, 10, 50)
+    batches = []
+    ranges = seeding._ranges
+    monkeypatch.setattr(
+        seeding, "_ranges", lambda lo, count: batches.append(int(count.sum())) or ranges(lo, count)
+    )
+    peaks = []
+    for chain in (column_chain_hits, chain_hits):
+        chain(hits[:1000])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            chains = chain(hits)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert len(chains) > size // 2
+    assert 0 < max(batches) <= seeding._PAIRS
+    column, chosen = (peak / 2**20 for peak in peaks)
+    assert chosen <= column, f"peak {chosen:.1f} MiB, column search {column:.1f} MiB"
