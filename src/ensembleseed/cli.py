@@ -87,16 +87,11 @@ def _write_config(out_dir: str, name: str, args: argparse.Namespace) -> None:
 
 
 def _load_transitions(args, k: int) -> TransitionModel:
-    """The ``--transitions`` model, checked against k, or a per-order model for k.
-
-    k is the pore model's, which ``--model-k`` must match.
-    """
-    if args.model_k != k:
-        raise ValueError(f"pore model has k={k}, but --model-k is {args.model_k}")
+    """The ``--transitions`` model, checked against the pore model's k, or a per-order one."""
     if args.transitions:
         model = load_transition_model(args.transitions)
         if model.k != k:
-            raise ValueError(f"transition model has k={model.k}, but --model-k is {k}")
+            raise ValueError(f"transition model has k={model.k}, but the pore model has k={k}")
         return model
     return TransitionModel.per_order(k, order_probs=args.order_probs or DEFAULT_ORDER_PROBS)
 
@@ -141,6 +136,8 @@ def cmd_train(args) -> int:
         paths = list(load_true_paths(args.true_paths).values())
     else:
         pore = load_pore_model(args.pore_model)
+        if args.model_k != pore.k:
+            raise ValueError(f"pore model has k={pore.k}, but --model-k is {args.model_k}")
         hmm = make_hmm(pore, _load_transitions(args, pore.k))
         events = load_events(args.events)
         paths = [viterbi(hmm, ev) for ev in events]
@@ -200,41 +197,37 @@ def cmd_eval(args) -> int:
     reference = records[0][1]
     # grid points with t > n score zero without drawing samples
     need = max((n for n in args.n if n >= min(args.t)), default=0)
-
-    def with_samples(ens):
-        if len(ens.samples) < need:
-            have = f"read {ens.read_id} in {args.basecalls} has {len(ens.samples)}"
-            raise ValueError(f"--n {need} needs {need} sample calls per read, but {have}")
-        return ens
-
-    def read_windows(ens):
-        read_id = ens.read_id
-        for path, table in ((args.truth, truth), (args.true_paths, true_paths)):
-            if read_id not in table:
-                raise ValueError(f"read {read_id} missing from {path}")
-        return build_windows(ens, truth[read_id], true_paths[read_id], args.model_k, args.window)
-
-    # Reads stream one at a time, in one pass per seed length, and one index is alive at a
-    # time. The first read is checked before any index is built, every read in the first pass.
-    reads = map(with_samples, iter_basecalls(args.basecalls, args.spans))
-    first = next(reads, None)
     truth, true_paths = load_truth(args.truth), load_true_paths(args.true_paths)
+
+    def read_windows(first_pass: bool):
+        for ens in iter_basecalls(args.basecalls, args.spans):
+            read_id = ens.read_id
+            if len(ens.samples) < need:
+                have = f"read {read_id} in {args.basecalls} has {len(ens.samples)}"
+                raise ValueError(f"--n {need} needs {need} sample calls per read, but {have}")
+            for path, table in ((args.truth, truth), (args.true_paths, true_paths)):
+                if read_id not in table:
+                    raise ValueError(f"read {read_id} missing from {path}")
+            windows = build_windows(
+                ens, truth[read_id], true_paths[read_id], args.model_k, args.window
+            )
+            if first_pass:
+                log.info("read %s: %d windows", read_id, len(windows))
+            yield from windows
+
+    # One pass over the reads per seed length, each read checked before its windows are
+    # cut, and one index alive at a time: it is dropped when its sweep returns. The first
+    # window is read before the index is built, so a bad first read fails before any index.
     grid = (args.t, args.n, args.dedup_radius)
     lengths = list(dict.fromkeys(c.seed_k for c in strategies))
-    totals: dict[StrategyConfig, list] = {}
+    rows = []
     for length in lengths:
-        index = build_index(reference, length)
-        mine = {c: sweep([], index, c, *grid) for c in strategies if c.seed_k == length}
-        for ens in itertools.chain([first] if first else [], reads):
-            windows = read_windows(ens)
-            if length == lengths[0]:
-                log.info("read %s: %d windows", ens.read_id, len(windows))
-            for c, total in mine.items():
-                mine[c] = [a + b for a, b in zip(total, sweep(windows, index, c, *grid))]
-        totals.update(mine)
-        index = first = ens = windows = None  # freed before the next length's index is built
-        reads = iter_basecalls(args.basecalls, args.spans)
-    rows = [row for c in strategies for row in totals[c]]
+        stream = read_windows(length == lengths[0])
+        first = list(itertools.islice(stream, 1))
+        mine = [c for c in strategies if c.seed_k == length]
+        rows += sweep(itertools.chain(first, stream), build_index(reference, length), mine, *grid)
+    labels = [c.label for c in strategies]
+    rows.sort(key=lambda row: labels.index(row.strategy))
     os.makedirs(args.out_dir, exist_ok=True)
     write_report(os.path.join(args.out_dir, "report.tsv"), rows)
     _write_config(args.out_dir, "eval", args)
@@ -255,7 +248,6 @@ def cmd_report(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-k", type=int, default=5, help="HMM k-mer length")
     model = p.add_mutually_exclusive_group()
     model.add_argument(
         "--order-probs", type=partial(_list_of, float), default=None,
@@ -273,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
+    p.add_argument("--model-k", type=int, default=5, help="HMM k-mer length")
     _add_model_flags(p)
     p.add_argument("--ref-length", type=int, default=DEFAULT_REFERENCE_LENGTH)
     p.add_argument("--reads", type=int, default=DEFAULT_READ_COUNT)
@@ -282,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="estimate transition probabilities from paths")
+    p.add_argument("--model-k", type=int, default=5, help="HMM k-mer length")
     _add_model_flags(p)
     p.add_argument("--source", choices=("truth", "viterbi"), default="truth")
     p.add_argument("--true-paths", default=None, help="true_paths.jsonl from simulate")

@@ -6,9 +6,10 @@ Seeds carry an event-column query coordinate, the event's index in the
 window, which is comparable across samples. A window scores a true positive
 when any seed (or chain) lands inside its true reference interval on the right
 strand; everything else is clustered greedily and counted as false positives.
-A sweep scores each window's whole (t, n) grid in one pass: one k-mer
-collection, one lookup and, for chains, one chaining call per window and
-strategy, then validity and dedup per point.
+A sweep reads a stream of windows once and scores each window's whole (t, n)
+grid under every strategy that shares one index: one k-mer collection, one
+lookup and, for chains, one chaining call per window and strategy, then
+validity and dedup per point.
 """
 
 from __future__ import annotations
@@ -175,14 +176,12 @@ class EvalRow:
     fp: int
 
     def __post_init__(self):
+        if not 0 <= self.tp <= self.windows:
+            raise ValueError(f"need 0 <= TP <= windows, got TP {self.tp} of {self.windows}")
         if not 0.0 <= self.sn <= 1.0:
             raise ValueError(f"Sn must be in [0, 1], got {self.sn}")
         if self.fp < 0:
             raise ValueError(f"FP must be >= 0, got {self.fp}")
-
-    def __add__(self, other: EvalRow) -> EvalRow:
-        tp, windows, fp = self.tp + other.tp, self.windows + other.windows, self.fp + other.fp
-        return replace(self, tp=tp, windows=windows, sn=tp / windows if windows else 0.0, fp=fp)
 
 
 def window_points(window: Window, index: KmerIndex, config: StrategyConfig, points) -> np.ndarray:
@@ -219,7 +218,7 @@ def window_points(window: Window, index: KmerIndex, config: StrategyConfig, poin
 
 
 def evaluate(
-    windows: list[Window],
+    windows,
     index: KmerIndex,
     config: StrategyConfig,
     t: int,
@@ -227,7 +226,7 @@ def evaluate(
     radius: int = DEFAULT_DEDUP_RADIUS,
 ) -> EvalRow:
     """Score one parameter point: TP over windows, plus deduped FP clusters (see ``sweep``)."""
-    return sweep(windows, index, config, [t], [n], radius)[0]
+    return sweep(windows, index, [config], [t], [n], radius)[0]
 
 
 def check_grid(t_values, n_values, radius: int) -> None:
@@ -242,48 +241,50 @@ def check_grid(t_values, n_values, radius: int) -> None:
 
 
 def sweep(
-    windows: list[Window],
+    windows,
     index: KmerIndex,
-    config: StrategyConfig,
+    configs: list[StrategyConfig],
     t_values,
     n_values,
     radius: int = DEFAULT_DEDUP_RADIUS,
 ) -> list[EvalRow]:
-    """Full cartesian (t, n) grid for one strategy, t-major order.
+    """Full cartesian (t, n) grid for each strategy, strategy-major then t-major.
 
-    Each window is scored in one ``window_points`` pass that carries every
-    distinct scorable point; validity and dedup then run per point. A
-    Viterbi-mode strategy scores its single Viterbi row at (1, 1) for every
-    grid point (t and n only label the row), so it serves as the fixed
-    baseline. Ensemble points that cannot draw samples (n = 0, or t > n) score
-    zero so the grid stays rectangular; the grid and radius pass
-    ``check_grid`` before any scoring.
+    ``windows`` is any iterable, read once and counted as it is read; every
+    strategy looks its seeds up in ``index``. Each window is scored in one
+    ``window_points`` pass per strategy that carries every distinct scorable
+    point; validity and dedup then run per point. A Viterbi-mode strategy
+    scores its single Viterbi row at (1, 1) for every grid point (t and n
+    only label the row), so it serves as the fixed baseline. Ensemble points
+    that cannot draw samples (n = 0, or t > n) score zero so the grid stays
+    rectangular; the grid and radius pass ``check_grid`` before any scoring.
     """
     check_grid(t_values, n_values, radius)
     grid = [(t, n) for t in t_values for n in n_values]
-    if config.use_viterbi:
-        points = [(1, 1)]
-    else:
-        points = list(dict.fromkeys((t, n) for t, n in grid if t <= n))
-    tps, fps = [0] * len(points), [0] * len(points)
-    for window in windows if points else ():
-        found = window_points(window, index, config, points)
-        bounds = np.searchsorted(found[:, 3], np.arange(len(points) + 1))
-        for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            valid = is_valid_hit(found[lo:hi], window.truth)
-            tps[p] += bool(valid.any())
-            fps[p] += len(greedy_dedup(found[lo:hi][~valid], radius))
-    scored = dict(zip(points, zip(tps, fps)))
-    count = len(windows)
+    ensemble_points = list(dict.fromkeys((t, n) for t, n in grid if t <= n))
+    plans = [[(1, 1)] if c.use_viterbi else ensemble_points for c in configs]
+    scores = [{point: [0, 0] for point in points} for points in plans]  # TP, FP
+    count = 0
+    for count, window in enumerate(windows, 1):
+        for config, points, score in zip(configs, plans, scores):
+            if not points:
+                continue
+            found = window_points(window, index, config, points)
+            bounds = np.searchsorted(found[:, 3], np.arange(len(points) + 1))
+            for point, lo, hi in zip(points, bounds[:-1], bounds[1:]):
+                valid = is_valid_hit(found[lo:hi], window.truth)
+                score[point][0] += bool(valid.any())
+                score[point][1] += len(greedy_dedup(found[lo:hi][~valid], radius))
     rows: list[EvalRow] = []
-    for t, n in grid:
-        tp, fp = scored.get((1, 1) if config.use_viterbi else (t, n), (0, 0))
-        rows.append(
-            EvalRow(
-                strategy=config.label, k=config.seed_k, t=t, n=n,
-                tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
+    for config, score in zip(configs, scores):
+        for t, n in grid:
+            tp, fp = score.get((1, 1) if config.use_viterbi else (t, n), (0, 0))
+            rows.append(
+                EvalRow(
+                    strategy=config.label, k=config.seed_k, t=t, n=n,
+                    tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
+                )
             )
-        )
     return rows
 
 
@@ -303,14 +304,19 @@ def write_report(path, rows: list[EvalRow]) -> None:
 
 
 def load_report(path) -> list[EvalRow]:
-    rows: list[EvalRow] = []
+    """Report rows in file order; a repeated (strategy, t, n) is rejected."""
+    rows: dict[tuple[str, int, int], EvalRow] = {}
     types = (str, int, int, int, int, int, float, int)
     for where, fields in tsv_rows(path, REPORT_HEADER, types):
         try:
-            rows.append(EvalRow(*fields))
+            row = EvalRow(*fields)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    return rows
+        key = (row.strategy, row.t, row.n)
+        if key in rows:
+            raise ValueError(f"{where}: repeated row for {row.strategy} t={row.t} n={row.n}")
+        rows[key] = row
+    return list(rows.values())
 
 
 def write_points(path, rows: list[EvalRow]) -> None:

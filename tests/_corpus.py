@@ -73,11 +73,17 @@ def calls_digest(ensembles) -> str:
 
 
 def report_digest(corpus) -> str:
-    """sha256 of the ``write_report`` bytes of every strategy swept over REPORT_GRID."""
+    """sha256 of the ``write_report`` bytes of every strategy swept over REPORT_GRID.
+
+    Like ``eval``, each index is swept once with the strategies that share it, and the
+    rows are put back in REPORT_STRATEGIES order.
+    """
     rows = []
-    for config in REPORT_STRATEGIES:
-        index = corpus.index13 if config.seed_k == 13 else corpus.index10
-        rows += sweep(corpus.windows, index, config, *REPORT_GRID)
+    for index in (corpus.index13, corpus.index10):
+        configs = [c for c in REPORT_STRATEGIES if c.seed_k == index.k]
+        rows += sweep(corpus.windows, index, configs, *REPORT_GRID)
+    labels = [c.label for c in REPORT_STRATEGIES]
+    rows.sort(key=lambda row: labels.index(row.strategy))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.tsv"
         write_report(path, rows)

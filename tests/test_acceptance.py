@@ -262,7 +262,7 @@ def test_criterion_07_sensitivity_grows_with_n(pinned_corpus):
     t0 = time.perf_counter()
     base = evaluate(pinned_corpus.windows, pinned_corpus.index13, SINGLE_13_VITERBI, 1, 1)
     rows = sweep(
-        pinned_corpus.windows, pinned_corpus.index13, SINGLE_13, [1], list(range(1, 17))
+        pinned_corpus.windows, pinned_corpus.index13, [SINGLE_13], [1], list(range(1, 17))
     )
     elapsed = time.perf_counter() - t0 + pinned_corpus.build_seconds
     mono = all(a.sn <= b.sn for a, b in zip(rows, rows[1:]))
@@ -287,7 +287,7 @@ def test_criterion_08_chaining_cuts_fp(pinned_corpus):
     grid = sweep(
         pinned_corpus.windows,
         pinned_corpus.index10,
-        CHAIN_10,
+        [CHAIN_10],
         [1, 2],
         [1, 2, 4, 8, 12, 16],
     )
@@ -339,7 +339,7 @@ def test_criterion_09_monotone_and_reproducible(pinned_corpus, tmp_path):
              "--events-per-read", "120", "--seed", "17", "--out-dir", str(sim)]
         )
         rc |= cli_main(
-            ["basecall", "--model-k", "3", "--events", str(sim / "events.jsonl"),
+            ["basecall", "--events", str(sim / "events.jsonl"),
              "--pore-model", str(sim / "pore_model.tsv"), "--n", "4", "--seed", "23",
              "--out-dir", str(calls)]
         )

@@ -13,7 +13,7 @@ import pytest
 import ensembleseed
 from ensembleseed import cli
 from ensembleseed.cli import main
-from ensembleseed.decode import call_read, load_basecalls
+from ensembleseed.decode import call_read, iter_basecalls, load_basecalls
 from ensembleseed.evaluate import (
     CHAIN_10,
     StrategyConfig,
@@ -47,7 +47,7 @@ def pipeline(tmp_path_factory):
     ) == 0
     calls = root / "calls"
     assert run_cli(
-        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "basecall", "--events", sim / "events.jsonl",
         "--pore-model", sim / "pore_model.tsv", "--n", 3, "--seed", 7,
         "--out-dir", calls,
     ) == 0
@@ -126,9 +126,19 @@ def index_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("seed_k,lengths", [([], [13, 10]), (["--seed-k", 11], [11])])
-def test_eval_builds_one_index_per_seed_length(pipeline, tmp_path, index_builds, seed_k, lengths):
-    """Lengths are indexed in strategy order, and an index is freed before the next is built."""
+def test_eval_builds_one_index_per_seed_length(
+    pipeline, tmp_path, monkeypatch, index_builds, seed_k, lengths
+):
+    """Lengths are indexed in strategy order, an index is freed before the next is built,
+    and the base calls are read once per length."""
     _, sim, _, calls = pipeline
+    passes = []
+
+    def counted_iter_basecalls(*args):
+        passes.append(args)
+        return iter_basecalls(*args)
+
+    monkeypatch.setattr(cli, "iter_basecalls", counted_iter_basecalls)
     assert run_cli(
         "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
@@ -136,6 +146,7 @@ def test_eval_builds_one_index_per_seed_length(pipeline, tmp_path, index_builds,
         "--window", 60, "--n", "1,2", *seed_k, "--out-dir", tmp_path / "out",
     ) == 0
     assert index_builds == lengths
+    assert len(passes) == len(lengths)
 
 
 def test_eval_reruns_are_byte_identical(pipeline, tmp_path):
@@ -269,9 +280,10 @@ def test_eval_checks_n_against_the_calls_before_any_index(pipeline, tmp_path, ca
 
 @pytest.mark.parametrize("window", [50, 5000])
 def test_eval_report_equals_one_sweep_per_strategy_over_every_window(pipeline, tmp_path, window):
-    """eval scores one read at a time and sums each read's rows; that gives the report of
-    one sweep per strategy over the whole corpus's windows, t > n points and the Viterbi
-    strategies included. No read of the corpus has 5000 events, so no window is full."""
+    """eval streams the reads' windows into one sweep per seed length; that gives the
+    report of one sweep per strategy over the whole corpus's windows, t > n points and the
+    Viterbi strategies included. No read of the corpus has 5000 events, so no window is
+    full."""
     _, sim, _, calls = pipeline
     t_values, n_values = [1, 2, 4], [0, 1, 3]
     out = tmp_path / "out"
@@ -296,7 +308,7 @@ def test_eval_report_equals_one_sweep_per_strategy_over_every_window(pipeline, t
         StrategyConfig("single", 6, use_viterbi=True),
         StrategyConfig("chain", 6, use_viterbi=True, **gaps),
     ]
-    rows = [row for c in strategies for row in sweep(windows, index, c, t_values, n_values)]
+    rows = [row for c in strategies for row in sweep(windows, index, [c], t_values, n_values)]
     assert window == 5000 or any(row.tp and row.fp for row in rows)
     write_report(tmp_path / "want.tsv", rows)
     assert (out / "report.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
@@ -355,7 +367,7 @@ def test_eval_peaks_at_about_one_index(tmp_path):
         "--events-per-read", 120, "--seed", 3, "--out-dir", sim,
     ) == 0
     assert run_cli(
-        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "basecall", "--events", sim / "events.jsonl",
         "--pore-model", sim / "pore_model.tsv", "--n", 2, "--out-dir", calls,
     ) == 0
     index = build_index(read_fasta(sim / "reference.fasta")[0][1], 13)
@@ -431,7 +443,7 @@ def test_traced_basecall_records_every_decode_layer(pipeline, tmp_path, tracer):
 
     def run_basecall(out):
         return run_cli(
-            "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+            "basecall", "--events", sim / "events.jsonl",
             "--pore-model", sim / "pore_model.tsv", "--transitions", train / "transitions.tsv",
             "--n", 3, "--seed", 7, "--out-dir", out,
         )
@@ -493,7 +505,7 @@ def test_basecall_rejects_repeated_read_id(pipeline, tmp_path, capsys):
     first = (sim / "events.jsonl").read_text().splitlines()[0]
     events.write_text(f"{first}\n{first}\n")
     rc = run_cli(
-        "basecall", "--model-k", 3, "--events", events,
+        "basecall", "--events", events,
         "--pore-model", sim / "pore_model.tsv", "--n", 1, "--out-dir", tmp_path / "out",
     )
     assert rc == 2
@@ -511,7 +523,7 @@ def test_basecall_rejects_a_negative_n_before_loading_events(
     monkeypatch.setattr(cli, "load_events", unreachable)
     out = tmp_path / "out"
     rc = run_cli(
-        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "basecall", "--events", sim / "events.jsonl",
         "--pore-model", sim / "pore_model.tsv", "--n", -1, "--out-dir", out,
     )
     assert rc == 2
@@ -535,7 +547,7 @@ def test_basecall_rejects_a_read_id_with_whitespace(pipeline, tmp_path, capsys):
     events.write_text(first.replace('"read0000"', '"read 0000"') + "\n")
     out = tmp_path / "out"
     rc = run_cli(
-        "basecall", "--model-k", 3, "--events", events,
+        "basecall", "--events", events,
         "--pore-model", sim / "pore_model.tsv", "--n", 1, "--out-dir", out,
     )
     assert rc == 2
@@ -560,9 +572,9 @@ def test_a_read_no_path_can_emit_fails_with_one_line(pipeline, tmp_path, capsys,
     _, sim, _, _ = pipeline
     events = _events_with_a_far_event(sim, tmp_path / "events.jsonl")
     out = tmp_path / "out"
-    extra = ["--n", 0] if command == "basecall" else ["--source", "viterbi"]
+    extra = ["--n", 0] if command == "basecall" else ["--model-k", 3, "--source", "viterbi"]
     rc = run_cli(
-        command, "--model-k", 3, "--events", events,
+        command, "--events", events,
         "--pore-model", sim / "pore_model.tsv", *extra, "--out-dir", out,
     )
     assert rc == 2
@@ -587,7 +599,7 @@ def test_a_basecall_failing_at_its_third_read_leaves_nothing(pipeline, tmp_path,
         out.mkdir()
         (out / "notes.txt").write_text("kept\n")
     rc = run_cli(
-        "basecall", "--model-k", 3, "--events", events,
+        "basecall", "--events", events,
         "--pore-model", sim / "pore_model.tsv", "--n", 2, "--out-dir", out,
     )
     assert rc == 2
@@ -627,7 +639,7 @@ def test_basecall_holds_one_read_at_a_time(pipeline, tmp_path):
 
     def argv(count):
         return [
-            "basecall", "--model-k", 3, "--events", tmp_path / f"events{count}.jsonl",
+            "basecall", "--events", tmp_path / f"events{count}.jsonl",
             "--pore-model", sim / "pore_model.tsv", "--out-dir", tmp_path / f"calls{count}",
         ]
 
@@ -650,7 +662,7 @@ def test_basecall_frees_a_reads_calls_before_the_next_decodes(pipeline, tmp_path
 
     monkeypatch.setattr(cli, "call_read", checked_call_read)
     assert run_cli(
-        "basecall", "--model-k", 3, "--events", sim / "events.jsonl",
+        "basecall", "--events", sim / "events.jsonl",
         "--pore-model", sim / "pore_model.tsv", "--n", 2, "--out-dir", tmp_path / "calls",
     ) == 0
     assert len(made) == 6 * 3
@@ -716,15 +728,14 @@ def test_train_viterbi_source(pipeline, tmp_path):
     assert text[1] == "source_kmer\ttarget_kmer\tprob"
 
 
-@pytest.mark.parametrize("command", ["basecall", "train"])
+@pytest.mark.parametrize("command", ["train"])
 def test_model_k_must_match_the_pore_model(pipeline, tmp_path, capsys, command):
     """A k=3 pore model decodes at k=3, so --model-k 4 is refused, not recorded."""
     _, sim, _, _ = pipeline
     out = tmp_path / "out"
-    extra = ["--n", 1] if command == "basecall" else ["--source", "viterbi"]
     rc = run_cli(
         command, "--model-k", 4, "--events", sim / "events.jsonl",
-        "--pore-model", sim / "pore_model.tsv", *extra, "--out-dir", out,
+        "--pore-model", sim / "pore_model.tsv", "--source", "viterbi", "--out-dir", out,
     )
     assert rc == 2
     err = capsys.readouterr().err
@@ -774,7 +785,7 @@ def test_a_failed_run_leaves_no_output_directory(pipeline, tmp_path, capsys, com
     argv = {
         "simulate": ["--model-k", 3, "--ref-length", 5000, "--reads", 6,
                      "--events-per-read", 300, "--seed", 99],
-        "basecall": ["--model-k", 3, "--events", bad, "--pore-model", sim / "pore_model.tsv"],
+        "basecall": ["--events", bad, "--pore-model", sim / "pore_model.tsv"],
         "report": ["--report", bad],
     }[command]
     assert run_cli(command, *argv, "--out-dir", out) == 2

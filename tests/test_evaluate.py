@@ -309,7 +309,7 @@ def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
     config = StrategyConfig(kind="single", seed_k=13)
-    rows = sweep(windows, index, config, [1, 2, 3], [0, 1, 2])
+    rows = sweep(windows, index, [config], [1, 2, 3], [0, 1, 2])
     assert len(rows) == 9
     by_key = {(r.t, r.n): r for r in rows}
     for t in (1, 2, 3):
@@ -323,7 +323,7 @@ def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):
 def test_sweep_viterbi_strategy_is_constant_across_grid(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
-    rows = sweep(windows, index, SINGLE_13_VITERBI, [1, 2], [1, 4])
+    rows = sweep(windows, index, [SINGLE_13_VITERBI], [1, 2], [1, 4])
     assert len(rows) == 4
     assert len({(r.tp, r.fp) for r in rows}) == 1
     assert {(r.t, r.n) for r in rows} == {(1, 1), (1, 4), (2, 1), (2, 4)}
@@ -339,11 +339,11 @@ def test_sweep_scores_each_distinct_point_once(scored_corpus, monkeypatch):
         return window_points(window, index, config, points)
 
     monkeypatch.setattr(evaluate_module, "window_points", counting_window_points)
-    rows = sweep(windows, index, SINGLE_13_VITERBI, [1, 2], [1, 4])
+    rows = sweep(windows, index, [SINGLE_13_VITERBI], [1, 2], [1, 4])
     assert len(rows) == 4
     assert calls == [(w.window_id, [(1, 1)]) for w in windows]
     calls.clear()
-    rows = sweep(windows, index, SINGLE_13, [1, 2, 3], [0, 2, 2])
+    rows = sweep(windows, index, [SINGLE_13], [1, 2, 3], [0, 2, 2])
     assert len(rows) == 9
     # one call per window carries (1, 2) and (2, 2) once each; n = 0 and t > n score
     # zero without running
@@ -354,7 +354,7 @@ def test_sweep_rejects_threshold_below_one(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
     with pytest.raises(ValueError, match="1 <= t <= n"):
-        sweep(windows, index, SINGLE_13, [0], [1])
+        sweep(windows, index, [SINGLE_13], [0], [1])
     with pytest.raises(ValueError, match="1 <= t <= n"):
         evaluate(windows, index, SINGLE_13, 0, 1)
 
@@ -363,9 +363,24 @@ def test_evaluate_is_one_sweep_point(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
     row = evaluate(windows, index, SINGLE_13, 2, 2)
-    assert row == sweep(windows, index, SINGLE_13, [2], [2])[0]
+    assert row == sweep(windows, index, [SINGLE_13], [2], [2])[0]
     zero = evaluate(windows, index, SINGLE_13, 3, 2)
     assert (zero.t, zero.n, zero.tp, zero.windows, zero.fp) == (3, 2, 0, len(windows), 0)
+
+
+def test_sweep_reads_a_window_stream_once_for_every_strategy(scored_corpus):
+    """Strategies sharing an index are scored in one pass over an iterator, their rows
+    strategy-major, exactly as one sweep each over the list."""
+    ref, windows = scored_corpus
+    index = build_index(ref, 13)
+    grid = ([1, 2, 3], [0, 1, 2])
+    stream = iter(windows)
+    rows = sweep(stream, index, [SINGLE_13, SINGLE_13_VITERBI], *grid)
+    assert rows == sweep(windows, index, [SINGLE_13], *grid) + sweep(
+        windows, index, [SINGLE_13_VITERBI], *grid
+    )
+    assert next(stream, None) is None
+    assert {row.windows for row in rows} == {len(windows)}
 
 
 def test_report_round_trip(tmp_path):
@@ -424,6 +439,9 @@ def test_alignment_identity():
         ("chain\t10\t1\t1\t1\t2\t1.500\t0", r"Sn must be in \[0, 1\]"),
         ("chain\t10\t1\t1\t1\t2\t0.500\t-1", "FP must be >= 0"),
         ("chain\t10\t1\t1\t1\t2\t0.500", "expected 8 columns, got 7"),
+        ("chain\t10\t1\t2\t-3\t2\t0.000\t0", "need 0 <= TP <= windows, got TP -3 of 2"),
+        ("chain\t10\t1\t2\t7\t2\t1.000\t0", "need 0 <= TP <= windows, got TP 7 of 2"),
+        ("chain\t10\t1\t1\t1\t2\t0.500\t0", "repeated row for chain t=1 n=1"),
     ],
 )
 def test_load_report_names_malformed_line(tmp_path, row, message):
