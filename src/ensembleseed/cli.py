@@ -189,6 +189,8 @@ def _strategies(args) -> list[StrategyConfig]:
 def cmd_eval(args) -> int:
     strategies = _strategies(args)
     check_grid(args.t, args.n, args.dedup_radius)
+    if len(set(args.t)) < len(args.t) or len(set(args.n)) < len(args.n):  # one row per point
+        raise ValueError(f"--t and --n may not repeat a value, got t={args.t}, n={args.n}")
     if args.window < 1:
         raise ValueError(f"window size must be >= 1, got {args.window}")
     records = read_fasta(args.reference)

@@ -23,8 +23,10 @@ from ensembleseed.evaluate import (
     write_report,
 )
 from ensembleseed.io import read_fasta
+from ensembleseed.pore_model import TransitionModel
 from ensembleseed.seeding import build_index
 from ensembleseed.simulate import load_true_paths, load_truth
+from ensembleseed.train import save_transition_model
 
 
 def run_cli(*argv):
@@ -203,6 +205,8 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
         (["--min-gap", -1], "need 0 <= min_gap <= max_gap, got [-1, 50]"),
         (["--t", 0], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[0], n=[1]"),
         (["--n", -1], "need every t >= 1 and n >= 0 (scored where 1 <= t <= n), got t=[1], n=[-1]"),
+        (["--t", "1,1"], "--t and --n may not repeat a value, got t=[1, 1], n=[1]"),
+        (["--n", "1,4,4"], "--t and --n may not repeat a value, got t=[1], n=[1, 4, 4]"),
         (["--dedup-radius", -1], "dedup radius must be >= 0, got -1"),
         (["--window", "0"], "window size must be >= 1, got 0"),
         (["--seed-k", 0], "seed length must be in [1, 16], got 0"),
@@ -728,19 +732,34 @@ def test_train_viterbi_source(pipeline, tmp_path):
     assert text[1] == "source_kmer\ttarget_kmer\tprob"
 
 
-@pytest.mark.parametrize("command", ["train"])
-def test_model_k_must_match_the_pore_model(pipeline, tmp_path, capsys, command):
+def test_model_k_must_match_the_pore_model(pipeline, tmp_path, capsys):
     """A k=3 pore model decodes at k=3, so --model-k 4 is refused, not recorded."""
     _, sim, _, _ = pipeline
     out = tmp_path / "out"
     rc = run_cli(
-        command, "--model-k", 4, "--events", sim / "events.jsonl",
+        "train", "--model-k", 4, "--events", sim / "events.jsonl",
         "--pore-model", sim / "pore_model.tsv", "--source", "viterbi", "--out-dir", out,
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"ensembleseed {command}: pore model has k=3, but --model-k is 4" in err
+    assert "ensembleseed train: pore model has k=3, but --model-k is 4" in err
     assert not any(out.glob("*.json"))
+
+
+def test_basecall_transitions_must_match_the_pore_model(pipeline, tmp_path, capsys):
+    """basecall takes k from --pore-model, so a transition model made at k=4 is refused."""
+    _, sim, _, _ = pipeline
+    transitions = tmp_path / "transitions.tsv"
+    save_transition_model(transitions, TransitionModel.per_order(4))
+    out = tmp_path / "out"
+    rc = run_cli(
+        "basecall", "--events", sim / "events.jsonl", "--pore-model", sim / "pore_model.tsv",
+        "--transitions", transitions, "--n", 1, "--out-dir", out,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ensembleseed basecall: transition model has k=4, but the pore model has k=3" in err
+    assert not out.exists()
 
 
 def test_train_viterbi_source_requires_events(tmp_path, capsys):
