@@ -16,7 +16,7 @@ import mmap
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -244,10 +244,10 @@ def viterbi(hmm: Hmm, events: EventSequence) -> StatePath:
         raise ValueError(f"read {events.read_id!r}: no finite Viterbi score at event {bad}")
 
     states = np.empty(n, dtype=np.int64)
-    states[-1] = int(np.argmax(scores[-1]))
+    state = states[-1] = int(scores[-1].argmax())
     for i in range(n - 1, 0, -1):
-        row = pool[states[i]]
-        states[i - 1] = row[np.argmax(scores[i - 1][row] + log_t[states[i]])]
+        row = pool[state]
+        state = states[i - 1] = int(row[(scores[i - 1].take(row) + log_t[state]).argmax()])
     return StatePath(states=states, log_joint=float(scores[-1, states[-1]]))
 
 
@@ -272,6 +272,9 @@ def path_log_joint(hmm: Hmm, events: EventSequence, states: np.ndarray):
     return float(joints) if states.ndim == 1 else joints
 
 
+_UNIFORM_BLOCK = 1 << 12
+
+
 def sample_paths(
     hmm: Hmm,
     events: EventSequence,
@@ -284,10 +287,12 @@ def sample_paths(
     The forward matrix is computed once and shared across draws: the final
     state is drawn proportionally to the last column, then each earlier state
     proportionally to its forward value times the transition probability into
-    the already-fixed successor. Returns a (count, n_events) array, one path
-    per row, in the narrowest type holding every code (uint16 at k = 5..8);
-    ``path_log_joint`` scores its rows. ``seed`` may be an int or a numpy
-    Generator; a given seed yields reproducible paths.
+    the already-fixed successor. Each event's cumulative candidate weights
+    are built once per distinct state the draws occupy, not once per draw.
+    Returns a (count, n_events) array, one path per row, in the narrowest
+    type holding every code (uint16 at k = 5..8); ``path_log_joint`` scores
+    its rows. ``seed`` may be an int or a numpy Generator; a given seed
+    yields reproducible paths.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -300,27 +305,55 @@ def sample_paths(
         return paths
 
     rng = np.random.default_rng(seed)
-    trans = hmm.transitions
     # Candidates per state: itself (a split), then its order-1, order-2, ...
     # predecessors in code order; the draw picks the first candidate whose
-    # cumulative weight exceeds u.
-    pred, pred_w = _incoming_edges(trans)
-    last = pred.shape[1] - 1
+    # cumulative weight exceeds u, or the last when u rounds up to the total.
+    pred, pred_w = _incoming_edges(hmm.transitions)
     draws = np.arange(count)
+    slot = np.empty(m, dtype=np.intp)
+    # One row of ``count`` uniforms per event, last event first, drawn from
+    # the one stream in blocks of at most _UNIFORM_BLOCK values (or one row):
+    # the same numbers, in the same order, as one call per event.
+    per_block = max(1, _UNIFORM_BLOCK // count)
+    uniforms = chain.from_iterable(
+        rng.random((min(per_block, n - start), count)) for start in range(0, n, per_block)
+    )
 
     cum = np.cumsum(F[-1])
-    u = rng.random(count) * cum[-1]
-    cur = np.minimum(np.searchsorted(cum, u, side="right"), m - 1).astype(np.int64)
-
+    cur = np.minimum(np.searchsorted(cum, next(uniforms) * cum[-1], side="right"), m - 1)
     paths[:, -1] = cur
     for i in range(n - 2, -1, -1):
-        pool = pred[cur]
-        cw = np.cumsum(F[i][pool] * pred_w[cur], axis=1)
-        u = rng.random(count) * cw[:, -1]
-        pick = np.minimum((cw <= u[:, None]).sum(axis=1), last)
-        cur = pool[draws, pick]
+        # The draws sit on few distinct states: number them through ``slot``
+        # (one draw per state keeps its own index there) and build each
+        # state's cumulative weights once, then give each draw its state's row.
+        slot[cur] = draws
+        states = cur[slot.take(cur) == draws]
+        slot[states] = draws[: len(states)]
+        pool = pred.take(states, axis=0)
+        cw = np.cumsum(F[i].take(pool) * pred_w.take(states, axis=0), axis=1)
+        cw = cw.take(slot.take(cur), axis=0)
+        u = next(uniforms) * cw[:, -1]
+        cw[:, -1] = np.inf  # when no candidate exceeds u, the last one is picked
+        cur = pred[cur, (cw > u[:, None]).argmax(axis=1)]
         paths[:, i] = cur
     return paths
+
+
+def _emitted_bases(codes: np.ndarray, sizes: np.ndarray) -> str:
+    """The last ``sizes[e]`` bases of each k-mer ``codes[e]``, one after another.
+
+    Text position p of an event whose bases end at ``end`` is the base
+    2 * (end - 1 - p) bits up its code: one gather per emitted base. The
+    temporaries go on return, before the next block of rows makes its own.
+    """
+    shifts = np.repeat(np.cumsum(sizes), sizes)
+    shifts -= np.arange(1, len(shifts) + 1)
+    shifts <<= 1
+    bases = np.repeat(codes, sizes)
+    bases >>= shifts
+    bases &= 3
+    letters = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
+    return letters[bases].tobytes().decode("ascii")
 
 
 def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
@@ -332,15 +365,17 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
     it contributes its whole k-mer, and for every later event the smallest
     shift linking it to its predecessor (0 for splits). The call's lengths are
     those orders. Raises IllegalPathError on a path with no event, and names the
-    row and event of a code outside the k-mers or of a pair no shift up to ``max_shift`` links.
+    row and event of a code outside the k-mers or of a pair no shift up to ``max_shift`` links;
+    raises ValueError when ``max_shift`` is outside [0, k].
     """
+    limit = k if max_shift is None else max_shift
+    if not 0 <= limit <= k:
+        raise ValueError(f"max_shift must be in [0, k={k}], got {max_shift}")
     states = np.asarray(states)
     if states.shape[-1] == 0:
         raise IllegalPathError("empty state path: no event to translate")
     _check_codes(states, k)
     paths = states.reshape(-1, states.shape[-1])
-    limit = k if max_shift is None else max_shift
-    lookup = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
     calls = []
     # Blocks of 16 rows, widened one at a time, keep the temporaries small.
     for first in range(0, len(paths), 16):
@@ -356,13 +391,7 @@ def path_to_sequence(states: np.ndarray, k: int, max_shift: int | None = None):
                 f"{where}events {i - 1}..{i}: {decode_kmer(int(block[row, i - 1]), k)} -> "
                 f"{decode_kmer(int(block[row, i]), k)} needs a shift beyond {limit}"
             )
-        # Row e of letters spells event e's k-mer, and the event contributes
-        # the last orders[e] of them; the rows' bases come out one after another.
-        flat = block.ravel()
-        letters = np.empty((flat.size, k), dtype=np.uint8)
-        for d in range(k):
-            letters[:, d] = lookup[(flat >> (2 * (k - 1 - d))) & 3]
-        text = letters[np.arange(k) >= k - orders.reshape(-1, 1)].tobytes().decode("ascii")
+        text = _emitted_bases(block.ravel(), orders.ravel())
         bounds = [0, *np.cumsum(orders.sum(axis=1)).tolist()]
         calls += [
             BaseCall(sequence=text[start:stop], lengths=lengths)

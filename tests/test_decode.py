@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
     aggregate_prob,
@@ -28,6 +28,7 @@ from _oracles import (
 from ensembleseed import decode
 from ensembleseed.decode import (
     BaseCall,
+    ForwardMatrix,
     IllegalPathError,
     ReadEnsemble,
     call_read,
@@ -179,6 +180,42 @@ def test_sample_paths_matches_order_by_order_traceback(mode, count):
 MODES = ["per-order", "per-transition"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    shift=st.integers(1, 3),
+    mode=st.sampled_from(MODES),
+    n_events=st.integers(1, 200),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, shift=2, mode="per-transition", n_events=200, count=300, seed=0)
+@example(k=2, shift=2, mode="per-order", n_events=101, count=163, seed=1)
+def test_sample_paths_matches_order_by_order_traceback_at_scale(
+    k, shift, mode, n_events, count, seed
+):
+    """Hundreds of draws over at most 64 states share their states at almost every
+    event, and a read longer than 4,096 // count events crosses a block of uniforms,
+    mostly part-way (the examples: 13 rows a block at 300 draws, 25 at 163). Levels,
+    events and sds keep every event within 10 sd of every level, so no forward
+    column is zero even where about a third of the per-transition edges weigh zero."""
+    rng = np.random.default_rng(seed)
+    m, max_shift = 4**k, min(shift, k)
+    pore = PoreModel(k, rng.uniform(90.0, 110.0, m), rng.uniform(2.0, 4.0, m))
+    if mode == "per-order":
+        weights = rng.uniform(0.05, 1.0, max_shift + 1)
+        trans = TransitionModel.per_order(k, weights / weights.sum())
+    else:
+        trans = TransitionModel(k, zero_edge_tables(rng, k, max_shift), mode="per-transition")
+    hmm = make_hmm(pore, trans)
+    events = EventSequence("long", rng.uniform(90.0, 110.0, n_events))
+    fwd = forward(hmm, events)
+    want = order_by_order_traceback(fwd.columns, trans.tables, k, count, seed)
+    got = sample_paths(hmm, events, fwd, count, seed=seed)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -242,6 +279,23 @@ def test_per_order_kernels_match_the_gather_on_the_same_tables(k, shift, quantis
     np.testing.assert_array_equal(fwd.log_scale_factors, want_fwd.log_scale_factors)
 
 
+def zero_edge_tables(rng, k, max_shift, quantised=False):
+    """Per-transition tables in which about a third of the edges weigh zero
+    (quantised: integer weights 0..2 before normalising, a third of them 0).
+    Every state keeps an order-1 out-edge."""
+
+    def draw(shape):
+        if quantised:
+            return rng.integers(0, 3, shape).astype(float)
+        return rng.uniform(0.0, 1.0, shape) * (rng.random(shape) > 0.3)
+
+    m = 4**k
+    raw = [draw(m)] + [draw((m, 4**j)) for j in range(1, max_shift + 1)]
+    raw[1][:, 0] += 1.0
+    rows = raw[0] + sum(t.sum(axis=1) for t in raw[1:])
+    return [raw[0] / rows] + [t / rows[:, None] for t in raw[1:]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     k=st.integers(1, 4),
@@ -261,16 +315,7 @@ def test_per_transition_viterbi_matches_the_full_pool_gather(k, shift, quantised
     else:
         pore = PoreModel(k, rng.normal(100.0, 12.0, m), rng.uniform(1.5, 3.0, m))
         means = rng.normal(100.0, 14.0, 8)
-
-    def draw(shape):
-        if quantised:
-            return rng.integers(0, 3, shape).astype(float)
-        return rng.uniform(0.0, 1.0, shape) * (rng.random(shape) > 0.3)
-
-    raw = [draw(m)] + [draw((m, 4**j)) for j in range(1, max_shift + 1)]
-    raw[1][:, 0] += 1.0  # every state keeps an out-edge
-    rows = raw[0] + sum(t.sum(axis=1) for t in raw[1:])
-    tables = [raw[0] / rows] + [t / rows[:, None] for t in raw[1:]]
+    tables = zero_edge_tables(rng, k, max_shift, quantised)
     hmm = make_hmm(pore, TransitionModel(k, tables, mode="per-transition"))
     events = EventSequence("zeros", means)
     want_states, want_joint = gather_viterbi(emission_log_matrix(hmm, events), tables, k)
@@ -593,6 +638,48 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(hmm, events, fwd, 1, seed=1)
 
+    @pytest.mark.parametrize("k,n_events,count", [(5, 1_500, 250), (2, 40, 20_000)])
+    def test_working_memory_is_the_paths_plus_a_fixed_allowance(self, k, n_events, count):
+        """Beside the returned paths (0.75 MB at k=5, 1,500 events, 250 draws) the
+        traceback holds 0.25 MB (its state table, one 32 KB block of uniforms, numpy's
+        buffers) and, per draw, its gathered row of 21 cumulative weights, their
+        comparison with u and eight vectors. Drawing the short read's uniforms at
+        once, not in blocks, would add 6.4 MB."""
+        pore = synthetic_pore_model(k, seed=1)
+        hmm = make_hmm(pore)
+        rng = np.random.default_rng(0)
+        means = rng.choice(pore.level_mean, n_events) + rng.normal(0.0, 1.0, n_events)
+        events = EventSequence("r", means)
+        fwd = forward(hmm, events)
+        sample_paths(hmm, events, fwd, 2, seed=0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            paths = sample_paths(hmm, events, fwd, count, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        width = 1 + 4 + 16
+        allowance = 0.25e6 + count * (9 * width + 8 * 8)
+        beside = peak - paths.nbytes
+        assert beside <= allowance, f"{beside / 1e6:.2f} MB beside the paths"
+
+    def test_a_draw_whose_u_rounds_up_to_its_total_takes_the_last_candidate(self):
+        """Into A, C and G the only weighted candidate is the last, T, at the smallest
+        subnormal weight, so u = U * total rounds up to the total for about half the
+        draws there: no candidate's cumulative weight exceeds u, and the draw takes T."""
+        tables = [np.full(4, 0.5), np.full((4, 4), 0.125)]
+        tables[1][3] = [5e-324, 5e-324, 5e-324, 0.5]
+        pore = PoreModel(1, [90.0, 100.0, 110.0, 120.0], [2.0] * 4)
+        hmm = make_hmm(pore, TransitionModel(1, tables, mode="per-transition"))
+        columns = np.array([[0.0, 0.0, 0.0, 1.0], [0.25] * 4])
+        fwd = ForwardMatrix(columns=columns, log_scale_factors=np.zeros(2))
+        paths = sample_paths(hmm, EventSequence("tiny", [100.0, 100.0]), fwd, 64, seed=0)
+        assert paths[:, 0].tolist() == [3] * 64
+        np.testing.assert_array_equal(paths, order_by_order_traceback(columns, tables, 1, 64, 0))
+        u = np.random.default_rng(0).random((2, 64))[1] * 5e-324
+        assert np.count_nonzero((paths[:, 1] != 3) & (u == 5e-324)) > 10
+
     def test_empirical_distribution_tracks_posterior(self):
         """Coarse screen; the tight tolerance lives in the acceptance suite."""
         hmm, events, _, joints = random_instance(17, k=1, n_events=3)
@@ -642,6 +729,14 @@ class TestPathToSequence:
         message = r"row 33, events 1\.\.2: CG -> AA needs a shift beyond 1"
         with pytest.raises(IllegalPathError, match=message):
             path_to_sequence(paths, 2, max_shift=1)
+
+    @pytest.mark.parametrize("max_shift", [-1, 3])
+    def test_max_shift_outside_zero_to_k_is_rejected(self, max_shift):
+        states = np.array([encode_kmer("AC"), encode_kmer("CG")])
+        message = rf"^max_shift must be in \[0, k=2\], got {max_shift}$"
+        with pytest.raises(ValueError, match=message) as raised:
+            path_to_sequence(states, 2, max_shift=max_shift)
+        assert not isinstance(raised.value, IllegalPathError)
 
     def test_translating_many_rows_peaks_well_under_the_path_array(self):
         """250 x 1,500 k=5 paths (3 MB of int64) translate with under 3 MB of traced
