@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kmers import STRANDS, kmer_codes, reverse_complement
+from .kmers import kmer_codes
 
 _LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
 _CHUNK = 1 << 16  # keys an index build makes at a time: bounds its temporaries
@@ -26,12 +26,11 @@ _PAST = np.iinfo(np.int64).max  # above every chaining key
 
 @dataclass
 class KmerIndex:
-    """All k-mer occurrences of both reference strands, as sorted integer keys.
+    """All k-mer occurrences of the forward reference strand, as sorted integer keys.
 
-    ``positions`` maps each strand of ``STRANDS`` to a sorted ``uint64`` array of
-    ``code << 32 | offset`` keys, codes being those of ``kmers.kmer_codes``.
-    Reverse-strand offsets are the forward coordinate of the match's left
-    endpoint, so hit positions from either strand live on one axis.
+    ``positions`` maps "+" to sorted ``uint64`` keys ``code << 32 | offset``, codes
+    being those of ``kmers.kmer_codes``. A reverse-strand match at forward offset p
+    is a forward occurrence of the query's reverse complement at p.
     """
 
     k: int
@@ -39,7 +38,7 @@ class KmerIndex:
 
 
 def build_index(reference: str, k: int) -> KmerIndex:
-    """Index every k-mer of the reference and of its reverse complement.
+    """Index every k-mer of the forward reference strand.
 
     k-mers overlapping a non-ACGT character are skipped.
     """
@@ -47,20 +46,16 @@ def build_index(reference: str, k: int) -> KmerIndex:
         raise ValueError(f"seed length must be in [1, 16], got {k}")
     if len(reference) >= 2**32:
         raise ValueError(f"reference of {len(reference)} bases exceeds 32-bit offsets")
-    positions = {}
-    for strand, seq in zip(STRANDS, (reference, reverse_complement(reference))):
-        codes = kmer_codes(seq, k)
-        keep = codes >= 0
-        keys = codes.view(np.uint64)  # in place; k=16 codes reach the int64 sign bit
-        keys <<= np.uint64(32)
-        for start in range(0, keys.size, _CHUNK):
-            offsets = np.arange(start, min(start + _CHUNK, keys.size), dtype=np.uint64)
-            if strand == "-":  # revcomp offset j covers forward bases [L-j-k, L-j)
-                offsets = np.uint64(len(reference) - k) - offsets
-            keys[start : start + _CHUNK] |= offsets
-        positions[strand] = keys if keep.all() else keys[keep]
-        positions[strand].sort()
-    return KmerIndex(k=k, positions=positions)
+    codes = kmer_codes(reference, k)
+    ambiguous = codes < 0  # before the shift: k=16 keys reach the int64 sign bit
+    keys = codes.view(np.uint64)  # in place: skipped k-mers' keys sort past the part kept
+    keys <<= np.uint64(32)
+    for start in range(0, keys.size, _CHUNK):
+        chunk = keys[start : start + _CHUNK]
+        chunk |= np.arange(start, start + chunk.size, dtype=np.uint64)
+    keys[ambiguous] = np.uint64(2**64 - 1)  # above every key: offsets stay below _LOW
+    keys.sort()
+    return KmerIndex(k=k, positions={"+": keys[: keys.size - np.count_nonzero(ambiguous)]})
 
 
 @dataclass
@@ -91,6 +86,8 @@ class EnsembleKmers:
         That holds iff its t-th occurrence lies in a row below n, so the kept
         sets nest: they shrink as t grows and grow with n.
         """
+        if t < 1:
+            raise ValueError(f"need t >= 1, got t={t}")
         tth = np.cumsum(self.support) - self.support + t - 1
         mask = self.support >= t
         mask[mask] = self.occurrences[tth[mask]] < n
@@ -141,19 +138,22 @@ def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> np.ndarray:
     """One sorted int64 row ``(query_col, ref_pos, strand index in STRANDS)`` per hit."""
     if index.k != kmers.k:
         raise ValueError(f"index k={index.k} does not match ensemble k={kmers.k}")
-    cols, codes = np.divmod(kmers.keys, 4**kmers.k)
-    order = np.argsort(codes)  # sorted queries probe the index in order
-    cols, low = cols[order], codes[order].astype(np.uint64) << np.uint64(32)
-    # a code's keys lie in [low, low | _LOW): no offset reaches _LOW
-    bounds = np.stack([low, low | _LOW], axis=1)
-    parts = []
-    for s, strand in enumerate(STRANDS):
-        keys = index.positions[strand]
-        lo, hi = np.searchsorted(keys, bounds).T
-        owner, at = _ranges(lo, hi - lo)
-        offset = (keys[at] & _LOW).astype(np.int64)
-        parts.append(np.stack([cols[owner], offset, np.full(owner.size, s)], axis=1))
-    hits = np.concatenate(parts)
+    k = kmers.k
+    cols, codes = np.divmod(kmers.keys, 4**k)
+    # query i is on strand i // cols.size: a "-" hit is a forward hit of the reverse complement
+    queries = np.concatenate([codes, np.full_like(codes, 4**k - 1)])
+    for j in range(k):  # complement base j of each code into base k - 1 - j of its "-" query
+        queries[cols.size :] ^= ((codes >> 2 * j) & 3) << 2 * (k - 1 - j)
+    packed = queries.view(np.uint64)  # in place: code << 32 | i, i being the query's index
+    packed <<= np.uint64(32)
+    packed |= np.arange(packed.size, dtype=np.uint64)
+    packed.sort()  # sorted queries probe the index in order
+    keys = index.positions["+"]
+    # a code's keys lie in [code << 32, code << 32 | _LOW): no offset reaches _LOW
+    lo = np.searchsorted(keys, packed & ~_LOW)
+    owner, at = _ranges(lo, np.searchsorted(keys, packed | _LOW) - lo)
+    strand, query = np.divmod((packed[owner] & _LOW).astype(np.int64), cols.size)
+    hits = np.stack([cols[query], (keys[at] & _LOW).astype(np.int64), strand], axis=1)
     return hits[np.lexsort(hits.T[::-1])]
 
 

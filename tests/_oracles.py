@@ -400,32 +400,33 @@ def scan_kmer_positions(reference, kmer):
 
 
 def index_keys(reference, k):
-    """Each strand's sorted ``uint64`` keys ``code << 32 | forward offset``, by a scan.
+    """The sorted forward-strand ``uint64`` keys ``code << 32 | offset``, by a scan.
 
-    A k-mer holding any character but A, C, G, T gets no key; a "-" key holds
-    the code of the reverse complement of the forward k-mer at its offset.
+    A k-mer holding any character but A, C, G, T gets no key.
     """
-    comp = {"A": "T", "C": "G", "G": "C", "T": "A"}
-    keys = {"+": [], "-": []}
+    keys = []
     for i in range(len(reference) - k + 1):
         kmer = reference[i : i + k]
-        if set(kmer) <= set(comp):
-            rc = "".join(comp[b] for b in reversed(kmer))
-            for strand, seq in (("+", kmer), ("-", rc)):
-                code = int("".join(str("ACGT".index(b)) for b in seq), 4)
-                keys[strand].append(code << 32 | i)
-    return {strand: np.array(sorted(found), dtype=np.uint64) for strand, found in keys.items()}
+        if set(kmer) <= set("ACGT"):
+            keys.append(int("".join(str("ACGT".index(b)) for b in kmer), 4) << 32 | i)
+    return np.array(sorted(keys), dtype=np.uint64)
 
 
 def index_entries(index):
-    """``{code: [(offset, strand), ...]}`` decoded from a ``KmerIndex``'s key arrays.
+    """``{code: [(offset, strand), ...]}`` decoded from a ``KmerIndex``'s forward keys.
 
+    Forward key ``code << 32 | offset`` gives its code a "+" entry at offset and
+    the code's reverse complement, spelled out as a string, a "-" entry there.
     Each code's entries are sorted by (offset, strand), as a naive scan lists them.
     """
+    comp = {"A": "T", "C": "G", "G": "C", "T": "A"}
     entries = defaultdict(list)
-    for strand, keys in index.positions.items():
-        for key in keys.tolist():
-            entries[key >> 32].append((key & 0xFFFFFFFF, strand))
+    for key in index.positions["+"].tolist():
+        code, offset = key >> 32, key & 0xFFFFFFFF
+        kmer = np.base_repr(code, 4).rjust(index.k, "0").translate(str.maketrans("0123", "ACGT"))
+        rc = "".join(comp[b] for b in reversed(kmer))
+        entries[code].append((offset, "+"))
+        entries[int("".join(str("ACGT".index(b)) for b in rc), 4)].append((offset, "-"))
     return {code: sorted(found) for code, found in entries.items()}
 
 

@@ -363,11 +363,11 @@ def test_eval_names_a_later_read_missing_from_truth_before_a_second_index(
 
 
 def test_eval_peaks_at_about_one_index(tmp_path):
-    """On a 1 Mb reference the k=13 index is 16 MB, and eval frees it before building the
+    """On a 2 Mb reference the k=13 index is 16 MB, and eval frees it before building the
     k=10 index: its traced peak stays well below the two indexes that kept both alive."""
     sim, calls = tmp_path / "sim", tmp_path / "calls"
     assert run_cli(
-        "simulate", "--model-k", 3, "--ref-length", 1_000_000, "--reads", 2,
+        "simulate", "--model-k", 3, "--ref-length", 2_000_000, "--reads", 2,
         "--events-per-read", 120, "--seed", 3, "--out-dir", sim,
     ) == 0
     assert run_cli(

@@ -76,6 +76,10 @@ class TestBuildIndex:
         # CGTT at offset 2 forward; its revcomp AACG starts the forward strand
         assert (2, "+") in index_entries(idx)[encode_kmer("CGTT")]
         assert (2, "-") in index_entries(idx)[encode_kmer("AACG")]
+        # the palindrome ACGT at offset 1 matches on both strands there
+        assert index_entries(idx)[encode_kmer("ACGT")] == [(1, "+"), (1, "-")]
+        hits = find_hits(idx, ensemble(4, {0: [encode_kmer("ACGT")]}))
+        assert as_hits(hits) == [(0, 1, "+"), (0, 1, "-")]
 
     def test_ambiguous_handling(self):
         ref = "ACGTNACGT"
@@ -86,19 +90,18 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 13, 16])
     def test_keys_equal_a_scan_bit_for_bit(self, k):
-        """Keys built in place from the codes, ambiguous k-mers dropped after; at k=16 a
-        leading G or T code reaches the top bit of its key."""
+        """Forward keys built in place from the codes, ambiguous k-mers sorted past the part
+        kept; at k=16 a leading G or T code reaches the top bit of its key."""
         rng = np.random.default_rng(k)
         for length in (0, k - 1, k, 40, 300):
             reference = "".join(rng.choice(list("ACGTNa"), length, p=[0.23] * 4 + [0.05, 0.03]))
             index = build_index(reference, k)
-            for strand, want in index_keys(reference, k).items():
-                got = index.positions[strand]
-                assert got.dtype == np.uint64 and got.tobytes() == want.tobytes(), (length, strand)
+            want, got = index_keys(reference, k), index.positions["+"]
+            assert got.dtype == np.uint64 and got.tobytes() == want.tobytes(), length
 
     def test_build_peaks_within_twice_the_held_index(self):
         """A 4.6 Mb reference (about E. coli) with a few N bases: the keys overwrite the
-        codes, and only the ambiguous k-mers' removal copies them."""
+        codes, and the ambiguous k-mers' keys sort past the part kept, so none is copied."""
         rng = np.random.default_rng(5)
         bases = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), 4_600_000)
         bases[rng.choice(bases.size, 5, replace=False)] = ord("N")
@@ -113,7 +116,7 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         held = sum(keys.nbytes for keys in index.positions.values())
-        assert held == 8 * 2 * (len(reference) - 12 - 5 * 13)
+        assert held == 8 * (len(reference) - 12 - 5 * 13)
         assert peak <= 2 * held, f"peak is {peak / held:.2f} times the index"
 
     def test_k_bounds(self):
@@ -162,6 +165,17 @@ class TestCollectEnsembleKmers:
             collect_ensemble_kmers(win, 3, n=1, t=2)
         with pytest.raises(ValueError, match="sample rows"):
             collect_ensemble_kmers(win, 3, n=2, t=1)
+
+    def test_kept_rejects_a_threshold_below_one(self):
+        """t=0 would read each key's occurrences at the key before's last row, and the
+        first key's at the last row of all."""
+        kmers = EnsembleKmers(
+            k=1, keys=np.array([0, 1]), support=np.array([1, 1]), occurrences=np.array([3, 0])
+        )
+        assert kmers.kept(1, 2).tolist() == [False, True]
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="t >= 1"):
+                kmers.kept(t, 2)
 
     def test_explicit_rows_override(self):
         win = window_stub([call("AAAA")], viterbi=call("CCCC"))
@@ -237,6 +251,34 @@ class TestFindHits:
         keys = [(h.query_col, h.ref_pos, h.strand) for h in as_hits(hits)]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_reverse_strand_hits_are_the_reverse_complements_forward_hits(k):
+    """Through ``find_hits``, each code's "-" hits are the "+" hits of its reverse
+    complement, spelled out as a string. Every code up to k=5; above, the reference's own
+    k-mers and random codes, with their reverse complements. At k=16 a code with a leading
+    G or T fills the top bit of its key."""
+
+    def complement(code):
+        return encode_kmer(reverse_complement(decode_kmer(code, k)))
+
+    rng = np.random.default_rng(k)
+    reference = "".join(rng.choice(list("ACGTN"), 3000, p=[0.24] * 4 + [0.04]))
+    if k <= 5:
+        codes = set(range(4**k))
+    else:
+        present = (reference[i : i + k] for i in rng.integers(0, len(reference) - k, 40))
+        codes = {encode_kmer(kmer) for kmer in present if "N" not in kmer}
+        codes |= set(rng.integers(0, 4**k, 40).tolist())
+    codes = sorted(codes | {complement(code) for code in codes})
+    hits = find_hits(build_index(reference, k), ensemble(k, dict(enumerate([c] for c in codes))))
+    found = {(code, strand): [] for code in codes for strand in "+-"}
+    for col, pos, strand in as_hits(hits):
+        found[codes[col], strand].append(pos)
+    for code in codes:
+        assert found[code, "-"] == found[complement(code), "+"], decode_kmer(code, k)
+    assert any(found[code, "-"] and code >= 4**k // 2 for code in codes)
 
 
 @st.composite
