@@ -189,8 +189,6 @@ def _strategies(args) -> list[StrategyConfig]:
 def cmd_eval(args) -> int:
     strategies = _strategies(args)
     check_grid(args.t, args.n, args.dedup_radius)
-    if len(set(args.t)) < len(args.t) or len(set(args.n)) < len(args.n):  # one row per point
-        raise ValueError(f"--t and --n may not repeat a value, got t={args.t}, n={args.n}")
     if args.window < 1:
         raise ValueError(f"window size must be >= 1, got {args.window}")
     records = read_fasta(args.reference)
@@ -210,9 +208,9 @@ def cmd_eval(args) -> int:
             for path, table in ((args.truth, truth), (args.true_paths, true_paths)):
                 if read_id not in table:
                     raise ValueError(f"read {read_id} missing from {path}")
-            windows = build_windows(
-                ens, truth[read_id], true_paths[read_id], args.model_k, args.window
-            )
+            # a call's first event emits its whole k-mer; build_windows refuses a call of no event
+            k = int(ens.viterbi.lengths[0]) if ens.viterbi.lengths.size else 0
+            windows = build_windows(ens, truth[read_id], true_paths[read_id], k, args.window)
             if first_pass:
                 log.info("read %s: %d windows", read_id, len(windows))
             yield from windows
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spans", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--true-paths", required=True)
-    p.add_argument("--model-k", type=int, default=5)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW_SIZE)
     p.add_argument("--seed-k", type=int, default=None,
                    help="seed length override (default: 13 single, 10 chain)")

@@ -72,7 +72,7 @@ def build_windows(
         raise IllegalPathError(f"read {ensemble.read_id}: true path, {err}") from None
     rel = np.cumsum(orders, dtype=np.int64) - k
     contig, fs, fe, strand = truth
-    if k + rel[-1] > fe - fs:
+    if k + rel[-1] != fe - fs:
         raise ValueError(
             f"read {ensemble.read_id}: true path spans {k + rel[-1]} bases, truth {fe - fs}"
         )
@@ -162,6 +162,7 @@ class StrategyConfig:
 SINGLE_13 = StrategyConfig(kind="single", seed_k=13)
 CHAIN_10 = StrategyConfig(kind="chain", seed_k=10)
 SINGLE_13_VITERBI = StrategyConfig(kind="single", seed_k=13, use_viterbi=True)
+LABELS = ("single-kmer", "chain", "single-kmer-viterbi", "chain-viterbi")  # every config's label
 
 
 @dataclass(frozen=True)
@@ -190,16 +191,20 @@ def window_points(window: Window, index: KmerIndex, config: StrategyConfig, poin
     ``points`` lists (t, n) pairs with 1 <= t <= n. Returns ``(query_col,
     ref_pos, strand, p)`` rows, p indexing ``points``, grouped by p: point
     p's hit rows, or its chains' head rows, in ``find_hits`` order. The
-    k-mers of the first max n rows are collected and looked up once, each
-    labelled by its rank so that each hit names its k-mer, and each point
-    masks the hits down to its own k-mers. Chains at a subset of hits are no
-    filter of the superset's chains, so each point is chained on its own
-    hits: one ``chain_hits`` call takes every point's, with each point's
-    columns shifted past the reach of the point before.
+    k-mers of the first max n samples (the Viterbi call in Viterbi mode) are
+    collected and looked up once, each labelled by its rank so that each hit
+    names its k-mer, and each point masks the hits down to its own k-mers
+    with ``EnsembleKmers.kept``. Chains at a subset of hits are no filter of
+    the superset's chains, so each point is chained on its own hits: one
+    ``chain_hits`` call takes every point's, with each point's columns
+    shifted past the reach of the point before.
     """
-    rows = [window.viterbi] if config.use_viterbi else None
+    need = max(n for _, n in points)
+    calls = [window.viterbi] if config.use_viterbi else window.samples
+    if need > len(calls):
+        raise ValueError(f"window has {len(calls)} sample rows, need n={need}")
     k = config.seed_k
-    kmers = collect_ensemble_kmers(window, k, max(n for _, n in points), 1, rows=rows)
+    kmers = collect_ensemble_kmers(calls[:need], k)
     cols, codes = np.divmod(kmers.keys, 4**k)
     hits = find_hits(index, replace(kmers, keys=np.arange(cols.size) * 4**k + codes))
     owner = hits[:, 0].copy()
@@ -230,11 +235,15 @@ def evaluate(
 
 
 def check_grid(t_values, n_values, radius: int) -> None:
-    """Reject a grid with some t < 1 or n < 0, or a negative dedup radius."""
+    """Reject a grid with some t < 1 or n < 0, a repeated t or n, or a negative dedup radius."""
     if min(t_values, default=1) < 1 or min(n_values, default=0) < 0:
         raise ValueError(
             f"need every t >= 1 and n >= 0 (scored where 1 <= t <= n), "
             f"got t={list(t_values)}, n={list(n_values)}"
+        )
+    if len(set(t_values)) < len(t_values) or len(set(n_values)) < len(n_values):
+        raise ValueError(  # one report row per point
+            f"--t and --n may not repeat a value, got t={list(t_values)}, n={list(n_values)}"
         )
     if radius < 0:
         raise ValueError(f"dedup radius must be >= 0, got {radius}")
@@ -252,7 +261,7 @@ def sweep(
 
     ``windows`` is any iterable, read once and counted as it is read; every
     strategy looks its seeds up in ``index``. Each window is scored in one
-    ``window_points`` pass per strategy that carries every distinct scorable
+    ``window_points`` pass per strategy that carries every scorable
     point; validity and dedup then run per point. A Viterbi-mode strategy
     scores its single Viterbi row at (1, 1) for every grid point (t and n
     only label the row), so it serves as the fixed baseline. Ensemble points
@@ -261,7 +270,7 @@ def sweep(
     """
     check_grid(t_values, n_values, radius)
     grid = [(t, n) for t in t_values for n in n_values]
-    ensemble_points = list(dict.fromkeys((t, n) for t, n in grid if t <= n))
+    ensemble_points = [(t, n) for t, n in grid if t <= n]
     plans = [[(1, 1)] if c.use_viterbi else ensemble_points for c in configs]
     scores = [{point: [0, 0] for point in points} for points in plans]  # TP, FP
     count = 0
@@ -304,7 +313,7 @@ def write_report(path, rows: list[EvalRow]) -> None:
 
 
 def load_report(path) -> list[EvalRow]:
-    """Report rows in file order; a repeated (strategy, t, n) is rejected."""
+    """Report rows in file order; an unknown strategy or a repeated (strategy, t, n) is rejected."""
     rows: dict[tuple[str, int, int], EvalRow] = {}
     types = (str, int, int, int, int, int, float, int)
     for where, fields in tsv_rows(path, REPORT_HEADER, types):
@@ -312,6 +321,8 @@ def load_report(path) -> list[EvalRow]:
             row = EvalRow(*fields)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if row.strategy not in LABELS:
+            raise ValueError(f"{where}: unknown strategy {row.strategy!r}")
         key = (row.strategy, row.t, row.n)
         if key in rows:
             raise ValueError(f"{where}: repeated row for {row.strategy} t={row.t} n={row.n}")

@@ -60,7 +60,7 @@ def build_index(reference: str, k: int) -> KmerIndex:
 
 @dataclass
 class EnsembleKmers:
-    """Thresholded ensemble k-mers as sorted ``col * 4**k + code`` keys, with their support.
+    """Ensemble k-mers as sorted ``col * 4**k + code`` keys, with their support.
 
     ``occurrences`` holds the rows (sample calls) each key occurs in,
     ascending, key after key: key i occurs in rows ``occurrences[s : s +
@@ -94,26 +94,18 @@ class EnsembleKmers:
         return mask
 
 
-def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> EnsembleKmers:
-    """k-mers supported by at least t of the first n sample calls, per event column.
+def collect_ensemble_kmers(calls, k: int) -> EnsembleKmers:
+    """Every k-mer the calls anchor, per event column, with the rows it occurs in.
 
-    ``rows`` overrides the sample calls, letting a lone Viterbi call stand in
-    as a single sample. Column c of a call anchors the k-mer starting at its
-    first base for event c, when that event emitted a base; so two calls with
-    the same bases but other event lengths anchor apart. One ``kmer_codes``
-    pass reads the n calls joined by a non-ACGT separator: a k-mer running past
-    its call's end reads -1 and is dropped.
+    Row i is ``calls[i]``. Column c of a call anchors the k-mer starting at
+    its first base for event c, when that event emitted a base; so two calls
+    with the same bases but other event lengths anchor apart. One
+    ``kmer_codes`` pass reads the calls joined by a non-ACGT separator: a
+    k-mer running past its call's end reads -1 and is dropped.
     """
-    if rows is None:
-        rows = window.samples
-    if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    if n > len(rows):
-        raise ValueError(f"window has {len(rows)} sample rows, need n={n}")
-    calls = rows[:n]
     codes = kmer_codes("N".join(call.sequence for call in calls), k)
     sizes = [call.lengths.size for call in calls]
-    row = np.repeat(np.arange(n), sizes)
+    row = np.repeat(np.arange(len(calls)), sizes)
     col = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     length = np.concatenate([call.lengths for call in calls]).astype(np.int64)
     start = np.cumsum(length) - length + row  # one separator before each later call
@@ -123,9 +115,7 @@ def collect_ensemble_kmers(window, k: int, n: int, t: int, rows=None) -> Ensembl
     keys = col[anchored] * 4**k + picked
     order = np.argsort(keys, kind="stable")  # rows ascend within each key
     keys, support = np.unique(keys[order], return_counts=True)
-    kept = support >= t
-    occurrences = row[anchored[order]][np.repeat(kept, support)]
-    return EnsembleKmers(k=k, keys=keys[kept], support=support[kept], occurrences=occurrences)
+    return EnsembleKmers(k=k, keys=keys, support=support, occurrences=row[anchored[order]])
 
 
 def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

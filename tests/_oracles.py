@@ -3,8 +3,9 @@
 Everything here trades speed for obviousness: explicit loops, explicit
 formulas, no shared code with the package beyond plain dataclass fields.
 The exceptions are ``per_point_rows``, which composes the package's own
-seeding steps one grid point at a time, and the ``two_matrix_*`` kernels,
-which keep the package's per-event step and shift tables.
+seeding steps one grid point at a time, ``thresholded_ensemble_kmers``, which
+reads k-mer codes with the package's ``kmer_codes``, and the ``two_matrix_*``
+kernels, which keep the package's per-event step and shift tables.
 """
 
 import itertools
@@ -654,10 +655,48 @@ def per_point_rows(window, index, config, t, n):
     each, the path that ``evaluate.window_points`` serves for a whole grid in
     one pass.
     """
-    from ensembleseed.seeding import chain_hits, collect_ensemble_kmers, find_hits
+    from ensembleseed.seeding import chain_hits, find_hits
 
     rows = [window.viterbi] if config.use_viterbi else None
-    hits = find_hits(index, collect_ensemble_kmers(window, config.seed_k, n, t, rows=rows))
+    hits = find_hits(index, thresholded_ensemble_kmers(window, config.seed_k, n, t, rows=rows))
     if config.kind == "single":
         return hits
     return chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]
+
+
+def thresholded_ensemble_kmers(window, k, n, t, rows=None):
+    """k-mers supported by at least t of the first n sample calls, per event column.
+
+    A collection that thresholds on its own, kept to judge ``EnsembleKmers.kept``
+    over the package's unthresholded ``collect_ensemble_kmers``. ``rows``
+    overrides the sample calls, letting a lone Viterbi call stand in as a
+    single sample. Column c of a call anchors the k-mer starting at its first
+    base for event c, when that event emitted a base. One ``kmer_codes`` pass
+    reads the n calls joined by a non-ACGT separator: a k-mer running past its
+    call's end reads -1 and is dropped.
+    """
+    from ensembleseed.kmers import kmer_codes
+    from ensembleseed.seeding import EnsembleKmers
+
+    if rows is None:
+        rows = window.samples
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    if n > len(rows):
+        raise ValueError(f"window has {len(rows)} sample rows, need n={n}")
+    calls = rows[:n]
+    codes = kmer_codes("N".join(call.sequence for call in calls), k)
+    sizes = [call.lengths.size for call in calls]
+    row = np.repeat(np.arange(n), sizes)
+    col = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    length = np.concatenate([call.lengths for call in calls]).astype(np.int64)
+    start = np.cumsum(length) - length + row  # one separator before each later call
+    anchored = np.flatnonzero((length > 0) & (start < codes.size))
+    picked = codes[start[anchored]]
+    anchored, picked = anchored[picked >= 0], picked[picked >= 0]
+    keys = col[anchored] * 4**k + picked
+    order = np.argsort(keys, kind="stable")  # rows ascend within each key
+    keys, support = np.unique(keys[order], return_counts=True)
+    kept = support >= t
+    occurrences = row[anchored[order]][np.repeat(kept, support)]
+    return EnsembleKmers(k=k, keys=keys[kept], support=support[kept], occurrences=occurrences)

@@ -16,6 +16,7 @@ from ensembleseed.cli import main
 from ensembleseed.decode import call_read, iter_basecalls, load_basecalls
 from ensembleseed.evaluate import (
     CHAIN_10,
+    EvalRow,
     StrategyConfig,
     build_windows,
     load_report,
@@ -89,7 +90,7 @@ def test_eval_and_report(pipeline, tmp_path):
     root, sim, _, calls = pipeline
     out = tmp_path / "eval"
     assert run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--seed-k", 6, "--t", "1,2", "--n", "1,3",
@@ -106,6 +107,17 @@ def test_eval_and_report(pipeline, tmp_path):
     produced = sorted(p.name for p in points.glob("points_*.tsv"))
     assert len(produced) == 8  # one file per (strategy, t)
     assert any("single-kmer_t1" in name for name in produced)
+
+
+def test_report_rejects_a_strategy_it_would_write_outside_out_dir(tmp_path, capsys):
+    """Points files are named after the strategy, so only the labels eval writes pass."""
+    report = tmp_path / "report.tsv"
+    write_report(report, [EvalRow("chain", 10, 1, 1, 1, 2, 0.5, 0)])
+    report.write_text(report.read_text() + "x/../../escaped\t10\t1\t1\t1\t2\t0.500\t0\n")
+    rc = run_cli("report", "--report", report, "--out-dir", tmp_path / "a" / "b")
+    assert rc == 2
+    assert "report.tsv:3: unknown strategy 'x/../../escaped'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["report.tsv"]
 
 
 @pytest.fixture
@@ -142,7 +154,7 @@ def test_eval_builds_one_index_per_seed_length(
 
     monkeypatch.setattr(cli, "iter_basecalls", counted_iter_basecalls)
     assert run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--n", "1,2", *seed_k, "--out-dir", tmp_path / "out",
@@ -157,7 +169,7 @@ def test_eval_reruns_are_byte_identical(pipeline, tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert run_cli(
-            "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+            "eval", "--reference", sim / "reference.fasta",
             "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
             "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
             "--window", 60, "--seed-k", 5, "--n", "1,2", "--out-dir", out,
@@ -171,7 +183,7 @@ def test_eval_rejects_t_below_one_or_negative_n(pipeline, tmp_path, capsys, t, n
     _, sim, _, calls = pipeline
     out = tmp_path / "out"
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--t", t, "--n", n, "--out-dir", out,
@@ -187,7 +199,7 @@ def test_eval_rejects_an_empty_grid_list(pipeline, tmp_path, capsys, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
         run_cli(
-            "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+            "eval", "--reference", sim / "reference.fasta",
             "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
             "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
             flag, ",", "--out-dir", out,
@@ -227,7 +239,7 @@ def test_eval_checks_strategy_flags_before_loading_calls(
     monkeypatch.setattr(cli, "iter_basecalls", unreachable)
     out = tmp_path / "out"
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 5000, *flags, "--out-dir", out,
@@ -241,7 +253,7 @@ def test_eval_rejects_a_negative_dedup_radius_with_no_window_scored(pipeline, tm
     _, sim, _, calls = pipeline
     out = tmp_path / "out"
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 5000, "--dedup-radius", -1, "--out-dir", out,
@@ -271,7 +283,7 @@ def test_eval_checks_n_against_the_calls_before_any_index(pipeline, tmp_path, ca
     monkeypatch.setattr(cli, "build_index", unreachable)
     monkeypatch.setattr(cli, "build_windows", unreachable)
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--t", "1,5", "--n", "2,4,5", "--out-dir", tmp_path / "out",
@@ -292,7 +304,7 @@ def test_eval_report_equals_one_sweep_per_strategy_over_every_window(pipeline, t
     t_values, n_values = [1, 2, 4], [0, 1, 3]
     out = tmp_path / "out"
     assert run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", window, "--seed-k", 6, "--t", "1,2,4", "--n", "0,1,3", "--out-dir", out,
@@ -330,7 +342,7 @@ def test_eval_names_a_later_read_with_too_few_samples(pipeline, tmp_path, capsys
     end = next(i for i in range(at + 1, len(fasta)) if fasta[i].startswith(">"))
     (tmp_path / "calls.fasta").write_text("".join(fasta[:at] + fasta[end:]))
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", tmp_path / "calls.fasta", "--spans", tmp_path / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--n", "3", "--out-dir", tmp_path / "out",
@@ -351,7 +363,7 @@ def test_eval_names_a_later_read_missing_from_truth_before_a_second_index(
     kept = [line for line in lines if not line.endswith("\tread0002\n")]
     (tmp_path / "truth.tsv").write_text("".join(kept))
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", tmp_path / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--out-dir", tmp_path / "out",
@@ -378,7 +390,7 @@ def test_eval_peaks_at_about_one_index(tmp_path):
     one_index = sum(keys.nbytes for keys in index.positions.values())
     del index
     peak = _traced_peak([
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
         "--window", 60, "--n", "1,2", "--out-dir", tmp_path / "eval",
@@ -421,7 +433,7 @@ def test_traced_eval_records_every_seeding_and_evaluate_layer(pipeline, tmp_path
 
     def run_eval(out):
         return run_cli(
-            "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+            "eval", "--reference", sim / "reference.fasta",
             "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
             "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
             "--window", 60, "--seed-k", 6, "--t", "1,2", "--n", "1,3", "--out-dir", out,
@@ -494,7 +506,7 @@ def test_malformed_truth_fails_cleanly(pipeline, tmp_path, capsys):
     bad = tmp_path / "truth.tsv"
     bad.write_text("not\ta\theader\n")
     rc = run_cli(
-        "eval", "--model-k", 3, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", bad, "--true-paths", sim / "true_paths.jsonl",
         "--out-dir", tmp_path / "out",
@@ -683,15 +695,42 @@ def test_train_names_non_object_true_paths_line(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("model_k", [2, 4])
 def test_eval_rejects_true_paths_of_another_k(pipeline, tmp_path, capsys, model_k):
+    """The calls are k=3, so a read0000 true path simulated at another k is refused.
+
+    Few 120-event walks at k=2 read back unambiguously; seed 22 draws one.
+    """
     _, sim, _, calls = pipeline
+    other = tmp_path / "other"
+    assert run_cli(
+        "simulate", "--model-k", model_k, "--ref-length", 5000, "--reads", 1,
+        "--events-per-read", 120, "--seed", {2: 22, 4: 99}[model_k], "--out-dir", other,
+    ) == 0
     rc = run_cli(
-        "eval", "--model-k", model_k, "--reference", sim / "reference.fasta",
+        "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
-        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", other / "true_paths.jsonl",
         "--window", 60, "--out-dir", tmp_path / "out",
     )
     assert rc == 2
     assert "ensembleseed eval: read read0000: true path" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_read_with_no_event(pipeline, tmp_path, capsys):
+    """A read's k comes from its first event: a read with none is refused, not a crash."""
+    _, sim, _, _ = pipeline
+    (tmp_path / "b.fasta").write_text(">read0000 viterbi\n\n")
+    (tmp_path / "s.jsonl").write_text(
+        '{"read_id": "read0000", "call": "viterbi", "index": null, "spans": ""}\n'
+    )
+    (tmp_path / "p.jsonl").write_text('{"read_id": "read0000", "states": [5], "log_joint": 0.0}\n')
+    rc = run_cli(
+        "eval", "--reference", sim / "reference.fasta",
+        "--basecalls", tmp_path / "b.fasta", "--spans", tmp_path / "s.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", tmp_path / "p.jsonl",
+        "--n", 0, "--out-dir", tmp_path / "out",
+    )
+    assert rc == 2
+    assert "eval: read read0000: call has 0 event spans, true path has 1" in capsys.readouterr().err
 
 
 def test_invalid_model_configuration_rejected(tmp_path, capsys):

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _corpus import alignment_identity, levenshtein
-from _oracles import Hit, edit_distance, hit_rows, loop_dedup, per_point_rows
+from _oracles import (
+    Hit,
+    edit_distance,
+    hit_rows,
+    loop_dedup,
+    per_point_rows,
+    thresholded_ensemble_kmers,
+)
 import ensembleseed.evaluate as evaluate_module
 from ensembleseed.decode import BaseCall, ReadEnsemble, StatePath, path_to_sequence
 from ensembleseed.evaluate import (
@@ -79,7 +86,8 @@ class TestBuildWindows:
             calls.append(BaseCall("".join(rng.choice(list("ACGT"), lengths.sum())), lengths))
         ensemble = ReadEnsemble("r", calls[0], calls[1:])
         true_path = StatePath(np.zeros(n_events, dtype=np.int64), 0.0)
-        wins = build_windows(ensemble, ("ref", 0, 100, "+"), true_path, 1, window_size=size)
+        # the all-A path emits one base: its first event's, every later event a split
+        wins = build_windows(ensemble, ("ref", 0, 1, "+"), true_path, 1, window_size=size)
         assert len(wins) == n_events // size
         for win in wins:
             a, b = win.event_range
@@ -106,6 +114,23 @@ class TestBuildWindows:
         assert len(build_windows(ens, read.truth, read.true_path, 3, window_size=30)) == 3
         with pytest.raises(ValueError, match=rf"read {read.read_id}: {message}"):
             build_windows(ens, read.truth, read.true_path, k, window_size=30)
+
+    @pytest.mark.parametrize("wider", [(0, 1), (1, 0), (-1, 0), (0, -1)])
+    def test_true_path_and_truth_must_span_alike(self, wider):
+        """A truth interval a base longer or shorter than the true path is refused either way:
+        a shorter path would cut every window's truth interval off the read's."""
+        hmm = make_hmm(synthetic_pore_model(3, seed=19))
+        _, (read,) = simulate_corpus(
+            hmm, reference_length=5000, read_count=1, events_per_read=90, seed=61
+        )
+        ens = ReadEnsemble(read.read_id, path_to_sequence(read.true_path.states, 3), [])
+        contig, fs, fe, strand = read.truth
+        truth = (contig, fs - wider[0], fe + wider[1], strand)
+        spans = fe - fs
+        with pytest.raises(
+            ValueError, match=rf"true path spans {spans} bases, truth {spans + sum(wider)}$"
+        ):
+            build_windows(ens, truth, read.true_path, 3, window_size=30)
 
     @pytest.mark.parametrize("strand", ["+", "-"])
     def test_truth_intervals_cover_window_kmers(self, strand):
@@ -249,6 +274,18 @@ def test_window_points_viterbi_mode_ignores_samples(scored_corpus):
     assert not pts[:, 3].any(), "every row belongs to the one point"
 
 
+def test_window_points_needs_n_sample_rows():
+    """An ensemble point reads the first n samples; Viterbi mode reads the Viterbi call alone."""
+    aacc = BaseCall("AACC", [4])
+    index = build_index("TTAACCGA", 4)
+    win = Window("w", (0, 1), aacc, [aacc], (2, 6, "+"))
+    with pytest.raises(ValueError, match="window has 1 sample rows, need n=2"):
+        window_points(win, index, StrategyConfig(kind="single", seed_k=4), [(1, 1), (1, 2)])
+    lone = Window("w", (0, 1), aacc, [], (2, 6, "+"))
+    viterbi = StrategyConfig(kind="single", seed_k=4, use_viterbi=True)
+    assert window_points(lone, index, viterbi, [(1, 1)]).tolist() == [[0, 2, 0, 0]]
+
+
 def mutated_call(rng, reference, events, error):
     """A call of ``events`` events, 0-3 bases each, copied from the reference with errors."""
     lengths = rng.integers(0, 4, events)
@@ -297,11 +334,11 @@ def test_one_pass_matches_scoring_each_point_alone(
     found = window_points(window, index, config, points)
     assert found.dtype == np.int64 and found.shape[1] == 4
     assert np.all(np.diff(found[:, 3]) >= 0)
-    widest = collect_ensemble_kmers(window, k, samples, 1)
+    widest = collect_ensemble_kmers(window.samples, k)
     for p, (t, n) in enumerate(points):
         expected = per_point_rows(window, index, config, t, n)
         assert np.array_equal(found[found[:, 3] == p, :3], expected), (t, n)
-        alone = collect_ensemble_kmers(window, k, n, t)
+        alone = thresholded_ensemble_kmers(window, k, n, t)
         assert np.array_equal(widest.keys[widest.kept(t, n)], alone.keys)
 
 
@@ -343,11 +380,14 @@ def test_sweep_scores_each_distinct_point_once(scored_corpus, monkeypatch):
     assert len(rows) == 4
     assert calls == [(w.window_id, [(1, 1)]) for w in windows]
     calls.clear()
-    rows = sweep(windows, index, [SINGLE_13], [1, 2, 3], [0, 2, 2])
-    assert len(rows) == 9
-    # one call per window carries (1, 2) and (2, 2) once each; n = 0 and t > n score
-    # zero without running
+    rows = sweep(windows, index, [SINGLE_13], [1, 2, 3], [0, 2])
+    assert len(rows) == 6
+    # one call per window carries (1, 2) and (2, 2); n = 0 and t > n score zero without running
     assert calls == [(w.window_id, [(1, 2), (2, 2)]) for w in windows]
+    calls.clear()
+    with pytest.raises(ValueError, match=r"may not repeat a value, got t=\[1, 2, 3\], n=\[0, 2, 2"):
+        sweep(windows, index, [SINGLE_13], [1, 2, 3], [0, 2, 2])
+    assert calls == []
 
 
 def test_sweep_rejects_threshold_below_one(scored_corpus):
@@ -442,6 +482,7 @@ def test_alignment_identity():
         ("chain\t10\t1\t2\t-3\t2\t0.000\t0", "need 0 <= TP <= windows, got TP -3 of 2"),
         ("chain\t10\t1\t2\t7\t2\t1.000\t0", "need 0 <= TP <= windows, got TP 7 of 2"),
         ("chain\t10\t1\t1\t1\t2\t0.500\t0", "repeated row for chain t=1 n=1"),
+        ("x/../../escaped\t10\t1\t1\t1\t2\t0.500\t0", r"unknown strategy 'x/\.\./\.\./escaped'"),
     ],
 )
 def test_load_report_names_malformed_line(tmp_path, row, message):

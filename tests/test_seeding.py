@@ -1,5 +1,5 @@
 import tracemalloc
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +28,6 @@ from ensembleseed.seeding import (
     find_hits,
 )
 from ensembleseed.simulate import generate_reference
-
-
-def window_stub(samples, viterbi=None):
-    return SimpleNamespace(samples=samples, viterbi=viterbi)
 
 
 def ensemble(k, per_column):
@@ -126,11 +122,16 @@ class TestBuildIndex:
             build_index("ACGT", 17)
 
 
+def kept_columns(kmers, t, n):
+    """``per_column`` of the keys kept at (t, n)."""
+    mask = kmers.kept(t, n)
+    return replace(kmers, keys=kmers.keys[mask], support=kmers.support[mask]).per_column
+
+
 class TestCollectEnsembleKmers:
     def test_anchoring_skips_gap_only_events(self):
         # three events; the middle one emits nothing in the second call
-        win = window_stub([call("AC", "GT", "AC"), call("AC", "", "TA")])
-        got = collect_ensemble_kmers(win, 3, n=2, t=1)
+        got = collect_ensemble_kmers([call("AC", "GT", "AC"), call("AC", "", "TA")], 3)
         assert got.per_column[0] == {encode_kmer("ACG"): 1, encode_kmer("ACT"): 1}
         # column 1 anchored only by the first call ("GTA")
         assert got.per_column[1] == {encode_kmer("GTA"): 1}
@@ -138,11 +139,9 @@ class TestCollectEnsembleKmers:
         assert 2 not in got.per_column
 
     def test_support_threshold(self):
-        win = window_stub([call("ACGT"), call("ACGT"), call("TCGT")])
-        loose = collect_ensemble_kmers(win, 4, n=3, t=1)
-        tight = collect_ensemble_kmers(win, 4, n=3, t=2)
-        assert loose.per_column[0] == {encode_kmer("ACGT"): 2, encode_kmer("TCGT"): 1}
-        assert tight.per_column[0] == {encode_kmer("ACGT"): 2}
+        kmers = collect_ensemble_kmers([call("ACGT"), call("ACGT"), call("TCGT")], 4)
+        assert kmers.per_column[0] == {encode_kmer("ACGT"): 2, encode_kmer("TCGT"): 1}
+        assert kept_columns(kmers, 2, 3)[0] == {encode_kmer("ACGT"): 2}
 
     def test_threshold_nesting(self):
         rng = np.random.default_rng(2)
@@ -150,21 +149,19 @@ class TestCollectEnsembleKmers:
         for _ in range(6):
             lengths = rng.integers(0, 11, 4)
             samples.append(BaseCall("".join(rng.choice(list("ACGT"), lengths.sum())), lengths))
-        win = window_stub(samples)
+        kmers = collect_ensemble_kmers(samples, 5)
         prev = None
         for t in (1, 2, 3):
-            cur = collect_ensemble_kmers(win, 5, n=6, t=t)
+            cur = kept_columns(kmers, t, 6)
             if prev is not None:
-                for col, kept in cur.per_column.items():
-                    assert set(kept) <= set(prev.per_column.get(col, {}))
+                for col, kept in cur.items():
+                    assert set(kept) <= set(prev.get(col, {}))
             prev = cur
 
-    def test_parameter_validation(self):
-        win = window_stub([call("ACGT")])
-        with pytest.raises(ValueError, match="1 <= t <= n"):
-            collect_ensemble_kmers(win, 3, n=1, t=2)
-        with pytest.raises(ValueError, match="sample rows"):
-            collect_ensemble_kmers(win, 3, n=2, t=1)
+    def test_threshold_above_n_keeps_nothing(self):
+        kmers = collect_ensemble_kmers([call("ACGT")], 3)
+        assert kmers.kept(1, 1).all()
+        assert not kmers.kept(2, 1).any()
 
     def test_kept_rejects_a_threshold_below_one(self):
         """t=0 would read each key's occurrences at the key before's last row, and the
@@ -177,30 +174,28 @@ class TestCollectEnsembleKmers:
             with pytest.raises(ValueError, match="t >= 1"):
                 kmers.kept(t, 2)
 
-    def test_explicit_rows_override(self):
-        win = window_stub([call("AAAA")], viterbi=call("CCCC"))
-        got = collect_ensemble_kmers(win, 4, n=1, t=1, rows=[win.viterbi])
-        assert got.per_column[0] == {encode_kmer("CCCC"): 1}
+    def test_rows_are_the_given_calls(self):
+        got = collect_ensemble_kmers([call("CCCC"), call("AAAA")], 4)
+        assert got.per_column[0] == {encode_kmer("CCCC"): 1, encode_kmer("AAAA"): 1}
+        assert kept_columns(got, 1, 1)[0] == {encode_kmer("CCCC"): 1}
 
     def test_same_bases_with_other_lengths_anchor_apart(self):
         """Anchors follow each call's event lengths, not only its sequence text."""
         even, skewed = call("AC", "GT", "AC"), call("A", "C", "GTAC")
-        win = window_stub([even, skewed])
-        assert collect_ensemble_kmers(win, 3, n=1, t=1).per_column == {
+        assert collect_ensemble_kmers([even], 3).per_column == {
             0: {encode_kmer("ACG"): 1},
             1: {encode_kmer("GTA"): 1},
         }
-        assert collect_ensemble_kmers(win, 3, n=1, t=1, rows=[skewed]).per_column == {
+        assert collect_ensemble_kmers([skewed], 3).per_column == {
             0: {encode_kmer("ACG"): 1},
             1: {encode_kmer("CGT"): 1},
             2: {encode_kmer("GTA"): 1},
         }
-        both = collect_ensemble_kmers(win, 3, n=2, t=2).per_column
+        both = kept_columns(collect_ensemble_kmers([even, skewed], 3), 2, 2)
         assert both == {0: {encode_kmer("ACG"): 2}}
 
     def test_kmers_over_non_acgt_bases_are_dropped(self):
-        win = window_stub([call("A", "C", "N", "G", "T")])
-        got = collect_ensemble_kmers(win, 2, n=1, t=1).per_column
+        got = collect_ensemble_kmers([call("A", "C", "N", "G", "T")], 2).per_column
         assert got == {0: {encode_kmer("AC"): 1}, 3: {encode_kmer("GT"): 1}}
 
 
@@ -219,7 +214,7 @@ def test_row_anchor_codes_match_string_slicing(events, k):
     """
     padded = [piece + "-" * pad for piece, pad in events]
     offsets = np.cumsum([0, *map(len, padded)])
-    got = collect_ensemble_kmers(window_stub([call(*(p for p, _ in events))]), k, n=1, t=1)
+    got = collect_ensemble_kmers([call(*(p for p, _ in events))], k)
     assert all(list(kept.values()) == [1] for kept in got.per_column.values())
     decoded = {col: decode_kmer(code, k) for col, kept in got.per_column.items() for code in kept}
     assert decoded == anchor_kmers("".join(padded), offsets, k)
