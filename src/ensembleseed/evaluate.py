@@ -190,14 +190,15 @@ def window_points(window: Window, index: KmerIndex, config: StrategyConfig, poin
 
     ``points`` lists (t, n) pairs with 1 <= t <= n. Returns ``(query_col,
     ref_pos, strand, p)`` rows, p indexing ``points``, grouped by p: point
-    p's hit rows, or its chains' head rows, in ``find_hits`` order. The
-    k-mers of the first max n samples (the Viterbi call in Viterbi mode) are
-    collected and looked up once, each labelled by its rank so that each hit
-    names its k-mer, and each point masks the hits down to its own k-mers
-    with ``EnsembleKmers.kept``. Chains at a subset of hits are no filter of
+    p's hit rows, or the distinct rows that start a chain among them, in
+    ``find_hits`` order. The k-mers of the first max n samples (the Viterbi
+    call in Viterbi mode) are collected and looked up once, each labelled by
+    its rank so that each hit names its k-mer, and each point masks the hits
+    down to its own k-mers with ``EnsembleKmers.kept``. Chains at a subset of hits are no filter of
     the superset's chains, so each point is chained on its own hits: one
     ``chain_hits`` call takes every point's, with each point's columns
-    shifted past the reach of the point before.
+    shifted past the reach of the point before; a gap so wide that the
+    shifted columns would pass int64 is a ``ValueError``.
     """
     need = max(n for _, n in points)
     calls = [window.viterbi] if config.use_viterbi else window.samples
@@ -216,8 +217,10 @@ def window_points(window: Window, index: KmerIndex, config: StrategyConfig, poin
     if config.kind == "single":
         return np.column_stack([hits, point])
     stride = window.event_range[1] - window.event_range[0] + config.max_gap + 1
+    if len(points) * stride > np.iinfo(np.int64).max:
+        raise ValueError(f"max_gap={config.max_gap} is too wide: shifted columns would pass int64")
     hits[:, 0] += point * stride
-    heads = chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]
+    heads = chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)
     point, col = np.divmod(heads[:, 0], stride)
     return np.column_stack([col, heads[:, 1:], point])
 

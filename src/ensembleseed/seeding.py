@@ -154,44 +154,39 @@ def _starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _batches(open_: np.ndarray, lo: np.ndarray, hi: np.ndarray, spread: bool):
+def _batches(open_: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """``(hit, candidate)`` pairs of the open hits, hit i's candidates running from lo[i] to hi[i].
 
-    Each pass gives every open hit its next candidates, in order: with
-    ``spread``, an equal share of ``_PAIRS`` (at least one), so a hit that
-    the caller closes early tests few; without, all of them. A batch holds
-    consecutive hits' pairs, at most ``_PAIRS``. A hit leaves once its
-    candidates run out or the caller clears ``open_[i]`` between batches.
-    ``lo`` is advanced in place.
+    Each pass gives every open hit an equal share of ``_PAIRS`` (at least
+    one) of its next candidates, in order, so a hit that the caller closes
+    early tests few. A batch holds consecutive hits' pairs, at most
+    ``_PAIRS``. A hit leaves once its candidates run out or the caller clears
+    ``open_[i]`` between batches. ``lo`` is advanced in place.
     """
     todo = np.flatnonzero(open_ & (lo < hi))
     while todo.size:
-        share = max(_PAIRS // todo.size, 1) if spread else _PAIRS
-        first = 0
-        while first < todo.size:
+        share = max(_PAIRS // todo.size, 1)  # share * len(part) <= _PAIRS
+        for first in range(0, todo.size, _PAIRS):
             part = todo[first : first + _PAIRS]
             count = np.minimum(hi[part] - lo[part], share)
-            fit = np.searchsorted(np.cumsum(count), _PAIRS, side="right")  # share <= _PAIRS
-            part, count = part[:fit], count[:fit]
             owner, at = _ranges(lo[part], count)
             yield part[owner], at
             lo[part] += count
-            first += fit
         todo = todo[open_[todo] & (lo[todo] < hi[todo])]
 
 
-def _links(col, walk, key, span: int, least: int, max_gap: int) -> np.ndarray:
-    """Each hit's least linked successor, as an index, or ``col.size`` where it has none.
+def _linked(col, walk, key, span: int, least: int, max_gap: int) -> np.ndarray:
+    """Mask of the hits that have a linked successor among these hits.
 
     Hits come sorted by ``key = col * span + walk``, walk being nonnegative and
     below ``span - max_gap``. Hit j succeeds hit i when both its column and
-    its walk exceed i's by ``least`` to ``max_gap``; the least such j has the
-    least (column, walk). It is searched along whichever axis holds fewer
-    candidates for i: the occupied columns in range, each probed for its first
-    hit at or past the start of the walk range, or the hits whose walk is in range.
+    its walk exceed i's by ``least`` to ``max_gap``. It is searched along
+    whichever axis holds fewer candidates for i: the occupied columns in
+    range, each probed for its first hit at or past the start of the walk
+    range, or the hits whose walk is in range, each tested for its column.
+    Either search stops at i's first link.
     """
-    n = col.size
-    by_walk = np.argsort(walk)  # the order of equal walks does not matter: links are minima
+    by_walk = np.argsort(walk)  # the order of equal walks does not matter: any link will do
     ordered = walk[by_walk]
     walk_lo, walk_hi = np.empty_like(by_walk), np.empty_like(by_walk)
     walk_lo[by_walk] = np.searchsorted(ordered, ordered + least)  # sorted probes search fastest
@@ -205,41 +200,33 @@ def _links(col, walk, key, span: int, least: int, max_gap: int) -> np.ndarray:
     lo[walked], hi[walked] = walk_lo[walked], walk_hi[walked]  # each hit keeps its own axis
     del walk_lo, walk_hi
     key = np.append(key, _PAST)  # a probe past every key finds _PAST
-    link = np.full(n, n)
-    for a, at in _batches(columns, lo, hi, spread=True):  # columns ascend: the first link is least
+    for a, at in _batches(columns, lo, hi):
         probe = occupied[at] * span + (walk[a] + least)
         j = np.searchsorted(key, probe)
-        linked = key[j] - probe <= max_gap - least  # j in that column, walk in range
-        a, j = a[linked], j[linked]
-        first = _starts(a)
-        link[a[first]] = j[first]
-        columns[a] = False
-    for a, at in _batches(walked, lo, hi, spread=False):  # a minimum needs every candidate
-        j = by_walk[at]
-        gap = col[j] - col[a]
-        j = np.where((gap >= least) & (gap <= max_gap), j, n)
-        first = np.flatnonzero(_starts(a))
-        a = a[first]
-        link[a] = np.minimum(link[a], np.minimum.reduceat(j, first))
-    return link
+        columns[a[key[j] - probe <= max_gap - least]] = False  # j in that column, walk in range
+    for a, at in _batches(walked, lo, hi):
+        gap = col[by_walk[at]] - col[a]
+        walked[a[(gap >= least) & (gap <= max_gap)]] = False
+    return ~(columns | walked)  # a hit leaves its axis' open set only at a link
 
 
 def chain_hits(
     hits: np.ndarray, length: int = 3, min_gap: int = 10, max_gap: int = 50
 ) -> np.ndarray:
-    """All maximal-credit chains of ``find_hits`` rows, one per distinct leftmost hit.
+    """The distinct ``find_hits`` rows that start a chain, sorted as ``find_hits`` sorts.
 
     A chain is ``length`` same-strand hits with strictly increasing coordinates
     in the match's own frame, adjacent start distances in [min_gap, max_gap] on
     both axes; the two distances may differ. Hit positions are forward-strand
     left endpoints, so colinear reverse-strand matches run right to left on the
     reference: for a "-" pool the reference distance is taken in walk
-    direction, earlier minus later. When several chains share a leftmost hit
-    only one (the lexicographically first) is kept. Returns a
-    ``(chains, length, 3)`` array of hit rows, sorted by leftmost hit.
+    direction, earlier minus later. Returns a ``(heads, 3)`` array of hit
+    rows, one per distinct row that starts a chain.
 
-    Each round searches every surviving hit's successor along the axis that
-    offers it fewer candidates (see ``_links``), at most ``_PAIRS`` pairs at a time.
+    Round d keeps the hits that start a chain of d hits: those with a linked
+    successor among round d-1's survivors, searched along the axis that offers
+    each fewer candidates (see ``_linked``), at most ``_PAIRS`` pairs at a time.
+    A gap so wide that a chaining key would pass int64 is a ``ValueError``.
     """
     if length < 1:
         raise ValueError(f"chain length must be >= 1, got {length}")
@@ -256,21 +243,13 @@ def chain_hits(
         # One key per distinct hit, sorted as (column, walk) is, so a search for
         # a column and a walk coordinate finds that column's first hit at or past it.
         span = int(walk.max(initial=0)) + max_gap + 1
+        if (int(col.max(initial=0)) + 1) * span > _PAST:  # every key and probe stays below it
+            raise ValueError(f"max_gap={max_gap} is too wide: chaining keys would pass int64")
         key, first = np.unique(col * span + walk, return_index=True)
         pool, col, walk = pool[first], col[first], walk[first]
-        # Round d keeps the hits that start a chain of d hits, each with its
-        # least linked successor among round d-1's survivors; a chain of d
-        # hits starts a chain of d-1, so only those are scanned.
         alive = np.arange(pool.size)
-        steps = []
-        for _ in range(length - 1):
-            link = _links(col[alive], walk[alive], key[alive], span, least, max_gap)
-            heads = np.flatnonzero(link < alive.size)
-            steps.append((alive[heads], alive[link[heads]]))
-            alive = alive[heads]
-        members = [alive]
-        for survivors, successor in reversed(steps):
-            members.append(successor[np.searchsorted(survivors, members[-1])])
-        parts.append(pool[np.stack(members, axis=1)])
-    rows = np.concatenate(parts)  # each chain's hit indices: sort them before taking the rows
-    return hits[rows[np.lexsort(hits[rows[:, 0]].T[::-1])]]
+        for _ in range(length - 1):  # a chain of d hits starts a chain of d-1
+            alive = alive[_linked(col[alive], walk[alive], key[alive], span, least, max_gap)]
+        parts.append(pool[alive])
+    heads = hits[np.concatenate(parts)]
+    return heads[np.lexsort(heads.T[::-1])]

@@ -661,7 +661,7 @@ def per_point_rows(window, index, config, t, n):
     hits = find_hits(index, thresholded_ensemble_kmers(window, config.seed_k, n, t, rows=rows))
     if config.kind == "single":
         return hits
-    return chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)[:, 0]
+    return chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)
 
 
 def thresholded_ensemble_kmers(window, k, n, t, rows=None):

@@ -233,7 +233,7 @@ def test_criterion_06_seeding_oracles():
     )
     got = {
         (c.query_col, c.ref_pos, c.strand)
-        for c in as_hits(chain_hits(hit_rows(hits), length=3, min_gap=10, max_gap=50)[:, 0])
+        for c in as_hits(chain_hits(hit_rows(hits), length=3, min_gap=10, max_gap=50))
     }
     want = {
         (t[0].query_col, t[0].ref_pos, t[0].strand)

@@ -263,6 +263,24 @@ def test_eval_rejects_a_negative_dedup_radius_with_no_window_scored(pipeline, tm
     assert not (out / "report.tsv").exists()
 
 
+def test_eval_rejects_a_gap_too_wide_for_the_grid_chaining_keys(pipeline, tmp_path, capsys):
+    """One point chains at --max-gap 10**12; five points' shifted columns would give
+    chaining keys past int64, and eval exits 2 instead of scoring wrapped keys."""
+    _, sim, _, calls = pipeline
+    args = [
+        "eval", "--reference", sim / "reference.fasta",
+        "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
+        "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
+        "--window", 60, "--max-gap", 10**12,
+    ]
+    assert run_cli(*args, "--out-dir", tmp_path / "one") == 0
+    out = tmp_path / "grid"
+    assert run_cli(*args, "--t", "1,2", "--n", "1,2,3", "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert "ensembleseed eval: max_gap=1000000000000 is too wide: chaining keys" in err
+    assert not (out / "report.tsv").exists()
+
+
 def test_simulate_rejects_an_empty_order_probs_list(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:

@@ -286,6 +286,18 @@ def test_window_points_needs_n_sample_rows():
     assert window_points(lone, index, viterbi, [(1, 1)]).tolist() == [[0, 2, 0, 0]]
 
 
+def test_window_points_rejects_a_gap_whose_column_shift_would_wrap():
+    """Point p's columns are shifted by p * (window + max_gap + 1): with max_gap = 2**62
+    one point chains, and three would shift past int64."""
+    aacc = BaseCall("AACC", [4])
+    index = build_index("TTAACCGA", 4)
+    win = Window("w", (0, 1), aacc, [aacc, aacc], (2, 6, "+"))
+    config = StrategyConfig(kind="chain", seed_k=4, chain_len=1, max_gap=2**62)
+    assert window_points(win, index, config, [(1, 1)]).tolist() == [[0, 2, 0, 0]]
+    with pytest.raises(ValueError, match=f"max_gap={2**62} is too wide: shifted columns"):
+        window_points(win, index, config, [(1, 1), (1, 2), (2, 2)])
+
+
 def mutated_call(rng, reference, events, error):
     """A call of ``events`` events, 0-3 bases each, copied from the reference with errors."""
     lengths = rng.integers(0, 4, events)

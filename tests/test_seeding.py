@@ -43,11 +43,11 @@ def call(*pieces):
     return BaseCall("".join(pieces), [len(p) for p in pieces])
 
 
-def chains_of(hits, *args, **kwargs):
-    """``chain_hits`` on the rows of ``Hit`` tuples, each chain read back as a tuple of them."""
-    chains = chain_hits(hit_rows(hits), *args, **kwargs)
-    assert chains.dtype == np.int64 and chains.ndim == 3 and chains.shape[2] == 3
-    return [tuple(as_hits(c)) for c in chains]
+def heads_of(hits, *args, **kwargs):
+    """``chain_hits`` on the rows of ``Hit`` tuples, its head rows read back as ``Hit`` tuples."""
+    heads = chain_hits(hit_rows(hits), *args, **kwargs)
+    assert heads.dtype == np.int64 and heads.ndim == 2 and heads.shape[1] == 3
+    return as_hits(heads)
 
 
 class TestBuildIndex:
@@ -321,31 +321,31 @@ def test_index_lookup_matches_reference_scan(case):
 class TestChainHits:
     def test_forward_example(self):
         hits = [Hit(0, 100, "+"), Hit(15, 118, "+"), Hit(32, 140, "+")]
-        chains = chains_of(hits)
-        assert len(chains) == 1
-        assert chains[0][0] == Hit(0, 100, "+")
-        assert chain_hits(hit_rows(hits)).shape == (1, 3, 3)
-        assert chain_hits(hit_rows([]), length=4).shape == (0, 4, 3)
+        heads = heads_of(hits)
+        assert len(heads) == 1
+        assert heads[0] == Hit(0, 100, "+")
+        assert chain_hits(hit_rows(hits)).shape == (1, 3)
+        assert chain_hits(hit_rows([]), length=4).shape == (0, 3)
 
     def test_gap_bounds_enforced(self):
         base = [Hit(0, 100, "+"), Hit(15, 118, "+")]
-        assert chains_of(base + [Hit(70, 140, "+")]) == []  # query gap 55 > 50
-        assert chains_of(base + [Hit(32, 170, "+")]) == []  # ref gap 52 > 50
-        assert chains_of(base + [Hit(24, 125, "+")]) == []  # ref gap 7 < 10
+        assert heads_of(base + [Hit(70, 140, "+")]) == []  # query gap 55 > 50
+        assert heads_of(base + [Hit(32, 170, "+")]) == []  # ref gap 52 > 50
+        assert heads_of(base + [Hit(24, 125, "+")]) == []  # ref gap 7 < 10
 
     def test_reverse_strand_chains_run_backwards_on_reference(self):
         """A minus-strand walk advances leftwards in forward coordinates."""
         dec = [Hit(0, 200, "-"), Hit(15, 182, "-"), Hit(32, 160, "-")]
-        chains = chains_of(dec)
-        assert len(chains) == 1
-        assert chains[0][0] == Hit(0, 200, "-")
+        heads = heads_of(dec)
+        assert len(heads) == 1
+        assert heads[0] == Hit(0, 200, "-")
         # the same shape with ascending reference positions cannot chain on "-"
         inc = [Hit(0, 100, "-"), Hit(15, 118, "-"), Hit(32, 140, "-")]
-        assert chains_of(inc) == []
+        assert heads_of(inc) == []
 
     def test_strands_do_not_mix(self):
         hits = [Hit(0, 100, "+"), Hit(15, 118, "-"), Hit(32, 140, "+")]
-        assert chains_of(hits) == []
+        assert heads_of(hits) == []
 
     def test_one_chain_per_leftmost(self):
         hits = [
@@ -354,24 +354,28 @@ class TestChainHits:
             Hit(15, 120, "+"),
             Hit(32, 140, "+"),
         ]
-        chains = chains_of(hits)
-        assert len(chains) == 1
-        # lexicographically first witness: the (15, 118) middle hit
-        assert chains[0][1] == Hit(15, 118, "+")
+        assert len(heads_of(hits)) == 1
 
     def test_duplicate_hits_collapse(self):
         hits = [Hit(0, 100, "+"), Hit(0, 100, "+"), Hit(15, 118, "+"),
                 Hit(32, 140, "+")]
-        assert len(chains_of(hits)) == 1
+        assert len(heads_of(hits)) == 1
 
     def test_length_one_and_validation(self):
         hits = [Hit(4, 9, "+")]
-        chains = chains_of(hits, length=1)
-        assert chains == [(Hit(4, 9, "+"),)]
+        assert heads_of(hits, length=1) == [Hit(4, 9, "+")]
         with pytest.raises(ValueError):
-            chains_of(hits, length=0)
+            heads_of(hits, length=0)
         with pytest.raises(ValueError):
-            chains_of(hits, min_gap=20, max_gap=10)
+            heads_of(hits, min_gap=20, max_gap=10)
+
+    def test_a_gap_too_wide_for_int64_keys_is_rejected(self):
+        """33 columns of keys ``col * span + walk`` with span above 10**18 would pass
+        int64 and wrap, and the chain below would be lost."""
+        hits = [Hit(0, 100, "+"), Hit(15, 118, "+"), Hit(32, 140, "+")]
+        assert heads_of(hits, max_gap=10**17) == [Hit(0, 100, "+")]
+        with pytest.raises(ValueError, match="max_gap=1000000000000000000 is too wide"):
+            heads_of(hits, max_gap=10**18)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force_triples(self, seed):
@@ -388,16 +392,12 @@ class TestChainHits:
                 for _ in range(count)
             }
         )
-        got = chains_of(hits, length=3, min_gap=10, max_gap=50)
+        got = heads_of(hits, length=3, min_gap=10, max_gap=50)
         triples = chain_triples(hits, 10, 50)
         want_leftmost = {(t[0].query_col, t[0].ref_pos, t[0].strand) for t in triples}
-        got_leftmost = {(c[0].query_col, c[0].ref_pos, c[0].strand) for c in got}
+        got_leftmost = {(h.query_col, h.ref_pos, h.strand) for h in got}
         assert got_leftmost == want_leftmost
         assert len(got) == len(got_leftmost)
-        # every reported chain must itself be a witnessed triple
-        valid = {tuple((h.query_col, h.ref_pos, h.strand) for h in t) for t in triples}
-        for c in got:
-            assert tuple((h.query_col, h.ref_pos, h.strand) for h in c) in valid
 
 
 def axis_candidates(rows, min_gap, max_gap):
@@ -450,7 +450,42 @@ def test_chaining_in_one_pair_batches_on_both_axes_matches_reach_traceback(monke
     assert_both_axes(hit_rows(hits), 10, 50)
     monkeypatch.setattr(seeding, "_PAIRS", 1)
     for length in (2, 3, 4):
-        assert chains_of(hits, length) == reach_chains(hits, length, 10, 50)
+        assert heads_of(hits, length) == [c[0] for c in reach_chains(hits, length, 10, 50)]
+
+
+def test_the_walk_axis_stops_at_the_first_link(monkeypatch):
+    """A hit whose first walk candidate links tests that one pair and no more.
+
+    Per group and strand, hit A has four candidates in its walk range: B at
+    the least walk, which links, and three hits a column or two past A, which
+    do not. Far-off hits fill every column in A's range, so A searches its walk
+    range. No other hit has a walk candidate, so in one pair batches each A
+    is the only hit that tests a pair.
+    """
+    hits, heads = [], []
+    for group in range(6):
+        for strand, sign in (("+", 1), ("-", -1)):
+            def add(q, w):
+                hits.append(Hit(200 * group + q, 50_000 + sign * (1_000 * group + w), strand))
+
+            add(0, 0)
+            heads.append(hits[-1])
+            add(10, 10)  # B
+            for q, w in ((1, 11), (1, 12), (2, 13)):
+                add(q, w)
+            for q in range(11, 51):
+                add(q, 500)
+    by_col, by_walk = axis_candidates(hit_rows(hits), 10, 50)
+    assert sorted(by_walk[by_walk > 0].tolist()) == [4] * 12
+    assert (by_col[by_walk > 0] > 4).all(), "every A searches its walk range"
+    monkeypatch.setattr(seeding, "_PAIRS", 1)
+    pairs = []
+    ranges = seeding._ranges
+    monkeypatch.setattr(
+        seeding, "_ranges", lambda lo, count: pairs.append(int(count.sum())) or ranges(lo, count)
+    )
+    assert heads_of(hits, 2) == sorted(heads, key=lambda h: (h.query_col, h.ref_pos, h.strand))
+    assert sum(pairs) == 12
 
 
 @st.composite
@@ -477,10 +512,10 @@ def chain_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(chain_instances())
 def test_chain_hits_match_reach_traceback(case):
-    """Same chains, same hits in each and same order as longest reach plus traceback."""
+    """Same heads, in the same order, as longest reach plus traceback."""
     hits, length, min_gap, max_gap = case
-    got = chains_of(hits, length, min_gap, max_gap)
-    assert got == reach_chains(hits, length, min_gap, max_gap)
+    got = heads_of(hits, length, min_gap, max_gap)
+    assert got == [c[0] for c in reach_chains(hits, length, min_gap, max_gap)]
 
 
 @st.composite
@@ -528,12 +563,12 @@ def two_axis_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(two_axis_instances())
 def test_chain_hits_match_the_column_search_bitwise(case):
-    """The per-hit axis choice finds the same links as the column-only search it replaced."""
+    """The per-hit axis choice finds the same heads as the column-only search it replaced."""
     hits, length, min_gap, max_gap = case
     rows = hit_rows(hits)
     assert_both_axes(rows, min_gap, max_gap)
     got = chain_hits(rows, length, min_gap, max_gap)
-    want = column_chain_hits(rows, length, min_gap, max_gap)
+    want = column_chain_hits(rows, length, min_gap, max_gap)[:, 0]
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
