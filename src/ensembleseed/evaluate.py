@@ -8,8 +8,8 @@ when any seed (or chain) lands inside its true reference interval on the right
 strand; everything else is clustered greedily and counted as false positives.
 A sweep reads a stream of windows once and scores each window's whole (t, n)
 grid under every strategy that shares one index: one k-mer collection, one
-lookup and, for chains, one chaining call per window and strategy, then
-validity and dedup per point.
+lookup, for chains one chaining call, and one validity pass per window and
+strategy, then dedup per point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .decode import BaseCall, IllegalPathError, ReadEnsemble, StatePath, path_to_sequence
 from .io import atomic_write, tsv_rows
 from .kmers import STRANDS
-from .seeding import KmerIndex, chain_hits, collect_ensemble_kmers, find_hits
+from .seeding import KmerIndex, chain_hits, collect_ensemble_kmers, find_hits, hit_order
 
 DEFAULT_WINDOW_SIZE = 500
 DEFAULT_DEDUP_RADIUS = 10
@@ -194,11 +194,12 @@ def window_points(window: Window, index: KmerIndex, config: StrategyConfig, poin
     ``find_hits`` order. The k-mers of the first max n samples (the Viterbi
     call in Viterbi mode) are collected and looked up once, each labelled by
     its rank so that each hit names its k-mer, and each point masks the hits
-    down to its own k-mers with ``EnsembleKmers.kept``. Chains at a subset of hits are no filter of
-    the superset's chains, so each point is chained on its own hits: one
-    ``chain_hits`` call takes every point's, with each point's columns
-    shifted past the reach of the point before; a gap so wide that the
-    shifted columns would pass int64 is a ``ValueError``.
+    down to its own k-mers, those whose ``EnsembleKmers.tth_row`` at its t,
+    taken once per distinct t, lies below its n. Chains at a subset of hits
+    are no filter of the superset's chains, so each point is chained on its
+    own hits: one ``chain_hits`` call takes every point's, with each point's
+    columns shifted past the reach of the point before; a gap so wide that
+    the shifted columns would pass int64 is a ``ValueError``.
     """
     need = max(n for _, n in points)
     calls = [window.viterbi] if config.use_viterbi else window.samples
@@ -210,8 +211,9 @@ def window_points(window: Window, index: KmerIndex, config: StrategyConfig, poin
     hits = find_hits(index, replace(kmers, keys=np.arange(cols.size) * 4**k + codes))
     owner = hits[:, 0].copy()
     hits[:, 0] = cols[owner]
-    order = np.lexsort(hits.T[::-1])
-    kept = np.stack([kmers.kept(t, n) for t, n in points])[:, owner[order]]
+    order = hit_order(hits)  # each column is one of the window's events: below 2**30
+    tth = {t: kmers.tth_row(t) for t in {t for t, _ in points}}  # kept(t, n) is tth[t] < n
+    kept = np.stack([tth[t] < n for t, n in points])[:, owner[order]]
     point, at = np.nonzero(kept)  # point-major, each point's hits in find_hits order
     hits = hits[order[at]]
     if config.kind == "single":
@@ -265,9 +267,11 @@ def sweep(
     ``windows`` is any iterable, read once and counted as it is read; every
     strategy looks its seeds up in ``index``. Each window is scored in one
     ``window_points`` pass per strategy that carries every scorable
-    point; validity and dedup then run per point. A Viterbi-mode strategy
-    scores its single Viterbi row at (1, 1) for every grid point (t and n
-    only label the row), so it serves as the fixed baseline. Ensemble points
+    point. One ``is_valid_hit`` pass scores every point's TP, and
+    ``greedy_dedup`` counts the FP of each point that has invalid rows. A
+    Viterbi-mode strategy scores its single Viterbi row at (1, 1) for every
+    grid point (t and n only label the row), so it serves as the fixed
+    baseline. Ensemble points
     that cannot draw samples (n = 0, or t > n) score zero so the grid stays
     rectangular; the grid and radius pass ``check_grid`` before any scoring.
     """
@@ -282,11 +286,14 @@ def sweep(
             if not points:
                 continue
             found = window_points(window, index, config, points)
+            valid = is_valid_hit(found, window.truth)
+            hit = np.bincount(found[valid, 3], minlength=len(points))
+            found = found[~valid]  # the invalid rows alone stay alive, still grouped by point
             bounds = np.searchsorted(found[:, 3], np.arange(len(points) + 1))
-            for point, lo, hi in zip(points, bounds[:-1], bounds[1:]):
-                valid = is_valid_hit(found[lo:hi], window.truth)
-                score[point][0] += bool(valid.any())
-                score[point][1] += len(greedy_dedup(found[lo:hi][~valid], radius))
+            for point, tp, lo, hi in zip(points, hit, bounds[:-1], bounds[1:]):
+                score[point][0] += bool(tp)
+                if lo < hi:
+                    score[point][1] += len(greedy_dedup(found[lo:hi], radius))
     rows: list[EvalRow] = []
     for config, score in zip(configs, scores):
         for t, n in grid:

@@ -16,6 +16,8 @@ _BASE_TO_CODE = {b: i for i, b in enumerate(BASES)}
 _BYTE_TO_CODE = np.full(256, -1, dtype=np.int8)  # -1 for every byte but A, C, G, T
 _BYTE_TO_CODE[[ord(b) for b in BASES]] = range(len(BASES))
 _COMPLEMENT = str.maketrans("ACGTacgt", "TGCAtgca")
+# byte b of 4 bases, the first in its top 2 bits -> the byte of their reverse complement
+_RC_BYTE = sum((~np.arange(256) >> 2 * j & 3) << 2 * (3 - j) for j in range(4)).astype(np.uint8)
 
 
 def encode_kmer(kmer: str) -> int:
@@ -63,3 +65,17 @@ def kmer_codes(seq: str, k: int) -> np.ndarray:
 
 def reverse_complement(seq: str) -> str:
     return seq.translate(_COMPLEMENT)[::-1]
+
+
+def reverse_complement_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """``uint32`` codes of the reverse complements of k-mer codes, for k <= 16.
+
+    A code is the last k of the 16 bases of a little-endian 32-bit word. Each
+    byte's 4 bases are complemented and reversed through a 256-entry table, and
+    then the byte order: the word's reverse complement leads with the k-mer's,
+    and the shift drops the complements of the leading A's.
+    """
+    words = _RC_BYTE[codes.astype("<u4").view(np.uint8)].view("<u4")
+    words.byteswap(inplace=True)
+    words >>= 32 - 2 * k
+    return words

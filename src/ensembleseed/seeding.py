@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kmers import kmer_codes
+from .kmers import kmer_codes, reverse_complement_codes
 
 _LOW = np.uint64(0xFFFFFFFF)  # the offset half of an index key
 _CHUNK = 1 << 16  # keys an index build makes at a time: bounds its temporaries
 _PAIRS = 1 << 13  # (hit, candidate) pairs a chaining batch tests, on either axis: bounds memory
-_PAST = np.iinfo(np.int64).max  # above every chaining key
+_PAST = np.iinfo(np.int64).max  # above every chaining key, row and n
 
 
 @dataclass
@@ -80,18 +80,29 @@ class EnsembleKmers:
             columns.setdefault(key // 4**self.k, {})[key % 4**self.k] = count
         return columns
 
+    def tth_row(self, t: int) -> np.ndarray:
+        """Each key's t-th occurrence row; past every row and n when its support is below t."""
+        if t < 1:
+            raise ValueError(f"need t >= 1, got t={t}")
+        row = np.full(self.keys.size, _PAST)
+        some = self.support >= t
+        row[some] = self.occurrences[(np.cumsum(self.support) - self.support + t - 1)[some]]
+        return row
+
     def kept(self, t: int, n: int) -> np.ndarray:
         """Mask over keys: the key occurs in at least t of the rows below n.
 
         That holds iff its t-th occurrence lies in a row below n, so the kept
         sets nest: they shrink as t grows and grow with n.
         """
-        if t < 1:
-            raise ValueError(f"need t >= 1, got t={t}")
-        tth = np.cumsum(self.support) - self.support + t - 1
-        mask = self.support >= t
-        mask[mask] = self.occurrences[tth[mask]] < n
-        return mask
+        return self.tth_row(t) < n
+
+
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted array that differ from the one before."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
 
 def collect_ensemble_kmers(calls, k: int) -> EnsembleKmers:
@@ -114,8 +125,10 @@ def collect_ensemble_kmers(calls, k: int) -> EnsembleKmers:
     anchored, picked = anchored[picked >= 0], picked[picked >= 0]
     keys = col[anchored] * 4**k + picked
     order = np.argsort(keys, kind="stable")  # rows ascend within each key
-    keys, support = np.unique(keys[order], return_counts=True)
-    return EnsembleKmers(k=k, keys=keys, support=support, occurrences=row[anchored[order]])
+    keys = keys[order]
+    first = _starts(keys)
+    support = np.diff(np.append(np.flatnonzero(first), keys.size))
+    return EnsembleKmers(k=k, keys=keys[first], support=support, occurrences=row[anchored[order]])
 
 
 def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,34 +137,50 @@ def _ranges(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) + (lo - np.cumsum(count) + count)[owner]
 
 
+def hit_order(hits: np.ndarray) -> np.ndarray:
+    """The order that sorts hit rows by column, then offset, then strand; equal rows in any.
+
+    It argsorts one int64 key ``col << 33 | offset << 1 | strand``, built in
+    place, so columns must stay below 2**30 and offsets below 2**32.
+    """
+    key = hits[:, 0] << 32
+    key |= hits[:, 1]
+    key <<= 1
+    key |= hits[:, 2]
+    return key.argsort()
+
+
 def find_hits(index: KmerIndex, kmers: EnsembleKmers) -> np.ndarray:
-    """One sorted int64 row ``(query_col, ref_pos, strand index in STRANDS)`` per hit."""
+    """One sorted int64 row ``(query_col, ref_pos, strand index in STRANDS)`` per hit.
+
+    A query column of 2**30 or more is a ``ValueError``: rows are sorted by
+    ``hit_order``'s key.
+    """
     if index.k != kmers.k:
         raise ValueError(f"index k={index.k} does not match ensemble k={kmers.k}")
     k = kmers.k
     cols, codes = np.divmod(kmers.keys, 4**k)
+    if cols.max(initial=0) >= 2**30:
+        raise ValueError(f"query column {cols.max()} is 2**30 or more: hit keys would pass int64")
+    keys = index.positions["+"]
+    if not keys.size:
+        return np.empty((0, 3), dtype=np.int64)
     # query i is on strand i // cols.size: a "-" hit is a forward hit of the reverse complement
-    queries = np.concatenate([codes, np.full_like(codes, 4**k - 1)])
-    for j in range(k):  # complement base j of each code into base k - 1 - j of its "-" query
-        queries[cols.size :] ^= ((codes >> 2 * j) & 3) << 2 * (k - 1 - j)
+    queries = np.concatenate([codes, reverse_complement_codes(codes, k)])
     packed = queries.view(np.uint64)  # in place: code << 32 | i, i being the query's index
     packed <<= np.uint64(32)
     packed |= np.arange(packed.size, dtype=np.uint64)
     packed.sort()  # sorted queries probe the index in order
-    keys = index.positions["+"]
-    # a code's keys lie in [code << 32, code << 32 | _LOW): no offset reaches _LOW
+    # A code's keys lie in [code << 32, code << 32 | _LOW]. Only a query whose first key at
+    # or past code << 32 carries its code searches for its range's end; a probe past the
+    # last key reads the last key, of a lower code.
     lo = np.searchsorted(keys, packed & ~_LOW)
-    owner, at = _ranges(lo, np.searchsorted(keys, packed | _LOW) - lo)
+    found = np.flatnonzero((keys.take(lo, mode="clip") ^ packed) <= _LOW)
+    lo, packed = lo[found], packed[found]
+    owner, at = _ranges(lo, np.searchsorted(keys, packed | _LOW, side="right") - lo)
     strand, query = np.divmod((packed[owner] & _LOW).astype(np.int64), cols.size)
     hits = np.stack([cols[query], (keys[at] & _LOW).astype(np.int64), strand], axis=1)
-    return hits[np.lexsort(hits.T[::-1])]
-
-
-def _starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the elements of a sorted array that differ from the one before."""
-    starts = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
+    return hits[hit_order(hits)]
 
 
 def _batches(open_: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -354,6 +354,54 @@ def test_one_pass_matches_scoring_each_point_alone(
         assert np.array_equal(widest.keys[widest.kept(t, n)], alone.keys)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 8),
+    error=st.sampled_from([0.0, 0.1, 0.4]),
+    chain=st.sampled_from([None, (2, 1, 6)]),
+    use_viterbi=st.booleans(),
+    truths=st.lists(
+        st.just((0, 400, "+"))
+        | st.tuples(st.integers(0, 400), st.integers(0, 400), st.sampled_from("+-")),
+        min_size=1, max_size=4,
+    ),
+    radius=st.integers(0, 3),
+)
+def test_sweep_scores_each_point_by_validity_and_dedup_of_its_own_rows(
+    seed, k, error, chain, use_viterbi, truths, radius
+):
+    """One validity pass per window and dedup only where a point has invalid rows score
+    each point as ``is_valid_hit`` and ``greedy_dedup`` over its own rows. Random truth
+    intervals, empty ones and the whole reference included, give points with no invalid
+    rows, with no valid rows and with no rows at all."""
+    rng = np.random.default_rng(seed)
+    reference = "".join(rng.choice(list("ACGT"), 400))
+    windows = []
+    for i, (start, length, strand) in enumerate(truths):
+        calls = [mutated_call(rng, reference, 30, error) for _ in range(4)]
+        truth = (start, start + length, strand)
+        windows.append(Window(f"w{i}", (0, 30), calls[0], calls[1:], truth))
+    if chain is None:
+        config = StrategyConfig(kind="single", seed_k=k, use_viterbi=use_viterbi)
+    else:
+        length, least, most = chain
+        config = StrategyConfig(
+            kind="chain", seed_k=k, chain_len=length, min_gap=least, max_gap=most,
+            use_viterbi=use_viterbi,
+        )
+    index = build_index(reference, k)
+    for row in sweep(windows, index, [config], [1, 2, 3], [0, 1, 3], radius):
+        t, n = (1, 1) if use_viterbi else (row.t, row.n)
+        tp = fp = 0
+        for window in windows if t <= n else []:
+            rows = per_point_rows(window, index, config, t, n)
+            valid = is_valid_hit(rows, window.truth)
+            tp += bool(valid.any())
+            fp += len(greedy_dedup(rows[~valid], radius))
+        assert (row.tp, row.fp) == (tp, fp), (row.t, row.n)
+
+
 def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)

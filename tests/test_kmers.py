@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ensembleseed.kmers import (
     decode_kmer,
@@ -7,6 +8,7 @@ from ensembleseed.kmers import (
     encode_sequence,
     kmer_codes,
     reverse_complement,
+    reverse_complement_codes,
 )
 
 
@@ -79,3 +81,22 @@ def test_reverse_complement():
     assert reverse_complement("") == ""
     seq = "GATTACA"
     assert reverse_complement(reverse_complement(seq)) == seq
+
+
+@st.composite
+def codes_of_one_k(draw):
+    k = draw(st.integers(1, 16))
+    return k, draw(st.lists(st.integers(0, 4**k - 1), max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_of_one_k())
+@example((16, [2**31, 2**31 + 1, 0xC0FFEE00, 2**32 - 1, 0, 2**31 - 1]))
+@example((1, [0, 1, 2, 3]))
+def test_reverse_complement_codes_match_the_strings(case):
+    """The byte-table reverse complement of each code, up to k=16 codes at or above 2**31,
+    whose top bit is the sign bit of a 32-bit int, is the code of the string's."""
+    k, codes = case
+    got = reverse_complement_codes(np.array(codes, dtype=np.int64), k)
+    assert got.dtype == np.dtype("<u4")
+    assert got.tolist() == [encode_kmer(reverse_complement(decode_kmer(c, k))) for c in codes]

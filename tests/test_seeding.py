@@ -22,6 +22,7 @@ from ensembleseed.decode import BaseCall
 from ensembleseed.kmers import decode_kmer, encode_kmer, reverse_complement
 from ensembleseed.seeding import (
     EnsembleKmers,
+    KmerIndex,
     build_index,
     chain_hits,
     collect_ensemble_kmers,
@@ -247,6 +248,28 @@ class TestFindHits:
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
+    def test_offsets_up_to_2_32_sort_as_lexsort(self):
+        """A hand-built index whose offsets fill all 32 bits, queried at columns up to
+        2**30 - 1: each code is queried at every column, so every key gives each column one
+        "+" and one "-" row, in ``np.lexsort`` order."""
+        k = 2
+        rng = np.random.default_rng(5)
+        offsets = np.unique(np.r_[rng.integers(0, 2**32, 60), 0, 2**31 - 1, 2**31, 2**32 - 1])
+        codes = rng.integers(0, 4**k, offsets.size)
+        keys = np.sort(codes.astype(np.uint64) << np.uint64(32) | offsets.astype(np.uint64))
+        cols = [0, 1, 2**29, 2**30 - 1]
+        hits = find_hits(
+            KmerIndex(k=k, positions={"+": keys}), ensemble(k, {c: range(4**k) for c in cols})
+        )
+        assert np.array_equal(hits, hits[np.lexsort(hits.T[::-1])])
+        assert hits.tolist() == [[c, p, s] for c in cols for p in offsets.tolist() for s in (0, 1)]
+
+    def test_a_query_column_of_2_30_is_rejected(self):
+        """Above it, the packed sort key ``col << 33 | offset << 1 | strand`` would pass int64."""
+        kmers = ensemble(4, {5: [1], 2**30: [0]})
+        with pytest.raises(ValueError, match=rf"query column {2**30} is 2\*\*30 or more"):
+            find_hits(build_index("ACGTACGT", 4), kmers)
+
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_reverse_strand_hits_are_the_reverse_complements_forward_hits(k):
@@ -281,7 +304,9 @@ def index_cases(draw):
     """A reference of ACGT runs split by other characters, k, and k-mers to look up.
 
     The queries mix k-mers of the reference with arbitrary codes, most of
-    which the reference lacks.
+    which the reference lacks, and end with the codes beside the least and the
+    greatest indexed code and their reverse complements, so that "+" and "-"
+    probes land before the first key, on both end keys and past the last key.
     """
     k = draw(st.integers(1, 16))
     runs = draw(st.lists(st.text(st.sampled_from("ACGT"), max_size=40), min_size=1, max_size=4))
@@ -291,16 +316,26 @@ def index_cases(draw):
     anywhere = st.integers(0, 4**k - 1).map(lambda code: decode_kmer(code, k))
     kmer = st.sampled_from(present) | anywhere if present else anywhere
     queries = draw(st.lists(kmer, max_size=8))
-    return reference, k, queries
+    codes = [encode_kmer(kmer) for kmer in present]
+    edges = {0, 4**k - 1}
+    if codes:
+        edges |= {min(codes) - 1, min(codes), max(codes), max(codes) + 1}
+    edges = [decode_kmer(code, k) for code in sorted(edges) if 0 <= code < 4**k]
+    return reference, k, queries + edges + [reverse_complement(kmer) for kmer in edges]
 
 
 @settings(max_examples=300, deadline=None)
 @given(index_cases())
 @example(("GATTACA" * 3 + "N" + "T" * 18 + "ACGT", 16, ["T" * 16, "GATTACAGATTACAGA", "G" * 16]))
+@example(("", 3, ["AAA", "TTT"]))
+@example(("NNNN", 1, ["A", "T"]))
 def test_index_lookup_matches_reference_scan(case):
     """Index and hits of both strands against a naive scan, for k from 1 to 16.
 
     A k=16 code with a leading G or T fills the top bit of a ``uint64`` key.
+    Each query probes the index once for its code's first key, and only a
+    probe that lands on that code searches for the range's end. An empty
+    index finds nothing.
     """
     reference, k, queries = case
     index = build_index(reference, k)
