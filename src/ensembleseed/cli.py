@@ -24,6 +24,7 @@ from .evaluate import (
     CHAIN_10,
     DEFAULT_DEDUP_RADIUS,
     DEFAULT_WINDOW_SIZE,
+    LABELS,
     SINGLE_13,
     StrategyConfig,
     build_windows,
@@ -181,8 +182,6 @@ def _strategies(args) -> list[StrategyConfig]:
     return [
         StrategyConfig(kind="single", seed_k=single_k),
         StrategyConfig(kind="chain", seed_k=chain_k, **common),
-        StrategyConfig(kind="single", seed_k=single_k, use_viterbi=True),
-        StrategyConfig(kind="chain", seed_k=chain_k, use_viterbi=True, **common),
     ]
 
 
@@ -226,8 +225,7 @@ def cmd_eval(args) -> int:
         first = list(itertools.islice(stream, 1))
         mine = [c for c in strategies if c.seed_k == length]
         rows += sweep(itertools.chain(first, stream), build_index(reference, length), mine, *grid)
-    labels = [c.label for c in strategies]
-    rows.sort(key=lambda row: labels.index(row.strategy))
+    rows.sort(key=lambda row: LABELS.index(row.strategy))
     os.makedirs(args.out_dir, exist_ok=True)
     write_report(os.path.join(args.out_dir, "report.tsv"), rows)
     _write_config(args.out_dir, "eval", args)

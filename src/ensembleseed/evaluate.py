@@ -7,9 +7,9 @@ window, which is comparable across samples. A window scores a true positive
 when any seed (or chain) lands inside its true reference interval on the right
 strand; everything else is clustered greedily and counted as false positives.
 A sweep reads a stream of windows once and scores each window's whole (t, n)
-grid under every strategy that shares one index: one k-mer collection, one
-lookup, for chains one chaining call, and one validity pass per window and
-strategy, then dedup per point.
+grid and its Viterbi call under every strategy that shares one index: one
+k-mer collection, one lookup, for chains one chaining call, and one validity
+pass per window and strategy, then dedup per point.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ class StrategyConfig:
     chain_len: int = 3
     min_gap: int = 10
     max_gap: int = 50
-    use_viterbi: bool = False
 
     def __post_init__(self):
         if self.kind not in ("single", "chain"):
@@ -155,14 +154,12 @@ class StrategyConfig:
 
     @property
     def label(self) -> str:
-        base = "single-kmer" if self.kind == "single" else "chain"
-        return base + ("-viterbi" if self.use_viterbi else "")
+        return "single-kmer" if self.kind == "single" else "chain"
 
 
 SINGLE_13 = StrategyConfig(kind="single", seed_k=13)
 CHAIN_10 = StrategyConfig(kind="chain", seed_k=10)
-SINGLE_13_VITERBI = StrategyConfig(kind="single", seed_k=13, use_viterbi=True)
-LABELS = ("single-kmer", "chain", "single-kmer-viterbi", "chain-viterbi")  # every config's label
+LABELS = ("single-kmer", "chain", "single-kmer-viterbi", "chain-viterbi")  # every row's label
 
 
 @dataclass(frozen=True)
@@ -186,40 +183,40 @@ class EvalRow:
 
 
 def window_points(window: Window, index: KmerIndex, config: StrategyConfig, points) -> np.ndarray:
-    """Every grid point's candidate left endpoints under a strategy, in one pass.
+    """Every grid point's candidate left endpoints under a strategy, then the Viterbi call's.
 
-    ``points`` lists (t, n) pairs with 1 <= t <= n. Returns ``(query_col,
-    ref_pos, strand, p)`` rows, p indexing ``points``, grouped by p: point
-    p's hit rows, or the distinct rows that start a chain among them, in
-    ``find_hits`` order. The k-mers of the first max n samples (the Viterbi
-    call in Viterbi mode) are collected and looked up once, each labelled by
-    its rank so that each hit names its k-mer, and each point masks the hits
-    down to its own k-mers, those whose ``EnsembleKmers.tth_row`` at its t,
-    taken once per distinct t, lies below its n. Chains at a subset of hits
-    are no filter of the superset's chains, so each point is chained on its
-    own hits: one ``chain_hits`` call takes every point's, with each point's
-    columns shifted past the reach of the point before; a gap so wide that
-    the shifted columns would pass int64 is a ``ValueError``.
+    ``points`` lists (t, n) pairs with 1 <= t <= n; point ``len(points)`` is
+    the Viterbi call. Returns ``(query_col, ref_pos, strand, p)`` rows grouped
+    by p: point p's hit rows, or the distinct rows that start a chain among
+    them, in ``find_hits`` order. The k-mers of the first max n samples and
+    of the Viterbi call, row max n, are collected and looked up once, each
+    labelled by its rank so that each hit names its k-mer. A point keeps the
+    hits of the k-mers whose ``EnsembleKmers.tth_row`` at its t (once per
+    distinct t) lies below its n; the Viterbi point those whose last row is
+    its own. Each point is chained on its own hits, since chains at a subset
+    of hits are no filter of the superset's: one ``chain_hits`` call takes
+    every point's, each point's columns shifted past the reach of the one
+    before; a gap so wide that they would pass int64 is a ``ValueError``.
     """
-    need = max(n for _, n in points)
-    calls = [window.viterbi] if config.use_viterbi else window.samples
-    if need > len(calls):
-        raise ValueError(f"window has {len(calls)} sample rows, need n={need}")
+    need = max((n for _, n in points), default=0)
+    if need > len(window.samples):
+        raise ValueError(f"window has {len(window.samples)} sample rows, need n={need}")
     k = config.seed_k
-    kmers = collect_ensemble_kmers(calls[:need], k)
+    kmers = collect_ensemble_kmers([*window.samples[:need], window.viterbi], k)
     cols, codes = np.divmod(kmers.keys, 4**k)
     hits = find_hits(index, replace(kmers, keys=np.arange(cols.size) * 4**k + codes))
     owner = hits[:, 0].copy()
     hits[:, 0] = cols[owner]
     order = hit_order(hits)  # each column is one of the window's events: below 2**30
     tth = {t: kmers.tth_row(t) for t in {t for t, _ in points}}  # kept(t, n) is tth[t] < n
-    kept = np.stack([tth[t] < n for t, n in points])[:, owner[order]]
+    last = kmers.occurrences[np.cumsum(kmers.support) - 1]  # rows ascend within each key
+    kept = np.stack([tth[t] < n for t, n in points] + [last == need])[:, owner[order]]
     point, at = np.nonzero(kept)  # point-major, each point's hits in find_hits order
     hits = hits[order[at]]
     if config.kind == "single":
         return np.column_stack([hits, point])
     stride = window.event_range[1] - window.event_range[0] + config.max_gap + 1
-    if len(points) * stride > np.iinfo(np.int64).max:
+    if (len(points) + 1) * stride > np.iinfo(np.int64).max:
         raise ValueError(f"max_gap={config.max_gap} is too wide: shifted columns would pass int64")
     hits[:, 0] += point * stride
     heads = chain_hits(hits, config.chain_len, config.min_gap, config.max_gap)
@@ -262,48 +259,45 @@ def sweep(
     n_values,
     radius: int = DEFAULT_DEDUP_RADIUS,
 ) -> list[EvalRow]:
-    """Full cartesian (t, n) grid for each strategy, strategy-major then t-major.
+    """Each strategy's (t, n) grid rows, then its ``-viterbi`` rows, each grid t-major.
 
     ``windows`` is any iterable, read once and counted as it is read; every
     strategy looks its seeds up in ``index``. Each window is scored in one
-    ``window_points`` pass per strategy that carries every scorable
-    point. One ``is_valid_hit`` pass scores every point's TP, and
-    ``greedy_dedup`` counts the FP of each point that has invalid rows. A
-    Viterbi-mode strategy scores its single Viterbi row at (1, 1) for every
-    grid point (t and n only label the row), so it serves as the fixed
-    baseline. Ensemble points
-    that cannot draw samples (n = 0, or t > n) score zero so the grid stays
-    rectangular; the grid and radius pass ``check_grid`` before any scoring.
+    ``window_points`` pass per strategy that carries every scorable point
+    and the Viterbi point. One ``is_valid_hit`` pass scores every point's
+    TP, and ``greedy_dedup`` counts the FP of each point that has invalid
+    rows. The Viterbi rows repeat the Viterbi point's score at every (t, n),
+    which only label them, so they serve as the fixed baseline. Ensemble
+    points that cannot draw samples (n = 0, or t > n) score zero so the grid
+    stays rectangular; grid and radius pass ``check_grid`` before any scoring.
     """
     check_grid(t_values, n_values, radius)
     grid = [(t, n) for t in t_values for n in n_values]
-    ensemble_points = [(t, n) for t, n in grid if t <= n]
-    plans = [[(1, 1)] if c.use_viterbi else ensemble_points for c in configs]
-    scores = [{point: [0, 0] for point in points} for points in plans]  # TP, FP
+    points = [(t, n) for t, n in grid if t <= n]
+    scores = [{point: [0, 0] for point in [*points, None]} for _ in configs]  # None: Viterbi
     count = 0
     for count, window in enumerate(windows, 1):
-        for config, points, score in zip(configs, plans, scores):
-            if not points:
-                continue
+        for config, score in zip(configs, scores):
             found = window_points(window, index, config, points)
             valid = is_valid_hit(found, window.truth)
-            hit = np.bincount(found[valid, 3], minlength=len(points))
+            hit = np.bincount(found[valid, 3], minlength=len(score))
             found = found[~valid]  # the invalid rows alone stay alive, still grouped by point
-            bounds = np.searchsorted(found[:, 3], np.arange(len(points) + 1))
-            for point, tp, lo, hi in zip(points, hit, bounds[:-1], bounds[1:]):
-                score[point][0] += bool(tp)
+            bounds = np.searchsorted(found[:, 3], np.arange(len(score) + 1))
+            for tally, tp, lo, hi in zip(score.values(), hit, bounds[:-1], bounds[1:]):
+                tally[0] += bool(tp)
                 if lo < hi:
-                    score[point][1] += len(greedy_dedup(found[lo:hi], radius))
+                    tally[1] += len(greedy_dedup(found[lo:hi], radius))
     rows: list[EvalRow] = []
     for config, score in zip(configs, scores):
-        for t, n in grid:
-            tp, fp = score.get((1, 1) if config.use_viterbi else (t, n), (0, 0))
-            rows.append(
-                EvalRow(
-                    strategy=config.label, k=config.seed_k, t=t, n=n,
-                    tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
+        for suffix in ("", "-viterbi"):
+            for t, n in grid:
+                tp, fp = score[None] if suffix else score.get((t, n), (0, 0))
+                rows.append(
+                    EvalRow(
+                        strategy=config.label + suffix, k=config.seed_k, t=t, n=n,
+                        tp=tp, windows=count, sn=tp / count if count else 0.0, fp=fp,
+                    )
                 )
-            )
     return rows
 
 

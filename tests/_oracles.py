@@ -648,16 +648,17 @@ def edit_distance(a, b):
     return prev[len(b)]
 
 
-def per_point_rows(window, index, config, t, n):
+def per_point_rows(window, index, config, t, n, viterbi=False):
     """One grid point's candidate rows scored on their own: hit rows or chain heads.
 
     Collects the point's k-mers, looks them up and chains them with one call
-    each, the path that ``evaluate.window_points`` serves for a whole grid in
-    one pass.
+    each, the path that ``evaluate.window_points`` serves for a whole grid and
+    the Viterbi point in one pass. ``viterbi`` scores the Viterbi call alone,
+    as the one sample of the point (1, 1).
     """
     from ensembleseed.seeding import chain_hits, find_hits
 
-    rows = [window.viterbi] if config.use_viterbi else None
+    rows = [window.viterbi] if viterbi else None
     hits = find_hits(index, thresholded_ensemble_kmers(window, config.seed_k, n, t, rows=rows))
     if config.kind == "single":
         return hits

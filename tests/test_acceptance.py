@@ -20,6 +20,7 @@ from _corpus import (
     calls_digest,
     per_transition_calls_digest,
     report_digest,
+    viterbi_row,
 )
 from _oracles import (
     Hit,
@@ -37,8 +38,6 @@ from ensembleseed.cli import main as cli_main
 from ensembleseed.evaluate import (
     CHAIN_10,
     SINGLE_13,
-    SINGLE_13_VITERBI,
-    evaluate,
     greedy_dedup,
     is_valid_hit,
     sweep,
@@ -260,11 +259,12 @@ def test_criterion_06_seeding_oracles():
 
 def test_criterion_07_sensitivity_grows_with_n(pinned_corpus):
     t0 = time.perf_counter()
-    base = evaluate(pinned_corpus.windows, pinned_corpus.index13, SINGLE_13_VITERBI, 1, 1)
-    rows = sweep(
+    report = sweep(
         pinned_corpus.windows, pinned_corpus.index13, [SINGLE_13], [1], list(range(1, 17))
     )
     elapsed = time.perf_counter() - t0 + pinned_corpus.build_seconds
+    base = next(r for r in report if r.strategy == "single-kmer-viterbi")
+    rows = [r for r in report if r.strategy == "single-kmer"]
     mono = all(a.sn <= b.sn for a, b in zip(rows, rows[1:]))
     n8 = next(r for r in rows if r.n == 8)
     gap = n8.sn - base.sn
@@ -283,7 +283,7 @@ def test_criterion_07_sensitivity_grows_with_n(pinned_corpus):
 
 def test_criterion_08_chaining_cuts_fp(pinned_corpus):
     t0 = time.perf_counter()
-    base = evaluate(pinned_corpus.windows, pinned_corpus.index13, SINGLE_13_VITERBI, 1, 1)
+    base = viterbi_row(pinned_corpus)
     grid = sweep(
         pinned_corpus.windows,
         pinned_corpus.index10,
@@ -291,6 +291,7 @@ def test_criterion_08_chaining_cuts_fp(pinned_corpus):
         [1, 2],
         [1, 2, 4, 8, 12, 16],
     )
+    grid = [r for r in grid if r.strategy == "chain"]
     elapsed = time.perf_counter() - t0
     matching = [r for r in grid if r.sn >= base.sn - 0.01]
     best = min(matching, key=lambda r: r.fp) if matching else None
@@ -418,7 +419,7 @@ def test_criterion_10_regression_pin(pinned_corpus):
         "tools/freeze_pins.py before shipping"
     )
     pin = json.loads(pin_path.read_text())
-    row = evaluate(pinned_corpus.windows, pinned_corpus.index13, SINGLE_13_VITERBI, 1, 1)
+    row = viterbi_row(pinned_corpus)
     got = {"strategy": row.strategy, "k": row.k, "tp": row.tp,
            "windows": row.windows, "fp": row.fp}
     ok = got == pin

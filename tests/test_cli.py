@@ -16,6 +16,7 @@ from ensembleseed.cli import main
 from ensembleseed.decode import call_read, iter_basecalls, load_basecalls
 from ensembleseed.evaluate import (
     CHAIN_10,
+    LABELS,
     EvalRow,
     StrategyConfig,
     build_windows,
@@ -264,20 +265,21 @@ def test_eval_rejects_a_negative_dedup_radius_with_no_window_scored(pipeline, tm
 
 
 def test_eval_rejects_a_gap_too_wide_for_the_grid_chaining_keys(pipeline, tmp_path, capsys):
-    """One point chains at --max-gap 10**12; five points' shifted columns would give
-    chaining keys past int64, and eval exits 2 instead of scoring wrapped keys."""
+    """The default grid's point and the Viterbi point chain at --max-gap 2 * 10**9; five
+    points and the Viterbi point would shift columns far enough to give chaining keys past
+    int64, and eval exits 2 instead of scoring wrapped keys."""
     _, sim, _, calls = pipeline
     args = [
         "eval", "--reference", sim / "reference.fasta",
         "--basecalls", calls / "basecalls.fasta", "--spans", calls / "spans.jsonl",
         "--truth", sim / "truth.tsv", "--true-paths", sim / "true_paths.jsonl",
-        "--window", 60, "--max-gap", 10**12,
+        "--window", 60, "--max-gap", 2 * 10**9,
     ]
     assert run_cli(*args, "--out-dir", tmp_path / "one") == 0
     out = tmp_path / "grid"
     assert run_cli(*args, "--t", "1,2", "--n", "1,2,3", "--out-dir", out) == 2
     err = capsys.readouterr().err
-    assert "ensembleseed eval: max_gap=1000000000000 is too wide: chaining keys" in err
+    assert "ensembleseed eval: max_gap=2000000000 is too wide: chaining keys" in err
     assert not (out / "report.tsv").exists()
 
 
@@ -336,13 +338,9 @@ def test_eval_report_equals_one_sweep_per_strategy_over_every_window(pipeline, t
     assert len(windows) == (12 if window == 50 else 0)
     index = build_index(read_fasta(sim / "reference.fasta")[0][1], 6)
     gaps = dict(chain_len=CHAIN_10.chain_len, min_gap=CHAIN_10.min_gap, max_gap=CHAIN_10.max_gap)
-    strategies = [
-        StrategyConfig("single", 6),
-        StrategyConfig("chain", 6, **gaps),
-        StrategyConfig("single", 6, use_viterbi=True),
-        StrategyConfig("chain", 6, use_viterbi=True, **gaps),
-    ]
+    strategies = [StrategyConfig("single", 6), StrategyConfig("chain", 6, **gaps)]
     rows = [row for c in strategies for row in sweep(windows, index, [c], t_values, n_values)]
+    rows.sort(key=lambda row: LABELS.index(row.strategy))
     assert window == 5000 or any(row.tp and row.fp for row in rows)
     write_report(tmp_path / "want.tsv", rows)
     assert (out / "report.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
@@ -415,6 +413,17 @@ def test_eval_peaks_at_about_one_index(tmp_path):
     ])
     assert one_index > 15_000_000
     assert peak <= 1.6 * one_index, f"eval peaks at {peak / one_index:.2f} indexes"
+
+
+def test_freeze_pins_loads(monkeypatch):
+    """``tools/freeze_pins.py`` imports by name what it freezes; loading it without running
+    ``main`` fails here, not at the next refreeze, when one of those names is gone."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and tests/
+    path = Path(__file__).resolve().parents[1] / "tools" / "freeze_pins.py"
+    spec = importlib.util.spec_from_file_location("freeze_pins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 @pytest.fixture

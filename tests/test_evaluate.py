@@ -16,7 +16,6 @@ from ensembleseed.decode import BaseCall, ReadEnsemble, StatePath, path_to_seque
 from ensembleseed.evaluate import (
     CHAIN_10,
     SINGLE_13,
-    SINGLE_13_VITERBI,
     EvalRow,
     StrategyConfig,
     Window,
@@ -231,8 +230,6 @@ def test_eval_row_validation():
 def test_strategy_labels():
     assert SINGLE_13.label == "single-kmer"
     assert CHAIN_10.label == "chain"
-    assert SINGLE_13_VITERBI.label == "single-kmer-viterbi"
-    assert StrategyConfig(kind="chain", seed_k=10, use_viterbi=True).label == "chain-viterbi"
     with pytest.raises(ValueError):
         StrategyConfig(kind="top", seed_k=5)
     for k in (0, 17):
@@ -264,36 +261,39 @@ def test_perfect_calls_score_full_sensitivity(scored_corpus):
     assert row.sn == 1.0
 
 
-def test_window_points_viterbi_mode_ignores_samples(scored_corpus):
+def test_window_points_scores_the_viterbi_call_last(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
     win = windows[0]
-    pts = window_points(win, index, SINGLE_13_VITERBI, [(1, 1)])
+    pts = window_points(win, index, SINGLE_13, [])
     assert len(pts), "true-path viterbi row must hit its own reference"
     assert pts.dtype == np.int64 and pts.shape == (len(pts), 4)
-    assert not pts[:, 3].any(), "every row belongs to the one point"
+    assert not pts[:, 3].any(), "with no grid point every row is the Viterbi point's"
+    both = window_points(win, index, SINGLE_13, [(2, 2)])
+    assert np.array_equal(both[both[:, 3] == 1, :3], pts[:, :3])
 
 
 def test_window_points_needs_n_sample_rows():
-    """An ensemble point reads the first n samples; Viterbi mode reads the Viterbi call alone."""
+    """An ensemble point reads the first n samples; the Viterbi point reads the Viterbi call,
+    so a window with no samples still scores it."""
     aacc = BaseCall("AACC", [4])
     index = build_index("TTAACCGA", 4)
     win = Window("w", (0, 1), aacc, [aacc], (2, 6, "+"))
+    single = StrategyConfig(kind="single", seed_k=4)
     with pytest.raises(ValueError, match="window has 1 sample rows, need n=2"):
-        window_points(win, index, StrategyConfig(kind="single", seed_k=4), [(1, 1), (1, 2)])
+        window_points(win, index, single, [(1, 1), (1, 2)])
     lone = Window("w", (0, 1), aacc, [], (2, 6, "+"))
-    viterbi = StrategyConfig(kind="single", seed_k=4, use_viterbi=True)
-    assert window_points(lone, index, viterbi, [(1, 1)]).tolist() == [[0, 2, 0, 0]]
+    assert window_points(lone, index, single, []).tolist() == [[0, 2, 0, 0]]
 
 
 def test_window_points_rejects_a_gap_whose_column_shift_would_wrap():
     """Point p's columns are shifted by p * (window + max_gap + 1): with max_gap = 2**62
-    one point chains, and three would shift past int64."""
+    the Viterbi point alone chains, and three grid points and it would shift past int64."""
     aacc = BaseCall("AACC", [4])
     index = build_index("TTAACCGA", 4)
     win = Window("w", (0, 1), aacc, [aacc, aacc], (2, 6, "+"))
     config = StrategyConfig(kind="chain", seed_k=4, chain_len=1, max_gap=2**62)
-    assert window_points(win, index, config, [(1, 1)]).tolist() == [[0, 2, 0, 0]]
+    assert window_points(win, index, config, []).tolist() == [[0, 2, 0, 0]]
     with pytest.raises(ValueError, match=f"max_gap={2**62} is too wide: shifted columns"):
         window_points(win, index, config, [(1, 1), (1, 2), (2, 2)])
 
@@ -316,42 +316,44 @@ def mutated_call(rng, reference, events, error):
     samples=st.integers(1, 6),
     error=st.sampled_from([0.0, 0.1, 0.4]),
     chain=st.sampled_from([None, (1, 0, 0), (2, 1, 6), (3, 2, 9), (3, 0, 30)]),
-    use_viterbi=st.booleans(),
+    twin=st.booleans(),
     data=st.data(),
 )
 def test_one_pass_matches_scoring_each_point_alone(
-    seed, k, events, samples, error, chain, use_viterbi, data
+    seed, k, events, samples, error, chain, twin, data
 ):
-    """Masked hits and split chain heads equal a collection, lookup and chaining per point."""
+    """Masked hits and split chain heads equal a collection, lookup and chaining per point,
+    the Viterbi point, last, included. With ``twin`` the Viterbi call is the first sample,
+    so every Viterbi k-mer also occurs in a sample row; an empty grid leaves the Viterbi
+    point alone."""
     rng = np.random.default_rng(seed)
     reference = "".join(rng.choice(list("ACGT"), 400))
     calls = [mutated_call(rng, reference, events, error) for _ in range(samples + 1)]
-    window = Window("w", (0, events), calls[0], calls[1:], (0, 0, "+"))
+    window = Window("w", (0, events), calls[1] if twin else calls[0], calls[1:], (0, 0, "+"))
     if chain is None:
-        config = StrategyConfig(kind="single", seed_k=k, use_viterbi=use_viterbi)
+        config = StrategyConfig(kind="single", seed_k=k)
     else:
         length, least, most = chain
         config = StrategyConfig(
-            kind="chain", seed_k=k, chain_len=length, min_gap=least, max_gap=most,
-            use_viterbi=use_viterbi,
+            kind="chain", seed_k=k, chain_len=length, min_gap=least, max_gap=most
         )
-    if use_viterbi:
-        points = [(1, 1)]
-    else:
-        pair = st.tuples(st.integers(1, samples), st.integers(1, samples)).filter(
-            lambda tn: tn[0] <= tn[1]
-        )
-        points = data.draw(st.lists(pair, min_size=1, max_size=8, unique=True))
+    pair = st.tuples(st.integers(1, samples), st.integers(1, samples)).filter(
+        lambda tn: tn[0] <= tn[1]
+    )
+    points = data.draw(st.lists(pair, max_size=8, unique=True))
     index = build_index(reference, k)
     found = window_points(window, index, config, points)
     assert found.dtype == np.int64 and found.shape[1] == 4
     assert np.all(np.diff(found[:, 3]) >= 0)
+    assert found[:, 3].max(initial=0) <= len(points)
     widest = collect_ensemble_kmers(window.samples, k)
     for p, (t, n) in enumerate(points):
         expected = per_point_rows(window, index, config, t, n)
         assert np.array_equal(found[found[:, 3] == p, :3], expected), (t, n)
         alone = thresholded_ensemble_kmers(window, k, n, t)
         assert np.array_equal(widest.keys[widest.kept(t, n)], alone.keys)
+    expected = per_point_rows(window, index, config, 1, 1, viterbi=True)
+    assert np.array_equal(found[found[:, 3] == len(points), :3], expected), "viterbi"
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,7 +362,7 @@ def test_one_pass_matches_scoring_each_point_alone(
     k=st.integers(2, 8),
     error=st.sampled_from([0.0, 0.1, 0.4]),
     chain=st.sampled_from([None, (2, 1, 6)]),
-    use_viterbi=st.booleans(),
+    grid=st.sampled_from([([1, 2, 3], [0, 1, 3]), ([3], [1, 2]), ([1], [0])]),
     truths=st.lists(
         st.just((0, 400, "+"))
         | st.tuples(st.integers(0, 400), st.integers(0, 400), st.sampled_from("+-")),
@@ -369,12 +371,13 @@ def test_one_pass_matches_scoring_each_point_alone(
     radius=st.integers(0, 3),
 )
 def test_sweep_scores_each_point_by_validity_and_dedup_of_its_own_rows(
-    seed, k, error, chain, use_viterbi, truths, radius
+    seed, k, error, chain, grid, truths, radius
 ):
     """One validity pass per window and dedup only where a point has invalid rows score
-    each point as ``is_valid_hit`` and ``greedy_dedup`` over its own rows. Random truth
-    intervals, empty ones and the whole reference included, give points with no invalid
-    rows, with no valid rows and with no rows at all."""
+    each point, the Viterbi point included, as ``is_valid_hit`` and ``greedy_dedup`` over
+    its own rows. Random truth intervals, empty ones and the whole reference included, give
+    points with no invalid rows, with no valid rows and with no rows at all; grids with
+    every t > n or n = 0 leave the Viterbi point alone."""
     rng = np.random.default_rng(seed)
     reference = "".join(rng.choice(list("ACGT"), 400))
     windows = []
@@ -383,19 +386,23 @@ def test_sweep_scores_each_point_by_validity_and_dedup_of_its_own_rows(
         truth = (start, start + length, strand)
         windows.append(Window(f"w{i}", (0, 30), calls[0], calls[1:], truth))
     if chain is None:
-        config = StrategyConfig(kind="single", seed_k=k, use_viterbi=use_viterbi)
+        config = StrategyConfig(kind="single", seed_k=k)
     else:
         length, least, most = chain
         config = StrategyConfig(
-            kind="chain", seed_k=k, chain_len=length, min_gap=least, max_gap=most,
-            use_viterbi=use_viterbi,
+            kind="chain", seed_k=k, chain_len=length, min_gap=least, max_gap=most
         )
     index = build_index(reference, k)
-    for row in sweep(windows, index, [config], [1, 2, 3], [0, 1, 3], radius):
-        t, n = (1, 1) if use_viterbi else (row.t, row.n)
+    report = sweep(windows, index, [config], *grid, radius)
+    cells = len(grid[0]) * len(grid[1])
+    labels = [config.label] * cells + [config.label + "-viterbi"] * cells
+    assert [row.strategy for row in report] == labels
+    for row in report:
+        viterbi = row.strategy.endswith("-viterbi")
+        t, n = (1, 1) if viterbi else (row.t, row.n)
         tp = fp = 0
         for window in windows if t <= n else []:
-            rows = per_point_rows(window, index, config, t, n)
+            rows = per_point_rows(window, index, config, t, n, viterbi)
             valid = is_valid_hit(rows, window.truth)
             tp += bool(valid.any())
             fp += len(greedy_dedup(rows[~valid], radius))
@@ -407,8 +414,8 @@ def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):
     index = build_index(ref, 13)
     config = StrategyConfig(kind="single", seed_k=13)
     rows = sweep(windows, index, [config], [1, 2, 3], [0, 1, 2])
-    assert len(rows) == 9
-    by_key = {(r.t, r.n): r for r in rows}
+    assert len(rows) == 18  # the grid's rows, then as many Viterbi rows
+    by_key = {(r.t, r.n): r for r in rows[:9]}
     for t in (1, 2, 3):
         z = by_key[(t, 0)]
         assert (z.tp, z.sn, z.fp) == (0, 0.0, 0)
@@ -417,33 +424,41 @@ def test_sweep_grid_shape_and_degenerate_rows(scored_corpus):
     assert by_key[(2, 2)].tp > 0
 
 
-def test_sweep_viterbi_strategy_is_constant_across_grid(scored_corpus):
+def test_sweep_viterbi_rows_are_constant_across_grid(scored_corpus):
     ref, windows = scored_corpus
     index = build_index(ref, 13)
-    rows = sweep(windows, index, [SINGLE_13_VITERBI], [1, 2], [1, 4])
-    assert len(rows) == 4
-    assert len({(r.tp, r.fp) for r in rows}) == 1
-    assert {(r.t, r.n) for r in rows} == {(1, 1), (1, 4), (2, 1), (2, 4)}
+    rows = sweep(windows, index, [SINGLE_13], [1, 3], [1, 2])
+    assert [r.strategy for r in rows] == ["single-kmer"] * 4 + ["single-kmer-viterbi"] * 4
+    viterbi = rows[4:]
+    assert len({(r.tp, r.fp) for r in viterbi}) == 1 and viterbi[0].tp > 0
+    assert [(r.t, r.n) for r in viterbi] == [(1, 1), (1, 2), (3, 1), (3, 2)]
 
 
 def test_sweep_scores_each_distinct_point_once(scored_corpus, monkeypatch):
+    """Per window and strategy one ``window_points`` call carries every scorable point, and
+    it makes one collection, one lookup and, for chains, one chaining call, also when every
+    t > n leaves the Viterbi point alone."""
     ref, windows = scored_corpus
-    index = build_index(ref, 13)
     calls = []
 
-    def counting_window_points(window, index, config, points):
-        calls.append((window.window_id, list(points)))
-        return window_points(window, index, config, points)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name if name != "window_points" else (name, list(args[3])))
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate_module, "window_points", counting_window_points)
-    rows = sweep(windows, index, [SINGLE_13_VITERBI], [1, 2], [1, 4])
-    assert len(rows) == 4
-    assert calls == [(w.window_id, [(1, 1)]) for w in windows]
-    calls.clear()
-    rows = sweep(windows, index, [SINGLE_13], [1, 2, 3], [0, 2])
-    assert len(rows) == 6
-    # one call per window carries (1, 2) and (2, 2); n = 0 and t > n score zero without running
-    assert calls == [(w.window_id, [(1, 2), (2, 2)]) for w in windows]
+        return wrapper
+
+    for name in ("window_points", "collect_ensemble_kmers", "find_hits", "chain_hits"):
+        monkeypatch.setattr(evaluate_module, name, counted(name, getattr(evaluate_module, name)))
+    pass_calls = ["collect_ensemble_kmers", "find_hits"]
+    for config, chained in ((SINGLE_13, []), (CHAIN_10, ["chain_hits"])):
+        index = build_index(ref, config.seed_k)
+        # one call per window carries (1, 2) and (2, 2); n = 0 and t > n score zero
+        for grid, points in ((([1, 2, 3], [0, 2]), [(1, 2), (2, 2)]), (([3], [1, 2]), [])):
+            calls.clear()
+            rows = sweep(windows, index, [config], *grid)
+            assert len(rows) == 2 * len(grid[0]) * len(grid[1])
+            assert calls == [("window_points", points), *pass_calls, *chained] * len(windows)
     calls.clear()
     with pytest.raises(ValueError, match=r"may not repeat a value, got t=\[1, 2, 3\], n=\[0, 2, 2"):
         sweep(windows, index, [SINGLE_13], [1, 2, 3], [0, 2, 2])
@@ -475,9 +490,10 @@ def test_sweep_reads_a_window_stream_once_for_every_strategy(scored_corpus):
     index = build_index(ref, 13)
     grid = ([1, 2, 3], [0, 1, 2])
     stream = iter(windows)
-    rows = sweep(stream, index, [SINGLE_13, SINGLE_13_VITERBI], *grid)
+    chain = StrategyConfig(kind="chain", seed_k=13)
+    rows = sweep(stream, index, [SINGLE_13, chain], *grid)
     assert rows == sweep(windows, index, [SINGLE_13], *grid) + sweep(
-        windows, index, [SINGLE_13_VITERBI], *grid
+        windows, index, [chain], *grid
     )
     assert next(stream, None) is None
     assert {row.windows for row in rows} == {len(windows)}

@@ -33,9 +33,8 @@ from _corpus import (  # noqa: E402
     calls_digest,
     per_transition_calls_digest,
     report_digest,
+    viterbi_row,
 )
-
-from ensembleseed.evaluate import SINGLE_13_VITERBI, evaluate  # noqa: E402
 
 BAND_HALF_WIDTH = 0.03
 
@@ -47,7 +46,7 @@ def main() -> int:
     corpus = build_pinned_corpus()
     print(f"corpus built in {corpus.build_seconds:.0f}s, {len(corpus.windows)} windows")
 
-    row = evaluate(corpus.windows, corpus.index13, SINGLE_13_VITERBI, 1, 1)
+    row = viterbi_row(corpus)
     pin = {
         "strategy": row.strategy,
         "k": row.k,
